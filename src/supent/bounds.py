@@ -66,6 +66,18 @@ T_EPS = 1e-9
 DESTRUCTIVE_NORM_SQ = 1e-12
 SANITY_SLACK = 1e-8
 
+# Rounding slack, relative to 1 + |bracket|, for the computed entropies when
+# the refined search rules out grid points.  eigvalsh leaves an absolute
+# error of a few u = 2^-53 on each eigenvalue of a unit-trace operator, which
+# moves its entropy by about d u log2(1/u), or 6e-15 d; the secant
+# extrapolations below at most triple that.  1e-9 covers it with room to
+# spare at any dimension a dense eigendecomposition can reach.
+ENTROPY_ROUNDING = 1e-9
+
+# Every PRUNE_STRIDE-th grid point of the refined search is eigendecomposed
+# unconditionally; the bounds on the points between interpolate from them.
+PRUNE_STRIDE = 16
+
 
 @dataclass(frozen=True)
 class SuperpositionProblem:
@@ -97,12 +109,13 @@ class SuperpositionProblem:
 
         The coefficient pair must lie on the unit sphere within 1e-8; it is
         rescaled onto it exactly so downstream identities hold to machine
-        precision.  Raises ZeroState when the superposition is fully
+        precision.  Raises DomainError for a non-finite or overflowing
+        coefficient, and ZeroState when the superposition is fully
         destructive (squared norm below 1e-12).
         """
         psi_n = psi.normalized()
         phi_n = phi.normalized()
-        sphere = abs(alpha) ** 2 + abs(beta) ** 2
+        sphere = _weight("alpha", alpha) + _weight("beta", beta)
         if abs(sphere - 1.0) > 1e-8:
             raise DomainError(
                 f"|alpha|^2 + |beta|^2 = {sphere!r}, expected 1 within 1e-8"
@@ -223,7 +236,6 @@ def minimize_f_scalar(
     e_phi: float,
     alpha_sq: float,
     gamma_norm_sq: float,
-    delta_s_fn: Optional[Callable[[float], float]] = None,
     grid_n: int = optimize.DEFAULT_GRID_N,
     tol: float = optimize.DEFAULT_TOL,
 ) -> tuple[float, float]:
@@ -232,12 +244,24 @@ def minimize_f_scalar(
     Besides the grid + golden-section search the candidate set always
     contains t = |alpha|^2, which pins the result at or below the LPS bound.
     """
+    return _minimize_f(
+        lambda t: f_upper_value(t, e_psi, e_phi, alpha_sq, gamma_norm_sq),
+        alpha_sq,
+        grid_n,
+        tol,
+    )
 
-    def objective(t: float) -> float:
-        ds = delta_s_fn(t) if delta_s_fn is not None else 0.0
-        return f_upper_value(t, e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=ds)
 
-    res = optimize.minimize_scalar(objective, T_EPS, 1.0 - T_EPS, grid_n=grid_n, tol=tol)
+def _minimize_f(
+    objective: Callable[[float], float],
+    alpha_sq: float,
+    grid_n: int,
+    tol: float,
+    grid_values: Optional[list[float]] = None,
+) -> tuple[float, float]:
+    res = optimize.minimize_scalar(
+        objective, T_EPS, 1.0 - T_EPS, grid_n=grid_n, tol=tol, grid_values=grid_values
+    )
     value, t_star = res.value, res.x_star
     if T_EPS < alpha_sq < 1.0 - T_EPS:
         at_a = objective(alpha_sq)
@@ -251,8 +275,9 @@ def minimize_f_with_refinement(
     e_phi: float,
     alpha_sq: float,
     gamma_norm_sq: float,
+    overlap_sq: float,
     delta_s_fn: Callable[[float], float],
-    delta_s_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    side_entropies: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     grid_n: int = optimize.DEFAULT_GRID_N,
     tol: float = optimize.DEFAULT_TOL,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -260,32 +285,141 @@ def minimize_f_with_refinement(
 
     Returns ((plain_value, plain_t), (refined_value, refined_t)).  The
     refined candidate set includes the plain minimizer, which pins the
-    refined optimum at or below the plain one.  When ``delta_s_batch`` is
-    given it precomputes |S_A(t) - S_B(t)| for the whole coarse grid in one
-    vectorized call; only the golden-section refinement points fall back to
-    the scalar ``delta_s_fn``.
+    refined optimum at or below the plain one.
+
+    The refined f subtracts Delta(t) = |S_A(t) - S_B(t)|, the gap between the
+    reduced entropies of t |psi><psi| + (1-t) |phi><phi|.
+    ``side_entropies`` returns (S_A, S_B) at an array of weights from one
+    stacked eigendecomposition per side; ``delta_s_fn`` returns Delta at one
+    weight, for the golden-section points between grid points.
+    ``overlap_sq`` is |<psi|phi>|^2.
+
+    The grid stage eigendecomposes only the points that could be the grid
+    minimum:
+
+    1. S_A and S_B are computed at every PRUNE_STRIDE-th grid point (the
+       knots); ``best`` is the least refined f among them.
+    2. Each S_X is concave in t, because entropy is concave and rho_X(t) is
+       affine in t.  So between two knots S_X lies above their chord and
+       below the secants of the two neighbouring knot intervals, extended.
+       Concavity also gives S_X >= m = t E(psi) + (1-t) E(phi), and since
+       the Holevo quantity does not grow under partial trace,
+       S_X <= m + S_AB, where S_AB is the closed-form entropy of the rank-2
+       mixture.  With L_X and U_X the tightest of these lower and upper
+       bounds, and Araki-Lieb (Delta <= S_AB),
+       cap = clip(min(S_AB, max(U_A - L_B, U_B - L_A)), 0, inf) >= Delta,
+       and LB = pref (m + h2(t) - cap) / N^2 is at most the refined f.
+    3. One more stacked call evaluates the points with
+       LB - allowance <= best, where
+       allowance = pref ENTROPY_ROUNDING (1 + |m + h2(t)|) / N^2 absorbs
+       rounding in the computed entropies.  Every other point keeps LB as
+       its grid value: its refined f exceeds ``best``, so it cannot be the
+       grid minimum, and the grid argmin, the golden-section path and the
+       result are those of a full-grid evaluation, bit for bit.
+
+    A grid weight asked for again (the t = |alpha|^2 or plain-minimizer pin)
+    gets the stacked kernel's value, as the full grid would give it.
     """
     plain_value, plain_t = minimize_f_scalar(
         e_psi, e_phi, alpha_sq, gamma_norm_sq, grid_n=grid_n, tol=tol
     )
-    fn = delta_s_fn
-    if delta_s_batch is not None:
-        ts = optimize.grid_points(T_EPS, 1.0 - T_EPS, grid_n)
-        cache = dict(zip(ts, delta_s_batch(np.asarray(ts)).tolist()))
+    ts = optimize.grid_points(T_EPS, 1.0 - T_EPS, grid_n)
+    grid = np.asarray(ts)
+    delta = np.full(grid_n, np.nan)
 
-        def fn(t: float) -> float:
-            hit = cache.get(t)
-            return hit if hit is not None else delta_s_fn(t)
+    def evaluate(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s_a, s_b = side_entropies(grid[idx])
+        delta[idx] = np.abs(s_a - s_b)
+        return s_a, s_b
 
-    value, t_star = minimize_f_scalar(
-        e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s_fn=fn, grid_n=grid_n, tol=tol
+    def objective(t: float) -> float:
+        i = int(np.searchsorted(grid, t))
+        if i < grid_n and ts[i] == t:
+            if math.isnan(delta[i]):
+                evaluate(np.array([i]))
+            ds = float(delta[i])
+        else:
+            ds = delta_s_fn(t)
+        return f_upper_value(t, e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=ds)
+
+    knots = np.unique(np.r_[np.arange(0, grid_n, PRUNE_STRIDE), grid_n - 1])
+    s_a, s_b = evaluate(knots)
+    floor, allowance = _refined_f_floor(
+        grid, grid[knots], s_a, s_b, e_psi, e_phi, alpha_sq, gamma_norm_sq, overlap_sq
     )
-    at_plain = f_upper_value(
-        plain_t, e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=fn(plain_t)
-    )
+    values = floor.tolist()
+    for i in knots:
+        values[i] = objective(ts[i])
+    best = min(values[i] for i in knots)
+    todo = np.flatnonzero(np.isnan(delta) & (floor - allowance <= best))
+    if todo.size:
+        evaluate(todo)
+    for i in todo:
+        values[i] = objective(ts[i])
+
+    value, t_star = _minimize_f(objective, alpha_sq, grid_n, tol, grid_values=values)
+    at_plain = objective(plain_t)
     if at_plain < value:
         value, t_star = at_plain, plain_t
     return (plain_value, plain_t), (value, t_star)
+
+
+def _refined_f_floor(
+    t: np.ndarray,
+    knots: np.ndarray,
+    s_a: np.ndarray,
+    s_b: np.ndarray,
+    e_psi: float,
+    e_phi: float,
+    alpha_sq: float,
+    gamma_norm_sq: float,
+    overlap_sq: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bound on the refined f at weights ``t`` and its rounding allowance.
+
+    ``s_a``, ``s_b`` are the exact side entropies at ``knots``; see
+    ``minimize_f_with_refinement`` for why the bound holds.
+    """
+    m = t * e_psi + (1.0 - t) * e_phi
+    cap = _delta_cap(t, knots, s_a, s_b, m, states.mixture_entropy_array(t, overlap_sq))
+    scale = (t * (1.0 - alpha_sq) + (1.0 - t) * alpha_sq) / (t * (1.0 - t) * gamma_norm_sq)
+    bracket = m + qmath.binary_entropy_array(t)
+    return scale * (bracket - cap), scale * ENTROPY_ROUNDING * (1.0 + np.abs(bracket))
+
+
+def _delta_cap(
+    t: np.ndarray,
+    knots: np.ndarray,
+    s_a: np.ndarray,
+    s_b: np.ndarray,
+    m: np.ndarray,
+    s_ab: np.ndarray,
+) -> np.ndarray:
+    """Upper bound on |S_A(t) - S_B(t)| from the side entropies at ``knots``,
+    the mean entanglement m(t) and the mixture entropy S_AB(t)."""
+    lo_a, hi_a = _concave_envelope(t, knots, s_a, m, m + s_ab)
+    lo_b, hi_b = _concave_envelope(t, knots, s_b, m, m + s_ab)
+    return np.clip(np.minimum(s_ab, np.maximum(hi_a - lo_b, hi_b - lo_a)), 0.0, None)
+
+
+def _concave_envelope(
+    t: np.ndarray, knots: np.ndarray, s: np.ndarray, floor: np.ndarray, ceiling: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) on a concave function known exactly at ``knots``.
+
+    lo is the chord of the knot interval holding t, raised to ``floor``; hi
+    is the lower of the secants of the two neighbouring intervals, extended
+    into this one, and ``ceiling``.
+    """
+    last = knots.size - 2
+    j = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, last)
+    slope = np.diff(s) / np.diff(knots)
+    chord = s[j] + slope[j] * (t - knots[j])
+    left = np.where(j > 0, s[j] + slope[j - 1] * (t - knots[j]), np.inf)
+    right = np.where(
+        j < last, s[j + 1] + slope[np.minimum(j + 1, last)] * (t - knots[j + 1]), np.inf
+    )
+    return np.maximum(chord, floor), np.minimum(np.minimum(left, right), ceiling)
 
 
 def maximize_lower_scalar(
@@ -353,12 +487,15 @@ def exact_one_sided(p: SuperpositionProblem) -> float:
     with a = |alpha|^2 and rho_AB = a |psi><psi| + (1-a) |phi><phi|.
     Raises NotOneSided when neither reduced side has orthogonal supports.
     """
-    cls = states.classify_orthogonality(p.psi, p.phi)
-    if not cls.one_sided:
+    if not states.classify_orthogonality(p.psi, p.phi).one_sided:
         raise NotOneSided("pair is not one-sided orthogonal on either side")
+    s_a, s_b = states.reduced_mixture_entropies(p.psi, p.phi, p.alpha_sq)
+    return _one_sided_value(p, s_a, s_b)
+
+
+def _one_sided_value(p: SuperpositionProblem, s_a: float, s_b: float) -> float:
     t = p.alpha_sq
     s_ab = states.mixture_entropy(p.psi, p.phi, t)
-    s_a, s_b = states.reduced_mixture_entropies(p.psi, p.phi, t)
     return t * p.e_psi + (1.0 - t) * p.e_phi + s_ab - abs(s_a - s_b)
 
 
@@ -377,7 +514,7 @@ def theorem2_upper(p: SuperpositionProblem) -> float:
 
 def f_of_t(p: SuperpositionProblem, t: float, refined: bool = False) -> float:
     """Evaluate the f(t) upper bound (refined variant on request)."""
-    delta = _delta_s_fn(p)(t) if refined else 0.0
+    delta = _ReducedPair.of(p).delta(t) if refined else 0.0
     return f_upper_value(
         t, p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=delta
     )
@@ -392,14 +529,7 @@ def theorem3_optimal(p: SuperpositionProblem, refined: bool = False) -> tuple[fl
     _require_constructive(p)
     if not refined:
         return minimize_f_scalar(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
-    _, refined_result = minimize_f_with_refinement(
-        p.e_psi,
-        p.e_phi,
-        p.alpha_sq,
-        p.gamma_norm_sq,
-        delta_s_fn=_delta_s_fn(p),
-        delta_s_batch=_delta_s_batch(p),
-    )
+    _, refined_result = _refined_search(p, _ReducedPair.of(p))
     return refined_result
 
 
@@ -492,21 +622,18 @@ def certify(
 def certify_problem(p: SuperpositionProblem) -> BoundReport:
     _require_constructive(p)
     exact = states.entanglement_entropy(p.gamma)
+    reduced = _ReducedPair.of(p)
+    s_a, s_b = reduced.entropies(p.alpha_sq)
     lps = lps_upper(p)
-    t2 = theorem2_upper(p)
-    (t3, t3_star), (t3r, _) = minimize_f_with_refinement(
-        p.e_psi,
-        p.e_phi,
-        p.alpha_sq,
-        p.gamma_norm_sq,
-        delta_s_fn=_delta_s_fn(p),
-        delta_s_batch=_delta_s_batch(p),
+    t2 = theorem2_upper_value(
+        p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=s_a - s_b
     )
+    (t3, t3_star), (t3r, _) = _refined_search(p, reduced)
     low, low_t, branch = theorem4_optimal(p)
     raw = lower_l(p, low_t, branch)
-    cls = states.classify_orthogonality(p.psi, p.phi)
+    one_sided = states.classify_orthogonality(p.psi, p.phi).one_sided
     simple = simple_lower(p) if abs(p.overlap) <= states.ORTHOGONALITY_TOL else None
-    ex1 = exact_one_sided(p) if cls.one_sided else None
+    ex1 = _one_sided_value(p, s_a, s_b) if one_sided else None
     upper_min = min(lps, t2, t3, t3r)
     sane = (low - SANITY_SLACK <= exact) and (exact <= upper_min + SANITY_SLACK)
     return BoundReport(
@@ -526,6 +653,17 @@ def certify_problem(p: SuperpositionProblem) -> BoundReport:
     )
 
 
+def _weight(name: str, c: complex) -> float:
+    """|c|^2 of a coefficient, rejecting values with no finite weight."""
+    try:
+        w = abs(c) ** 2
+    except OverflowError:
+        w = math.inf
+    if not math.isfinite(w):
+        raise DomainError(f"coefficient {name} = {c!r} is not finite or too large to square")
+    return w
+
+
 def _check_t(t: float) -> None:
     if not T_EPS <= t <= 1.0 - T_EPS:
         raise DomainError(f"t={t!r} outside [{T_EPS:g}, 1 - {T_EPS:g}]")
@@ -540,35 +678,57 @@ def _rescaled_squares(p: SuperpositionProblem) -> tuple[float, float]:
     return p.alpha_sq / p.gamma_norm_sq, p.beta_sq / p.gamma_norm_sq
 
 
-def _delta_s_fn(p: SuperpositionProblem) -> Callable[[float], float]:
-    """|S_A(t) - S_B(t)| for the reduced mixtures, as a fast closure."""
-    ra1 = states.reduced_density(p.psi, "A")
-    ra2 = states.reduced_density(p.phi, "A")
-    rb1 = states.reduced_density(p.psi, "B")
-    rb2 = states.reduced_density(p.phi, "B")
+@dataclass(frozen=True)
+class _ReducedPair:
+    """Reduced operators of psi and phi on each side, built once per problem.
 
-    def delta(t: float) -> float:
-        s_a = _psd_entropy(t * ra1 + (1.0 - t) * ra2)
-        s_b = _psd_entropy(t * rb1 + (1.0 - t) * rb2)
+    Each method keeps the eigenvalue kernel its value has always come from,
+    so the reported bounds stay the same bit for bit.
+    """
+
+    a_psi: np.ndarray
+    a_phi: np.ndarray
+    b_psi: np.ndarray
+    b_phi: np.ndarray
+
+    @classmethod
+    def of(cls, p: SuperpositionProblem) -> "_ReducedPair":
+        return cls(*(states.reduced_density(s, side) for side in "AB" for s in (p.psi, p.phi)))
+
+    def entropies(self, t: float) -> tuple[float, float]:
+        """(S_A, S_B) at weight t, as ``states.reduced_mixture_entropies``."""
+        return (
+            states.mixture_side_entropy(self.a_psi, self.a_phi, t),
+            states.mixture_side_entropy(self.b_psi, self.b_phi, t),
+        )
+
+    def delta(self, t: float) -> float:
+        """|S_A(t) - S_B(t)| at one weight."""
+        s_a = _psd_entropy(t * self.a_psi + (1.0 - t) * self.a_phi)
+        s_b = _psd_entropy(t * self.b_psi + (1.0 - t) * self.b_phi)
         return abs(s_a - s_b)
 
-    return delta
-
-
-def _delta_s_batch(p: SuperpositionProblem) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized |S_A(t) - S_B(t)| over an array of mixing weights."""
-    ra1 = states.reduced_density(p.psi, "A")
-    ra2 = states.reduced_density(p.phi, "A")
-    rb1 = states.reduced_density(p.psi, "B")
-    rb2 = states.reduced_density(p.phi, "B")
-
-    def delta(ts: np.ndarray) -> np.ndarray:
+    def entropies_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(S_A, S_B) at every weight in ``ts``, one stacked call per side."""
         t = ts[:, None, None]
-        s_a = _psd_entropy_batch(t * ra1 + (1.0 - t) * ra2)
-        s_b = _psd_entropy_batch(t * rb1 + (1.0 - t) * rb2)
-        return np.abs(s_a - s_b)
+        return (
+            _psd_entropy_batch(t * self.a_psi + (1.0 - t) * self.a_phi),
+            _psd_entropy_batch(t * self.b_psi + (1.0 - t) * self.b_phi),
+        )
 
-    return delta
+
+def _refined_search(
+    p: SuperpositionProblem, reduced: _ReducedPair
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    return minimize_f_with_refinement(
+        p.e_psi,
+        p.e_phi,
+        p.alpha_sq,
+        p.gamma_norm_sq,
+        abs(p.overlap) ** 2,
+        delta_s_fn=reduced.delta,
+        side_entropies=reduced.entropies_batch,
+    )
 
 
 def _psd_entropy(rho: np.ndarray) -> float:

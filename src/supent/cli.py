@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -41,6 +42,8 @@ def _parse_complex(text: str) -> complex:
         im = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad complex number {text!r}") from exc
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise argparse.ArgumentTypeError(f"complex number {text!r} is not finite")
     return complex(re, im)
 
 

@@ -550,27 +550,20 @@ def _sweep_record(d: int, alpha: float, beta: float) -> SweepRecord:
     asq = alpha * alpha
     bsq = beta * beta
 
-    # Both states have the same diagonal reduced spectra on either side, so
-    # the mixture spectra are t-independent; computed generically anyway.
-    def delta_s(t: float) -> float:
-        s_a = qmath.shannon_entropy(t * probs + (1.0 - t) * probs)
-        s_b = qmath.shannon_entropy(t * probs + (1.0 - t) * probs)
-        return abs(s_a - s_b)
-
+    # psi and phi have the same diagonal reduced spectrum on both sides, so
+    # every mixture of them does too and |S_A(t) - S_B(t)| is identically 0:
+    # Theorem 2 reduces to LPS and the refined f to the plain one.
     lps = bounds.lps_upper_value(e_state, e_state, asq, n2)
-    t2 = bounds.theorem2_upper_value(e_state, e_state, asq, n2, delta_s=delta_s(asq))
-    (t3, t3_star), (t3r, _) = bounds.minimize_f_with_refinement(
-        e_state, e_state, asq, n2, delta_s_fn=delta_s
-    )
+    t3, _ = bounds.minimize_f_scalar(e_state, e_state, asq, n2)
     raw, _, _ = bounds.maximize_lower_scalar(e_state, e_state, asq / n2, bsq / n2)
     lower = max(0.0, raw)
     return SweepRecord(
         d=d,
         exact_e=exact,
         lps=lps,
-        t2=t2,
+        t2=lps,
         t3=t3,
-        t3_refined=t3r,
+        t3_refined=t3,
         lower=lower,
         gap_lps=lps - exact,
         gap_t3=t3 - exact,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional, Sequence
 
 from .errors import NoSignChange, NonFiniteObjective
 
@@ -36,7 +36,10 @@ class OptimizerResult:
 
 
 def _checked(f: Callable[[float], float], x: float) -> float:
-    v = float(f(x))
+    return _finite(float(f(x)), x)
+
+
+def _finite(v: float, x: float) -> float:
     if not math.isfinite(v):
         raise NonFiniteObjective(f"objective returned {v!r} at x={x!r}")
     return v
@@ -55,6 +58,7 @@ def minimize_scalar(
     grid_n: int = DEFAULT_GRID_N,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    grid_values: Optional[Sequence[float]] = None,
 ) -> OptimizerResult:
     """Global-ish scalar minimization on [a, b].
 
@@ -62,6 +66,11 @@ def minimize_scalar(
     best grid point with golden-section search until the bracket is narrower
     than ``tol``.  The coarse grid guards against multiple local minima; the
     returned value never exceeds any grid sample.
+
+    ``grid_values``, when given, stands in for ``f`` on the grid
+    (``grid_points(a, b, grid_n)``).  Each entry must be ``f`` there or a
+    value above the grid minimum of ``f``, which leaves the best grid point,
+    and with it the whole search, unchanged.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
@@ -69,7 +78,12 @@ def minimize_scalar(
         raise ValueError("grid_n must be at least 3")
 
     xs = grid_points(a, b, grid_n)
-    vals = [_checked(f, x) for x in xs]
+    if grid_values is None:
+        vals = [_checked(f, x) for x in xs]
+    else:
+        if len(grid_values) != grid_n:
+            raise ValueError(f"expected {grid_n} grid values, got {len(grid_values)}")
+        vals = [_finite(float(v), x) for x, v in zip(xs, grid_values)]
     i_best = min(range(grid_n), key=vals.__getitem__)
     best_x, best_v = xs[i_best], vals[i_best]
 

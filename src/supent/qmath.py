@@ -21,6 +21,7 @@ __all__ = [
     "singular_values",
     "shannon_entropy",
     "binary_entropy",
+    "binary_entropy_array",
 ]
 
 DEFAULT_HERMITICITY_TOL = 1e-10
@@ -129,3 +130,19 @@ def binary_entropy(x: float, tol: float = 1e-12) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def binary_entropy_array(x, tol: float = 1e-12) -> np.ndarray:
+    """Elementwise h2 of an array, with h2(0) = h2(1) = 0.
+
+    numpy's log2 may differ from ``math.log2`` in the last bit, so values
+    that are reported go through ``binary_entropy``; this form serves bounds
+    that carry their own rounding allowance.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x < -tol) or np.any(x > 1.0 + tol):
+        raise DomainError("binary entropy argument outside [0, 1]")
+    x = np.clip(x, 0.0, 1.0)
+    inside = (x > 0.0) & (x < 1.0)
+    y = np.where(inside, x, 0.5)
+    return np.where(inside, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)

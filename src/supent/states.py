@@ -28,6 +28,8 @@ __all__ = [
     "classify_orthogonality",
     "lemma1_canonical_form",
     "mixture_entropy",
+    "mixture_entropy_array",
+    "mixture_side_entropy",
     "reduced_mixture_entropies",
 ]
 
@@ -198,8 +200,12 @@ def mixture_entropy(s1: BipartiteState, s2: BipartiteState, t: float) -> float:
     """
     _check_mixture_args(s1, s2, t)
     c2 = abs(inner_product(s1, s2)) ** 2
-    r = np.sqrt((2.0 * t - 1.0) ** 2 + 4.0 * t * (1.0 - t) * c2)
-    return qmath.binary_entropy(min(1.0, 0.5 * (1.0 + r)))
+    return qmath.binary_entropy(_mixture_top_eigenvalue(t, c2))
+
+
+def mixture_entropy_array(ts: np.ndarray, overlap_sq: float) -> np.ndarray:
+    """``mixture_entropy`` at every weight in ``ts``, given |<s1|s2>|^2."""
+    return qmath.binary_entropy_array(_mixture_top_eigenvalue(np.asarray(ts), overlap_sq))
 
 
 def reduced_mixture_entropies(
@@ -211,8 +217,8 @@ def reduced_mixture_entropies(
     rank, so they are diagonalized in full.
     """
     _check_mixture_args(s1, s2, t)
-    s_a = _mixture_side_entropy(reduced_density(s1, "A"), reduced_density(s2, "A"), t)
-    s_b = _mixture_side_entropy(reduced_density(s1, "B"), reduced_density(s2, "B"), t)
+    s_a = mixture_side_entropy(reduced_density(s1, "A"), reduced_density(s2, "A"), t)
+    s_b = mixture_side_entropy(reduced_density(s1, "B"), reduced_density(s2, "B"), t)
     return s_a, s_b
 
 
@@ -236,9 +242,16 @@ def _trace_overlap(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", rho1, rho2).real)
 
 
-def _mixture_side_entropy(rho1: np.ndarray, rho2: np.ndarray, t: float) -> float:
+def mixture_side_entropy(rho1: np.ndarray, rho2: np.ndarray, t: float) -> float:
+    """Entropy of t rho1 + (1-t) rho2 for unit-trace reduced operators."""
     w = qmath.hermitian_eigenvalues(t * rho1 + (1.0 - t) * rho2).values
     return qmath.shannon_entropy(np.maximum(w, 0.0))
+
+
+def _mixture_top_eigenvalue(t, c2):
+    """(1 + r)/2 of ``mixture_entropy``, capped at 1; t may be an array."""
+    r = np.sqrt((2.0 * t - 1.0) ** 2 + 4.0 * t * (1.0 - t) * c2)
+    return np.minimum(1.0, 0.5 * (1.0 + r))
 
 
 def _schmidt_form(s: BipartiteState) -> SchmidtForm:

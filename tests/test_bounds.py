@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_state, random_sphere_pair
-from supent import harness, states
+from supent import bounds, harness, optimize, states
 from supent.bounds import (
+    T_EPS,
     SuperpositionProblem,
     certify,
     exact_one_sided,
@@ -16,6 +19,7 @@ from supent.bounds import (
     lps_upper,
     lps_upper_value,
     maximize_lower_scalar,
+    minimize_f_scalar,
     simple_lower,
     subspace_lower,
     theorem2_upper,
@@ -83,6 +87,13 @@ def test_problem_rejects_off_sphere_coefficients():
     psi, phi = harness.bell_block_pair()
     with pytest.raises(DomainError):
         SuperpositionProblem.from_states(psi, phi, 0.6, 0.9)
+
+
+@pytest.mark.parametrize("alpha", [1e308, complex(0.6, math.nan), math.inf])
+def test_problem_rejects_coefficients_without_finite_weight(alpha):
+    psi, phi = harness.bell_block_pair()
+    with pytest.raises(DomainError, match="alpha"):
+        SuperpositionProblem.from_states(psi, phi, alpha, 0.8)
 
 
 def test_problem_rejects_destructive_superposition():
@@ -247,6 +258,160 @@ def test_theorem3_refined_never_exceeds_plain():
         exact = entanglement_entropy(p.gamma)
         assert refined <= plain + 1e-12
         assert exact <= refined + 1e-8
+
+
+# -- pruned grid of the refined search -------------------------------------------
+
+
+def _side_densities(p):
+    return [(states.reduced_density(p.psi, x), states.reduced_density(p.phi, x)) for x in "AB"]
+
+
+def _mixture_side_entropies(p, ts):
+    """Exhaustive (S_A, S_B) at every weight in ts, straight from eigvalsh."""
+    out = []
+    for r1, r2 in _side_densities(p):
+        w = np.linalg.eigvalsh(ts[:, None, None] * r1 + (1.0 - ts[:, None, None]) * r2)
+        terms = np.where(w > 0.0, -w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
+        out.append(np.maximum(0.0, terms.sum(axis=-1)))
+    return out
+
+
+def _reference_refined(p):
+    """The refined search with Delta evaluated on the whole grid.
+
+    Returns (grid values, (value, t_star)).  Golden-section points off the
+    grid take Delta from one eigendecomposition per side, as the search does.
+    """
+    ts = optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N)
+    s_a, s_b = _mixture_side_entropies(p, np.asarray(ts))
+    on_grid = dict(zip(ts, np.abs(s_a - s_b).tolist()))
+    densities = _side_densities(p)
+
+    def delta(t):
+        if t in on_grid:
+            return on_grid[t]
+        s = []
+        for r1, r2 in densities:
+            w = np.linalg.eigvalsh(t * r1 + (1.0 - t) * r2)
+            w = w[w > 0.0]
+            s.append(max(0.0, float(-(w * np.log2(w)).sum())) if w.size else 0.0)
+        return abs(s[0] - s[1])
+
+    def f(t):
+        return f_upper_value(t, p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=delta(t))
+
+    grid_values = [f(t) for t in ts]
+    res = optimize.minimize_scalar(f, T_EPS, 1.0 - T_EPS)
+    value, t_star = res.value, res.x_star
+    # the t = |alpha|^2 pin, then the plain minimizer
+    plain_t = minimize_f_scalar(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)[1]
+    pins = [p.alpha_sq] if T_EPS < p.alpha_sq < 1.0 - T_EPS else []
+    for t in pins + [plain_t]:
+        if f(t) < value:
+            value, t_star = f(t), t
+    return grid_values, (value, t_star)
+
+
+def _pruning_problems():
+    rng = np.random.default_rng(83)
+    for d in (2, 3, 4, 6, 8, 12, 16, 24, 32):
+        alpha, beta = random_sphere_pair(rng)
+        yield SuperpositionProblem.from_states(
+            random_state(rng, d, d), random_state(rng, d, d), alpha, beta
+        )
+    for seed in range(4):
+        alpha, beta = random_sphere_pair(rng)
+        psi, phi = harness.generate_one_sided_pair(2, 3, 4, 500 + seed)
+        yield SuperpositionProblem.from_states(psi, phi, alpha, beta)
+    for alpha in (0.3, INV_SQRT2, 0.9):
+        yield block_problem(alpha, math.sqrt(1.0 - alpha * alpha))
+    for _ in range(3):
+        u, v = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        product = BipartiteState(np.outer(u, v))
+        yield SuperpositionProblem.from_states(product, random_state(rng, 3, 3), 0.6, 0.8)
+    for alpha_sq in (1e-6, 1.0 - 1e-6):
+        yield SuperpositionProblem.from_states(
+            random_state(rng, 5, 5),
+            random_state(rng, 5, 5),
+            math.sqrt(alpha_sq),
+            math.sqrt(1.0 - alpha_sq),
+        )
+
+
+def test_refined_pruning_matches_exhaustive_grid(monkeypatch):
+    seen = []
+    minimize = optimize.minimize_scalar
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("grid_values"))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize_scalar", spy)
+    for p in _pruning_problems():
+        seen.clear()
+        result = theorem3_optimal(p, refined=True)
+        (pruned,) = [v for v in seen if v is not None]
+        reference, expected = _reference_refined(p)
+        assert int(np.argmin(pruned)) == int(np.argmin(reference))
+        # every grid value is exact, or lies above the grid minimum
+        for got, want in zip(pruned, reference):
+            assert got == want or got > min(reference)
+        assert result == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["haar", "one_sided", "product", "block"]),
+    dim=st.integers(2, 6),
+    alpha_sq=st.floats(1e-6, 1.0 - 1e-6),
+)
+def test_delta_cap_bounds_entropy_gap(seed, kind, dim, alpha_sq):
+    rng = np.random.default_rng(seed)
+    if kind == "haar":
+        psi, phi = random_state(rng, dim, dim + 1), random_state(rng, dim, dim + 1)
+    elif kind == "one_sided":
+        psi, phi = harness.generate_one_sided_pair(dim // 2 + 1, dim, dim + 1, seed)
+    elif kind == "product":
+        u, v = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+        psi, phi = BipartiteState(np.outer(u, v)), random_state(rng, dim, dim)
+    else:
+        psi, phi = harness.bell_block_pair()
+    p = SuperpositionProblem.from_states(
+        psi, phi, math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)
+    )
+    t = np.asarray(optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N))
+    s_a, s_b = _mixture_side_entropies(p, t)
+    knots = np.arange(0, t.size, bounds.PRUNE_STRIDE)
+    m = t * p.e_psi + (1.0 - t) * p.e_phi
+    s_ab = states.mixture_entropy_array(t, abs(p.overlap) ** 2)
+    cap = bounds._delta_cap(t, t[knots], s_a[knots], s_b[knots], m, s_ab)
+    assert np.all(cap >= np.abs(s_a - s_b) - bounds.ENTROPY_ROUNDING)
+
+
+@pytest.mark.parametrize("d", [4, 16, 32])
+def test_refined_search_eigendecomposes_few_grid_points(d, monkeypatch):
+    stacked = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        if a.ndim == 3:
+            stacked.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        alpha, beta = random_sphere_pair(rng)
+        p = SuperpositionProblem.from_states(
+            random_state(rng, d, d), random_state(rng, d, d), alpha, beta
+        )
+        stacked.clear()
+        theorem3_optimal(p, refined=True)
+        # one stacked call per side for each batch of grid points
+        assert 0 < sum(stacked) // 2 <= 64
 
 
 # -- lower_l / theorem4_optimal ----------------------------------------------------

@@ -51,12 +51,14 @@ def test_analyze_complex_coefficients(block_pair_files, capsys):
 
 def test_analyze_rejects_off_sphere(block_pair_files, capsys):
     psi_path, phi_path = block_pair_files
-    code = cli_main(
-        ["analyze", "--psi", psi_path, "--phi", phi_path, "--alpha", "0.9", "--beta", "0.9"]
-    )
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "error" in err
+    # off the sphere, then coefficients with no finite weight
+    for alpha in ("0.9", "1e308", "nan", "inf"):
+        code = cli_main(
+            ["analyze", "--psi", psi_path, "--phi", phi_path, "--alpha", alpha, "--beta", "0.9"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1, alpha
+        assert "error" in err and "alpha" in err, alpha
 
 
 def test_analyze_missing_file(tmp_path, capsys):

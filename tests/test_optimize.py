@@ -26,6 +26,21 @@ def test_minimize_value_never_exceeds_grid_samples():
     assert res.value <= grid_min + 1e-15
 
 
+def test_minimize_grid_values_above_the_minimum_change_nothing():
+    f = lambda x: math.sin(13.0 * x) + 0.3 * x
+    xs = grid_points(0.0, 3.0, 101)
+    exact = [f(x) for x in xs]
+    lowest = min(exact)
+    raised = [v if v == lowest else v + 1.0 for v in exact]
+    assert minimize_scalar(f, 0.0, 3.0, grid_n=101, grid_values=raised) == minimize_scalar(
+        f, 0.0, 3.0, grid_n=101
+    )
+    with pytest.raises(ValueError):
+        minimize_scalar(f, 0.0, 3.0, grid_n=101, grid_values=exact[:-1])
+    with pytest.raises(NonFiniteObjective):
+        minimize_scalar(f, 0.0, 3.0, grid_n=101, grid_values=exact[:-1] + [math.nan])
+
+
 def test_maximize_quadratic():
     res = maximize_scalar(lambda x: -((x - 0.7) ** 2), 0.0, 1.0)
     assert res.x_star == pytest.approx(0.7, abs=1e-9)
