@@ -29,7 +29,7 @@ from .harness import (
     run_examples,
     serialize_state,
 )
-from .optimize import OptimizerResult, find_root_bisect, maximize_scalar, minimize_scalar
+from .optimize import OptimizerResult, maximize_scalar, minimize_scalar
 from .qmath import (
     Spectrum,
     binary_entropy,

@@ -276,8 +276,7 @@ def minimize_f_with_refinement(
     alpha_sq: float,
     gamma_norm_sq: float,
     overlap_sq: float,
-    delta_s_fn: Callable[[float], float],
-    side_entropies: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    side_entropies: Callable,
     grid_n: int = optimize.DEFAULT_GRID_N,
     tol: float = optimize.DEFAULT_TOL,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -289,9 +288,8 @@ def minimize_f_with_refinement(
 
     The refined f subtracts Delta(t) = |S_A(t) - S_B(t)|, the gap between the
     reduced entropies of t |psi><psi| + (1-t) |phi><phi|.
-    ``side_entropies`` returns (S_A, S_B) at an array of weights from one
-    stacked eigendecomposition per side; ``delta_s_fn`` returns Delta at one
-    weight, for the golden-section points between grid points.
+    ``side_entropies(t)`` returns (S_A, S_B) at one weight t, or arrays of
+    them at weights shaped (n, 1, 1), as ``states.ReducedPair.entropies``.
     ``overlap_sq`` is |<psi|phi>|^2.
 
     The grid stage eigendecomposes only the points that could be the grid
@@ -316,46 +314,32 @@ def minimize_f_with_refinement(
        its grid value: its refined f exceeds ``best``, so it cannot be the
        grid minimum, and the grid argmin, the golden-section path and the
        result are those of a full-grid evaluation, bit for bit.
-
-    A grid weight asked for again (the t = |alpha|^2 or plain-minimizer pin)
-    gets the stacked kernel's value, as the full grid would give it.
     """
     plain_value, plain_t = minimize_f_scalar(
         e_psi, e_phi, alpha_sq, gamma_norm_sq, grid_n=grid_n, tol=tol
     )
     ts = optimize.grid_points(T_EPS, 1.0 - T_EPS, grid_n)
     grid = np.asarray(ts)
-    delta = np.full(grid_n, np.nan)
-
-    def evaluate(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s_a, s_b = side_entropies(grid[idx])
-        delta[idx] = np.abs(s_a - s_b)
-        return s_a, s_b
 
     def objective(t: float) -> float:
-        i = int(np.searchsorted(grid, t))
-        if i < grid_n and ts[i] == t:
-            if math.isnan(delta[i]):
-                evaluate(np.array([i]))
-            ds = float(delta[i])
-        else:
-            ds = delta_s_fn(t)
-        return f_upper_value(t, e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=ds)
+        s_a, s_b = side_entropies(t)
+        return f_upper_value(t, e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=s_a - s_b)
+
+    def set_exact(idx: np.ndarray, s_a: np.ndarray, s_b: np.ndarray) -> None:
+        for i, ds in zip(idx.tolist(), (s_a - s_b).tolist()):
+            values[i] = f_upper_value(ts[i], e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=ds)
 
     knots = np.unique(np.r_[np.arange(0, grid_n, PRUNE_STRIDE), grid_n - 1])
-    s_a, s_b = evaluate(knots)
+    s_a, s_b = side_entropies(grid[knots, None, None])
     floor, allowance = _refined_f_floor(
         grid, grid[knots], s_a, s_b, e_psi, e_phi, alpha_sq, gamma_norm_sq, overlap_sq
     )
     values = floor.tolist()
-    for i in knots:
-        values[i] = objective(ts[i])
+    set_exact(knots, s_a, s_b)
     best = min(values[i] for i in knots)
-    todo = np.flatnonzero(np.isnan(delta) & (floor - allowance <= best))
+    todo = np.setdiff1d(np.flatnonzero(floor - allowance <= best), knots)
     if todo.size:
-        evaluate(todo)
-    for i in todo:
-        values[i] = objective(ts[i])
+        set_exact(todo, *side_entropies(grid[todo, None, None]))
 
     value, t_star = _minimize_f(objective, alpha_sq, grid_n, tol, grid_values=values)
     at_plain = objective(plain_t)
@@ -514,9 +498,9 @@ def theorem2_upper(p: SuperpositionProblem) -> float:
 
 def f_of_t(p: SuperpositionProblem, t: float, refined: bool = False) -> float:
     """Evaluate the f(t) upper bound (refined variant on request)."""
-    delta = _ReducedPair.of(p).delta(t) if refined else 0.0
+    s_a, s_b = states.ReducedPair.of(p.psi, p.phi).entropies(t) if refined else (0.0, 0.0)
     return f_upper_value(
-        t, p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=delta
+        t, p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=s_a - s_b
     )
 
 
@@ -529,7 +513,7 @@ def theorem3_optimal(p: SuperpositionProblem, refined: bool = False) -> tuple[fl
     _require_constructive(p)
     if not refined:
         return minimize_f_scalar(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
-    _, refined_result = _refined_search(p, _ReducedPair.of(p))
+    _, refined_result = _refined_search(p, states.ReducedPair.of(p.psi, p.phi))
     return refined_result
 
 
@@ -622,7 +606,7 @@ def certify(
 def certify_problem(p: SuperpositionProblem) -> BoundReport:
     _require_constructive(p)
     exact = states.entanglement_entropy(p.gamma)
-    reduced = _ReducedPair.of(p)
+    reduced = states.ReducedPair.of(p.psi, p.phi)
     s_a, s_b = reduced.entropies(p.alpha_sq)
     lps = lps_upper(p)
     t2 = theorem2_upper_value(
@@ -678,47 +662,8 @@ def _rescaled_squares(p: SuperpositionProblem) -> tuple[float, float]:
     return p.alpha_sq / p.gamma_norm_sq, p.beta_sq / p.gamma_norm_sq
 
 
-@dataclass(frozen=True)
-class _ReducedPair:
-    """Reduced operators of psi and phi on each side, built once per problem.
-
-    Each method keeps the eigenvalue kernel its value has always come from,
-    so the reported bounds stay the same bit for bit.
-    """
-
-    a_psi: np.ndarray
-    a_phi: np.ndarray
-    b_psi: np.ndarray
-    b_phi: np.ndarray
-
-    @classmethod
-    def of(cls, p: SuperpositionProblem) -> "_ReducedPair":
-        return cls(*(states.reduced_density(s, side) for side in "AB" for s in (p.psi, p.phi)))
-
-    def entropies(self, t: float) -> tuple[float, float]:
-        """(S_A, S_B) at weight t, as ``states.reduced_mixture_entropies``."""
-        return (
-            states.mixture_side_entropy(self.a_psi, self.a_phi, t),
-            states.mixture_side_entropy(self.b_psi, self.b_phi, t),
-        )
-
-    def delta(self, t: float) -> float:
-        """|S_A(t) - S_B(t)| at one weight."""
-        s_a = _psd_entropy(t * self.a_psi + (1.0 - t) * self.a_phi)
-        s_b = _psd_entropy(t * self.b_psi + (1.0 - t) * self.b_phi)
-        return abs(s_a - s_b)
-
-    def entropies_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(S_A, S_B) at every weight in ``ts``, one stacked call per side."""
-        t = ts[:, None, None]
-        return (
-            _psd_entropy_batch(t * self.a_psi + (1.0 - t) * self.a_phi),
-            _psd_entropy_batch(t * self.b_psi + (1.0 - t) * self.b_phi),
-        )
-
-
 def _refined_search(
-    p: SuperpositionProblem, reduced: _ReducedPair
+    p: SuperpositionProblem, reduced: states.ReducedPair
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     return minimize_f_with_refinement(
         p.e_psi,
@@ -726,20 +671,6 @@ def _refined_search(
         p.alpha_sq,
         p.gamma_norm_sq,
         abs(p.overlap) ** 2,
-        delta_s_fn=reduced.delta,
-        side_entropies=reduced.entropies_batch,
+        side_entropies=reduced.entropies,
     )
 
-
-def _psd_entropy(rho: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(rho)
-    w = w[w > 0.0]
-    if w.size == 0:
-        return 0.0
-    return max(0.0, float(-(w * np.log2(w)).sum()))
-
-
-def _psd_entropy_batch(rhos: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(rhos)
-    terms = np.where(w > 0.0, -w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
-    return np.maximum(0.0, terms.sum(axis=-1))

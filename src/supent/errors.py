@@ -49,9 +49,5 @@ class NonFiniteObjective(SupentError):
     """Objective returned NaN or infinity during optimization."""
 
 
-class NoSignChange(SupentError):
-    """Root bracket does not enclose a sign change."""
-
-
 class ParseError(SupentError):
     """State file could not be parsed."""

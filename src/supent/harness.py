@@ -108,7 +108,10 @@ def parse_state_file(text: str) -> BipartiteState:
         if (i, j) in seen:
             raise ParseError(f"entry {k}: duplicate index ({i}, {j})")
         seen.add((i, j))
-        coeffs[i, j] = complex(re, im)
+        try:
+            coeffs[i, j] = complex(re, im)
+        except OverflowError as exc:
+            raise ParseError(f"entry {k}: amplitude does not fit a float") from exc
     return BipartiteState(coeffs)
 
 

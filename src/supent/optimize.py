@@ -1,4 +1,4 @@
-"""Bracketed scalar optimization: grid + golden-section, and bisection.
+"""Bracketed scalar optimization: grid + golden-section search.
 
 Objectives here involve the binary entropy, whose derivative blows up at the
 interval endpoints, so nothing in this module uses derivatives.
@@ -10,14 +10,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import NoSignChange, NonFiniteObjective
+from .errors import NonFiniteObjective
 
 __all__ = [
     "OptimizerResult",
     "grid_points",
     "minimize_scalar",
     "maximize_scalar",
-    "find_root_bisect",
 ]
 
 DEFAULT_GRID_N = 257
@@ -136,34 +135,3 @@ def maximize_scalar(
         converged=res.converged,
     )
 
-
-def find_root_bisect(
-    g: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> OptimizerResult:
-    """Bisection root finding on [a, b]; requires g(a) * g(b) <= 0."""
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
-    ga = _checked(g, a)
-    gb = _checked(g, b)
-    if ga * gb > 0.0:
-        raise NoSignChange(f"g({a!r})={ga!r} and g({b!r})={gb!r} have the same sign")
-    iterations = 0
-    while (b - a) > tol and iterations < max_iter:
-        mid = 0.5 * (a + b)
-        gm = _checked(g, mid)
-        if ga * gm <= 0.0:
-            b, gb = mid, gm
-        else:
-            a, ga = mid, gm
-        iterations += 1
-    x = 0.5 * (a + b)
-    return OptimizerResult(
-        x_star=x,
-        value=_checked(g, x),
-        iterations=iterations,
-        converged=(b - a) <= tol,
-    )

@@ -18,6 +18,7 @@ __all__ = [
     "Spectrum",
     "as_complex_matrix",
     "hermitian_eigenvalues",
+    "psd_entropy",
     "singular_values",
     "shannon_entropy",
     "binary_entropy",
@@ -90,6 +91,25 @@ def hermitian_eigenvalues(matrix, tol: float = DEFAULT_HERMITICITY_TOL) -> Spect
     w = np.where((w < 0.0) & (w >= -tol), 0.0, w)
     w = np.sort(w)[::-1]
     return Spectrum(values=w, trace=float(np.trace(m).real))
+
+
+def psd_entropy(rho):
+    """Entropy -tr rho log2 rho of a unit-trace PSD matrix, or of each in a stack.
+
+    ``rho`` is one d x d matrix (the result is a float) or a stack of shape
+    (..., d, d) (an array of shape (...)).  Eigenvalues at or below zero
+    contribute nothing.  Each matrix of a stack gets the same bits as it
+    would alone, so a value never depends on how the calls were batched.
+
+    Raises ``NoConvergence`` if the diagonalization fails.
+    """
+    try:
+        w = np.linalg.eigvalsh(rho)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
+    w = np.where(w > 0.0, w, 1.0)
+    s = np.maximum(-(w * np.log2(w)).sum(axis=-1), 0.0)
+    return float(s) if s.ndim == 0 else s
 
 
 def singular_values(matrix) -> Spectrum:

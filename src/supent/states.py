@@ -8,18 +8,20 @@ entropy of the squared Schmidt coefficients of the normalized state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmath
-from .errors import DimMismatch, NotNormalized, NotOneSided, ZeroState
+from .errors import DimMismatch, DomainError, NotNormalized, NotOneSided, ZeroState
 from .qmath import Spectrum
 
 __all__ = [
     "BipartiteState",
     "SchmidtForm",
     "OrthogonalityClass",
+    "ReducedPair",
     "norm_squared",
     "inner_product",
     "superpose",
@@ -29,7 +31,6 @@ __all__ = [
     "lemma1_canonical_form",
     "mixture_entropy",
     "mixture_entropy_array",
-    "mixture_side_entropy",
     "reduced_mixture_entropies",
 ]
 
@@ -59,8 +60,14 @@ class BipartiteState:
         return self.coeffs.shape[1]
 
     def normalized(self) -> "BipartiteState":
-        """Unit-norm copy; raises ZeroState for vanishing norm."""
+        """Unit-norm copy.
+
+        Raises ZeroState for a vanishing norm and DomainError when the squared
+        norm overflows a float.
+        """
         n2 = norm_squared(self)
+        if not math.isfinite(n2):
+            raise DomainError("squared norm of the state overflows a float")
         if n2 <= ZERO_NORM_SQ:
             raise ZeroState("cannot normalize a state of vanishing norm")
         return BipartiteState(self.coeffs / np.sqrt(n2))
@@ -101,6 +108,32 @@ class OrthogonalityClass:
     @property
     def one_sided(self) -> bool:
         return self.one_sided_eq1 or self.one_sided_eq2
+
+
+@dataclass(frozen=True)
+class ReducedPair:
+    """Reduced operators of two normalized states on each side, built once."""
+
+    a1: np.ndarray
+    a2: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+
+    @classmethod
+    def of(cls, s1: BipartiteState, s2: BipartiteState) -> "ReducedPair":
+        return cls(*(reduced_density(s, side) for side in "AB" for s in (s1, s2)))
+
+    def entropies(self, t):
+        """(S_A, S_B) of t |s1><s1| + (1-t) |s2><s2|.
+
+        ``t`` is one weight, giving two floats, or an array of weights shaped
+        (n, 1, 1), giving two length-n arrays from one stacked
+        eigendecomposition per side.
+        """
+        return (
+            qmath.psd_entropy(t * self.a1 + (1.0 - t) * self.a2),
+            qmath.psd_entropy(t * self.b1 + (1.0 - t) * self.b2),
+        )
 
 
 def norm_squared(s: BipartiteState) -> float:
@@ -217,9 +250,7 @@ def reduced_mixture_entropies(
     rank, so they are diagonalized in full.
     """
     _check_mixture_args(s1, s2, t)
-    s_a = mixture_side_entropy(reduced_density(s1, "A"), reduced_density(s2, "A"), t)
-    s_b = mixture_side_entropy(reduced_density(s1, "B"), reduced_density(s2, "B"), t)
-    return s_a, s_b
+    return ReducedPair.of(s1, s2).entropies(t)
 
 
 def _check_dims(s1: BipartiteState, s2: BipartiteState) -> None:
@@ -240,12 +271,6 @@ def _check_mixture_args(s1: BipartiteState, s2: BipartiteState, t: float) -> Non
 
 def _trace_overlap(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", rho1, rho2).real)
-
-
-def mixture_side_entropy(rho1: np.ndarray, rho2: np.ndarray, t: float) -> float:
-    """Entropy of t rho1 + (1-t) rho2 for unit-trace reduced operators."""
-    w = qmath.hermitian_eigenvalues(t * rho1 + (1.0 - t) * rho2).values
-    return qmath.shannon_entropy(np.maximum(w, 0.0))
 
 
 def _mixture_top_eigenvalue(t, c2):

@@ -269,9 +269,10 @@ def _side_densities(p):
 
 def _mixture_side_entropies(p, ts):
     """Exhaustive (S_A, S_B) at every weight in ts, straight from eigvalsh."""
+    t = ts[..., None, None]
     out = []
     for r1, r2 in _side_densities(p):
-        w = np.linalg.eigvalsh(ts[:, None, None] * r1 + (1.0 - ts[:, None, None]) * r2)
+        w = np.linalg.eigvalsh(t * r1 + (1.0 - t) * r2)
         terms = np.where(w > 0.0, -w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
         out.append(np.maximum(0.0, terms.sum(axis=-1)))
     return out
@@ -280,23 +281,18 @@ def _mixture_side_entropies(p, ts):
 def _reference_refined(p):
     """The refined search with Delta evaluated on the whole grid.
 
-    Returns (grid values, (value, t_star)).  Golden-section points off the
-    grid take Delta from one eigendecomposition per side, as the search does.
+    Returns (grid values, (value, t_star)).  Points off the grid take Delta
+    from one eigendecomposition per side, summed as on the grid.
     """
     ts = optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N)
     s_a, s_b = _mixture_side_entropies(p, np.asarray(ts))
     on_grid = dict(zip(ts, np.abs(s_a - s_b).tolist()))
-    densities = _side_densities(p)
 
     def delta(t):
         if t in on_grid:
             return on_grid[t]
-        s = []
-        for r1, r2 in densities:
-            w = np.linalg.eigvalsh(t * r1 + (1.0 - t) * r2)
-            w = w[w > 0.0]
-            s.append(max(0.0, float(-(w * np.log2(w)).sum())) if w.size else 0.0)
-        return abs(s[0] - s[1])
+        s_a, s_b = _mixture_side_entropies(p, np.asarray(t))
+        return abs(float(s_a) - float(s_b))
 
     def f(t):
         return f_upper_value(t, p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=delta(t))
@@ -324,6 +320,13 @@ def _pruning_problems():
         alpha, beta = random_sphere_pair(rng)
         psi, phi = harness.generate_one_sided_pair(2, 3, 4, 500 + seed)
         yield SuperpositionProblem.from_states(psi, phi, alpha, beta)
+    # a rank-deficient 8-dimensional A side, where summing the filtered
+    # eigenvalues instead of all of them moves the entropy by an ulp
+    for d1 in range(2, 6):
+        for seed in range(3):
+            alpha, beta = random_sphere_pair(rng)
+            psi, phi = harness.generate_one_sided_pair(d1, 3, 8, 600 + 10 * d1 + seed)
+            yield SuperpositionProblem.from_states(psi, phi, alpha, beta)
     for alpha in (0.3, INV_SQRT2, 0.9):
         yield block_problem(alpha, math.sqrt(1.0 - alpha * alpha))
     for _ in range(3):

@@ -135,3 +135,34 @@ def test_subspace_command(block_pair_files, capsys):
     assert code == 0
     value = float(out.split()[-1])
     assert 0.0 <= value <= 1.0 + 1e-9
+
+
+def _write_state(path, entries):
+    path.write_text(json.dumps({"dim_a": 2, "dim_b": 2, "entries": entries}))
+    return str(path)
+
+
+def test_amplitude_too_large_for_a_float_is_a_parse_error(block_pair_files, tmp_path, capsys):
+    _, phi_path = block_pair_files
+    huge = _write_state(tmp_path / "huge.json", [[0, 0, 10**400, 0], [1, 1, 1, 0]])
+    for argv in (
+        ["analyze", "--psi", huge, "--phi", phi_path, "--alpha", "0.6", "--beta", "0.8"],
+        ["subspace", "--psi", huge, "--phi", phi_path, "--grid", "4"],
+    ):
+        code = cli_main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert "entry 0" in err and "float" in err, argv
+
+
+def test_state_whose_squared_norm_overflows_is_rejected(block_pair_files, tmp_path, capsys):
+    _, phi_path = block_pair_files
+    big = _write_state(tmp_path / "big.json", [[0, 0, 1e200, 0], [1, 1, 1e200, 0]])
+    for argv in (
+        ["analyze", "--psi", big, "--phi", phi_path, "--alpha", "0.6", "--beta", "0.8"],
+        ["subspace", "--psi", big, "--phi", phi_path, "--grid", "4"],
+    ):
+        code = cli_main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert "overflows" in err and "vanishing" not in err, argv

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from supent import bounds
-from supent.errors import NoSignChange, NonFiniteObjective
-from supent.optimize import find_root_bisect, grid_points, maximize_scalar, minimize_scalar
+from supent.errors import NonFiniteObjective
+from supent.optimize import grid_points, maximize_scalar, minimize_scalar
 
 
 def test_minimize_quadratic():
@@ -80,29 +80,3 @@ def test_family_objective_minimizer_near_three_sevenths():
     res = minimize_scalar(f, 1e-9, 1.0 - 1e-9)
     assert res.x_star == pytest.approx(3.0 / 7.0, abs=0.01)
 
-
-def test_bisect_linear_and_sqrt2():
-    res = find_root_bisect(lambda x: x - 0.5, 0.0, 1.0)
-    assert res.x_star == pytest.approx(0.5, abs=1e-9)
-    res = find_root_bisect(lambda x: x * x - 2.0, 1.0, 2.0)
-    assert res.x_star == pytest.approx(math.sqrt(2.0), abs=1e-9)
-    assert res.converged
-
-
-def test_bisect_requires_sign_change():
-    with pytest.raises(NoSignChange):
-        find_root_bisect(lambda x: x * x + 1.0, -1.0, 1.0)
-
-
-def test_bisect_stationarity_equation_matches_minimizer():
-    # Root of the interior-minimum condition for the family objective above
-    # coincides with the grid minimizer of f.
-    def g(t):
-        lhs = 0.36 * (1.0 - t) ** 2 / (0.64 * t * t)
-        rhs = (9.0 - math.log2(t)) / (9.0 - math.log2(1.0 - t))
-        return lhs - rhs
-
-    root = find_root_bisect(g, 0.3, 0.6)
-    f = lambda t: bounds.f_upper_value(t, 9.0, 9.0, 0.36, 1.0)
-    res = minimize_scalar(f, 1e-9, 1.0 - 1e-9)
-    assert root.x_star == pytest.approx(res.x_star, abs=0.01)

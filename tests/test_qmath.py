@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supent.errors import DomainError, NotHermitian, NotNormalized
+from supent.errors import DomainError, NoConvergence, NotHermitian, NotNormalized
 from supent.qmath import (
     Spectrum,
     binary_entropy,
     hermitian_eigenvalues,
+    psd_entropy,
     shannon_entropy,
     singular_values,
 )
@@ -62,6 +63,43 @@ def test_not_hermitian_rejected():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitian):
         hermitian_eigenvalues(np.zeros((2, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 40),
+    ranks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+)
+def test_psd_entropy_stack_matches_single_matrices(seed, d, ranks):
+    # unit-trace PSD matrices of rank 1..d; rank-deficient ones leave zero
+    # and round-off eigenvalues in the sum
+    rng = np.random.default_rng(seed)
+    stack = []
+    for fraction in ranks:
+        r = 1 + int(fraction * (d - 1))
+        g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+        rho = g @ g.conj().T
+        stack.append(rho / np.trace(rho).real)
+    stack = np.array(stack)
+    together = psd_entropy(stack)
+    assert together.shape == (len(ranks),)
+    for rho, s in zip(stack, together):
+        alone = psd_entropy(rho)
+        assert isinstance(alone, float)
+        assert alone == s
+        assert alone == pytest.approx(shannon_entropy(hermitian_eigenvalues(rho).values), abs=1e-12)
+
+
+def test_psd_entropy_diagonalization_failure_is_no_convergence(monkeypatch):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(NoConvergence):
+        psd_entropy(np.eye(2) / 2)
+    with pytest.raises(NoConvergence):
+        psd_entropy(np.array([np.eye(2) / 2] * 3))
 
 
 def test_singular_values_bell_coefficients():
