@@ -27,6 +27,7 @@ drops below max over t of these, and also never below zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -191,31 +192,49 @@ def theorem2_upper_value(
 
 
 def f_upper_value(
-    t: float,
+    t: float | np.ndarray,
     e_psi: float,
     e_phi: float,
     alpha_sq: float,
     gamma_norm_sq: float,
-    delta_s: float = 0.0,
-) -> float:
+    delta_s: float | np.ndarray = 0.0,
+) -> float | np.ndarray:
     """One-parameter upper bound f(t) / N^2; f(a) equals the LPS bound.
 
     ``delta_s`` is the refined-variant correction |S_A(t) - S_B(t)|
-    subtracted inside the bracket (zero for the plain bound).
+    subtracted inside the bracket (zero for the plain bound).  ``t`` is a
+    float or an array of weights, and ``delta_s`` a float or an array of
+    the same shape; on an array every entry gets the same bits as the float
+    call at that weight (see ``_h2``).
     """
     _check_t(t)
-    bsq = 1.0 - alpha_sq
-    prefactor = (t * bsq + (1.0 - t) * alpha_sq) / (t * (1.0 - t))
-    bracket = t * e_psi + (1.0 - t) * e_phi + binary_entropy(t) - abs(delta_s)
-    return prefactor * bracket / gamma_norm_sq
+    bracket = t * e_psi + (1.0 - t) * e_phi + _h2(t) - abs(delta_s)
+    return _f_prefactor(t, alpha_sq) * bracket / gamma_norm_sq
+
+
+def _f_prefactor(t, alpha_sq):
+    """(t (1-a) + (1-t) a) / (t (1-t)), the weight of the bracket of f(t)."""
+    return (t * (1.0 - alpha_sq) + (1.0 - t) * alpha_sq) / (t * (1.0 - t))
 
 
 def lower_value(
-    t: float, e_psi: float, e_phi: float, alpha_sq: float, beta_sq: float, branch: str
-) -> float:
-    """Lower bound L1(t) or L2(t); assumes the superposition is normalized."""
+    t: float | np.ndarray,
+    e_psi: float,
+    e_phi: float,
+    alpha_sq: float,
+    beta_sq: float,
+    branch: str,
+) -> float | np.ndarray:
+    """Lower bound L1(t) or L2(t); assumes the superposition is normalized.
+
+    ``t`` is a float or an array of weights, as for ``f_upper_value``.
+    """
     _check_t(t)
-    h = binary_entropy(t)
+    return _lower_value(t, _h2(t), e_psi, e_phi, alpha_sq, beta_sq, branch)
+
+
+def _lower_value(t, h, e_psi, e_phi, alpha_sq, beta_sq, branch):
+    """``lower_value`` given h = h2(t), which L1 and L2 share."""
     if branch == "L1":
         return (
             (1.0 - t) * beta_sq / (1.0 - t * (1.0 - alpha_sq)) * e_phi
@@ -249,7 +268,16 @@ def minimize_f_scalar(
         alpha_sq,
         grid_n,
         tol,
+        grid_values=f_upper_value(_t_grid(grid_n), e_psi, e_phi, alpha_sq, gamma_norm_sq),
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _t_grid(grid_n: int) -> np.ndarray:
+    """The search grid over [T_EPS, 1 - T_EPS], as a read-only array."""
+    grid = np.asarray(optimize.grid_points(T_EPS, 1.0 - T_EPS, grid_n))
+    grid.setflags(write=False)
+    return grid
 
 
 def _minimize_f(
@@ -257,7 +285,7 @@ def _minimize_f(
     alpha_sq: float,
     grid_n: int,
     tol: float,
-    grid_values: Optional[list[float]] = None,
+    grid_values: np.ndarray,
 ) -> tuple[float, float]:
     res = optimize.minimize_scalar(
         objective, T_EPS, 1.0 - T_EPS, grid_n=grid_n, tol=tol, grid_values=grid_values
@@ -318,28 +346,24 @@ def minimize_f_with_refinement(
     plain_value, plain_t = minimize_f_scalar(
         e_psi, e_phi, alpha_sq, gamma_norm_sq, grid_n=grid_n, tol=tol
     )
-    ts = optimize.grid_points(T_EPS, 1.0 - T_EPS, grid_n)
-    grid = np.asarray(ts)
+    grid = _t_grid(grid_n)
 
-    def objective(t: float) -> float:
-        s_a, s_b = side_entropies(t)
+    def refined_f(t, s_a, s_b):
         return f_upper_value(t, e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=s_a - s_b)
 
-    def set_exact(idx: np.ndarray, s_a: np.ndarray, s_b: np.ndarray) -> None:
-        for i, ds in zip(idx.tolist(), (s_a - s_b).tolist()):
-            values[i] = f_upper_value(ts[i], e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=ds)
+    def objective(t: float) -> float:
+        return refined_f(t, *side_entropies(t))
 
     knots = np.unique(np.r_[np.arange(0, grid_n, PRUNE_STRIDE), grid_n - 1])
     s_a, s_b = side_entropies(grid[knots, None, None])
-    floor, allowance = _refined_f_floor(
+    values, allowance = _refined_f_floor(
         grid, grid[knots], s_a, s_b, e_psi, e_phi, alpha_sq, gamma_norm_sq, overlap_sq
     )
-    values = floor.tolist()
-    set_exact(knots, s_a, s_b)
-    best = min(values[i] for i in knots)
-    todo = np.setdiff1d(np.flatnonzero(floor - allowance <= best), knots)
+    values[knots] = refined_f(grid[knots], s_a, s_b)
+    best = values[knots].min()
+    todo = np.setdiff1d(np.flatnonzero(values - allowance <= best), knots)
     if todo.size:
-        set_exact(todo, *side_entropies(grid[todo, None, None]))
+        values[todo] = refined_f(grid[todo], *side_entropies(grid[todo, None, None]))
 
     value, t_star = _minimize_f(objective, alpha_sq, grid_n, tol, grid_values=values)
     at_plain = objective(plain_t)
@@ -366,9 +390,9 @@ def _refined_f_floor(
     """
     m = t * e_psi + (1.0 - t) * e_phi
     cap = _delta_cap(t, knots, s_a, s_b, m, states.mixture_entropy_array(t, overlap_sq))
-    scale = (t * (1.0 - alpha_sq) + (1.0 - t) * alpha_sq) / (t * (1.0 - t) * gamma_norm_sq)
-    bracket = m + qmath.binary_entropy_array(t)
-    return scale * (bracket - cap), scale * ENTROPY_ROUNDING * (1.0 + np.abs(bracket))
+    floor = f_upper_value(t, e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=cap)
+    weight = _f_prefactor(t, alpha_sq) / gamma_norm_sq
+    return floor, weight * ENTROPY_ROUNDING * (1.0 + np.abs(m + _h2(t)))
 
 
 def _delta_cap(
@@ -415,6 +439,8 @@ def maximize_lower_scalar(
     tol: float = optimize.DEFAULT_TOL,
 ) -> tuple[float, float, str]:
     """Maximize max(L1, L2) over t; returns the unclamped (value, t_star, branch)."""
+    grid = _t_grid(grid_n)
+    h = _h2(grid)
     best: Optional[tuple[float, float, str]] = None
     for branch in ("L1", "L2"):
         res = optimize.maximize_scalar(
@@ -423,6 +449,7 @@ def maximize_lower_scalar(
             1.0 - T_EPS,
             grid_n=grid_n,
             tol=tol,
+            grid_values=_lower_value(grid, h, e_psi, e_phi, alpha_sq, beta_sq, branch),
         )
         if best is None or res.value > best[0]:
             best = (res.value, res.x_star, branch)
@@ -612,7 +639,7 @@ def certify_problem(p: SuperpositionProblem) -> BoundReport:
     t2 = theorem2_upper_value(
         p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=s_a - s_b
     )
-    (t3, t3_star), (t3r, _) = _refined_search(p, reduced)
+    (t3, t3_star), (t3r, _) = _refined_search(p, reduced, at_alpha_sq=(s_a, s_b))
     low, low_t, branch = theorem4_optimal(p)
     raw = lower_l(p, low_t, branch)
     one_sided = states.classify_orthogonality(p.psi, p.phi).one_sided
@@ -648,9 +675,30 @@ def _weight(name: str, c: complex) -> float:
     return w
 
 
-def _check_t(t: float) -> None:
-    if not T_EPS <= t <= 1.0 - T_EPS:
-        raise DomainError(f"t={t!r} outside [{T_EPS:g}, 1 - {T_EPS:g}]")
+def _check_t(t) -> None:
+    """Reject a weight, or any entry of an array of weights, outside the window."""
+    if isinstance(t, float):
+        if T_EPS <= t <= 1.0 - T_EPS:
+            return
+        bad = t
+    else:
+        t = np.asarray(t, dtype=float)
+        outside = ~((t >= T_EPS) & (t <= 1.0 - T_EPS))
+        if not outside.any():
+            return
+        bad = float(t[outside][0])
+    raise DomainError(f"t={bad!r} outside [{T_EPS:g}, 1 - {T_EPS:g}]")
+
+
+def _h2(t):
+    """h2 of a float weight or of each entry of an array of weights.
+
+    The two forms give the same bits on the default 257-point grid, where
+    ``np.log2`` and ``math.log2`` agree (a test checks this).  They need not
+    agree on every grid: where they differ, a grid value moves by an ulp
+    from the float form, and the searches stay valid.
+    """
+    return binary_entropy(t) if isinstance(t, float) else qmath.binary_entropy_array(t)
 
 
 def _require_constructive(p: SuperpositionProblem) -> None:
@@ -663,14 +711,29 @@ def _rescaled_squares(p: SuperpositionProblem) -> tuple[float, float]:
 
 
 def _refined_search(
-    p: SuperpositionProblem, reduced: states.ReducedPair
+    p: SuperpositionProblem,
+    reduced: states.ReducedPair,
+    at_alpha_sq: Optional[tuple[float, float]] = None,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Both f searches of ``p``.
+
+    ``at_alpha_sq``, when given, is ``reduced.entropies(p.alpha_sq)``, which
+    the caller already has; the t = |alpha|^2 pin then reuses it.
+    """
+    side_entropies = reduced.entropies
+    if at_alpha_sq is not None:
+
+        def side_entropies(t):
+            if isinstance(t, float) and t == p.alpha_sq:
+                return at_alpha_sq
+            return reduced.entropies(t)
+
     return minimize_f_with_refinement(
         p.e_psi,
         p.e_phi,
         p.alpha_sq,
         p.gamma_norm_sq,
         abs(p.overlap) ** 2,
-        side_entropies=reduced.entropies,
+        side_entropies=side_entropies,
     )
 

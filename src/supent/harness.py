@@ -15,6 +15,7 @@ spectral probability vectors and the scalar bound layer.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -109,9 +110,13 @@ def parse_state_file(text: str) -> BipartiteState:
             raise ParseError(f"entry {k}: duplicate index ({i}, {j})")
         seen.add((i, j))
         try:
-            coeffs[i, j] = complex(re, im)
+            amplitude = complex(re, im)
         except OverflowError as exc:
             raise ParseError(f"entry {k}: amplitude does not fit a float") from exc
+        # json reads 1e400 as inf, and accepts the literals Infinity and NaN
+        if not cmath.isfinite(amplitude):
+            raise ParseError(f"entry {k}: amplitude {amplitude!r} is not a finite float")
+        coeffs[i, j] = amplitude
     return BipartiteState(coeffs)
 
 

@@ -6,9 +6,12 @@ interval endpoints, so nothing in this module uses derivatives.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import NonFiniteObjective
 
@@ -35,10 +38,7 @@ class OptimizerResult:
 
 
 def _checked(f: Callable[[float], float], x: float) -> float:
-    return _finite(float(f(x)), x)
-
-
-def _finite(v: float, x: float) -> float:
+    v = float(f(x))
     if not math.isfinite(v):
         raise NonFiniteObjective(f"objective returned {v!r} at x={x!r}")
     return v
@@ -50,6 +50,11 @@ def grid_points(a: float, b: float, grid_n: int) -> list[float]:
     return [a + i * step for i in range(grid_n - 1)] + [b]
 
 
+@functools.lru_cache(maxsize=16)
+def _grid(a: float, b: float, grid_n: int) -> tuple[float, ...]:
+    return tuple(grid_points(a, b, grid_n))
+
+
 def minimize_scalar(
     f: Callable[[float], float],
     a: float,
@@ -57,7 +62,7 @@ def minimize_scalar(
     grid_n: int = DEFAULT_GRID_N,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    grid_values: Optional[Sequence[float]] = None,
+    grid_values: Optional[np.ndarray | Sequence[float]] = None,
 ) -> OptimizerResult:
     """Global-ish scalar minimization on [a, b].
 
@@ -67,24 +72,30 @@ def minimize_scalar(
     returned value never exceeds any grid sample.
 
     ``grid_values``, when given, stands in for ``f`` on the grid
-    (``grid_points(a, b, grid_n)``).  Each entry must be ``f`` there or a
-    value above the grid minimum of ``f``, which leaves the best grid point,
-    and with it the whole search, unchanged.
+    (``grid_points(a, b, grid_n)``): an array or sequence of ``grid_n``
+    values, typically computed by one vectorized call.  Each entry must be
+    ``f`` there or a value above the grid minimum of ``f``, which leaves the
+    best grid point, and with it the whole search, unchanged.  Only the
+    golden-section stage then calls ``f``, one point at a time.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
     if grid_n < 3:
         raise ValueError("grid_n must be at least 3")
 
-    xs = grid_points(a, b, grid_n)
+    xs = _grid(a, b, grid_n)
     if grid_values is None:
-        vals = [_checked(f, x) for x in xs]
-    else:
-        if len(grid_values) != grid_n:
-            raise ValueError(f"expected {grid_n} grid values, got {len(grid_values)}")
-        vals = [_finite(float(v), x) for x, v in zip(xs, grid_values)]
-    i_best = min(range(grid_n), key=vals.__getitem__)
-    best_x, best_v = xs[i_best], vals[i_best]
+        grid_values = [_checked(f, x) for x in xs]
+    vals = np.asarray(grid_values, dtype=float)
+    if vals.shape != (grid_n,):
+        raise ValueError(f"expected {grid_n} grid values, got shape {vals.shape}")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        i = int(bad[0])
+        raise NonFiniteObjective(f"objective returned {float(vals[i])!r} at x={xs[i]!r}")
+    # np.argmin, like min(), takes the first of equal minima
+    i_best = int(np.argmin(vals))
+    best_x, best_v = xs[i_best], float(vals[i_best])
 
     lo = xs[max(i_best - 1, 0)]
     hi = xs[min(i_best + 1, grid_n - 1)]
@@ -125,9 +136,12 @@ def maximize_scalar(
     grid_n: int = DEFAULT_GRID_N,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    grid_values: Optional[np.ndarray | Sequence[float]] = None,
 ) -> OptimizerResult:
-    """As ``minimize_scalar`` with the sign flipped."""
-    res = minimize_scalar(lambda x: -f(x), a, b, grid_n, tol, max_iter)
+    """As ``minimize_scalar`` with the sign flipped, ``grid_values`` included."""
+    if grid_values is not None:
+        grid_values = -np.asarray(grid_values, dtype=float)
+    res = minimize_scalar(lambda x: -f(x), a, b, grid_n, tol, max_iter, grid_values)
     return OptimizerResult(
         x_star=res.x_star,
         value=-res.value,

@@ -62,15 +62,22 @@ class BipartiteState:
     def normalized(self) -> "BipartiteState":
         """Unit-norm copy.
 
-        Raises ZeroState for a vanishing norm and DomainError when the squared
-        norm overflows a float.
+        Raises ZeroState for the all-zero state and DomainError when the
+        squared norm overflows a float.  A state of squared norm at most
+        ZERO_NORM_SQ is first scaled by its largest |amplitude|, so that tiny
+        amplitudes (down to subnormal ones, whose squares underflow to 0)
+        normalize like their unit-scaled copy.
         """
         n2 = norm_squared(self)
         if not math.isfinite(n2):
             raise DomainError("squared norm of the state overflows a float")
-        if n2 <= ZERO_NORM_SQ:
-            raise ZeroState("cannot normalize a state of vanishing norm")
-        return BipartiteState(self.coeffs / np.sqrt(n2))
+        if n2 > ZERO_NORM_SQ:
+            return BipartiteState(self.coeffs / np.sqrt(n2))
+        peak = float(np.max(np.abs(self.coeffs), initial=0.0))
+        if peak == 0.0:
+            raise ZeroState("cannot normalize the zero state")
+        scaled = self.coeffs / peak
+        return BipartiteState(scaled / np.sqrt(np.vdot(scaled, scaled).real))
 
 
 @dataclass(frozen=True)

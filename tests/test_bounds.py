@@ -354,13 +354,48 @@ def test_refined_pruning_matches_exhaustive_grid(monkeypatch):
     for p in _pruning_problems():
         seen.clear()
         result = theorem3_optimal(p, refined=True)
-        (pruned,) = [v for v in seen if v is not None]
+        # the plain f search runs first, then the refined one, each given grid values
+        _, pruned = seen
         reference, expected = _reference_refined(p)
         assert int(np.argmin(pruned)) == int(np.argmin(reference))
         # every grid value is exact, or lies above the grid minimum
         for got, want in zip(pruned, reference):
             assert got == want or got > min(reference)
         assert result == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    e_psi=st.floats(0.0, 20.0),
+    e_phi=st.floats(0.0, 20.0),
+    alpha_sq=st.floats(1e-6, 1.0 - 1e-6),
+    gamma_norm_sq=st.floats(1e-3, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_array_bounds_equal_scalar_bounds_on_the_grid(e_psi, e_phi, alpha_sq, gamma_norm_sq, seed):
+    # The searches take their grid values from the array forms and their
+    # golden-section points from the float forms; the two must agree bit for
+    # bit, which needs np.log2 to agree with math.log2 on the grid.
+    ts = optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N)
+    grid = np.asarray(ts)
+    deltas = np.random.default_rng(seed).uniform(-1.0, 1.0, grid.size)
+    args = (e_psi, e_phi, alpha_sq, gamma_norm_sq)
+    assert f_upper_value(grid, *args).tolist() == [f_upper_value(t, *args) for t in ts]
+    assert f_upper_value(grid, *args, delta_s=deltas).tolist() == [
+        f_upper_value(t, *args, delta_s=d) for t, d in zip(ts, deltas.tolist())
+    ]
+    asq, bsq = alpha_sq / gamma_norm_sq, (1.0 - alpha_sq) / gamma_norm_sq
+    for branch in ("L1", "L2"):
+        assert bounds.lower_value(grid, e_psi, e_phi, asq, bsq, branch).tolist() == [
+            bounds.lower_value(t, e_psi, e_phi, asq, bsq, branch) for t in ts
+        ]
+
+
+def test_array_weights_are_checked_entrywise():
+    with pytest.raises(DomainError, match="t=0.0 "):
+        f_upper_value(np.array([0.5, 0.0, 1.0]), 1.0, 1.0, 0.5, 1.0)
+    with pytest.raises(DomainError, match="t=1.0 "):
+        bounds.lower_value(np.array([0.5, 1.0]), 1.0, 1.0, 0.5, 0.5, "L1")
 
 
 @settings(max_examples=40, deadline=None)

@@ -166,3 +166,38 @@ def test_state_whose_squared_norm_overflows_is_rejected(block_pair_files, tmp_pa
         err = capsys.readouterr().err
         assert code == 1, argv
         assert "overflows" in err and "vanishing" not in err, argv
+
+
+def test_tiny_amplitudes_give_the_unit_scaled_report(tmp_path, capsys):
+    # squared norms of 6e-14 and (underflowing) 0 before scaling
+    def state(name, scale):
+        return _write_state(
+            tmp_path / name, [[0, 0, scale, 0], [1, 1, 2 * scale, 0], [0, 1, 0, -scale]]
+        )
+
+    phi = _write_state(tmp_path / "phi.json", [[0, 0, 0.6, 0], [1, 0, 0, 0.8]])
+    reports = []
+    for scale in (1.0, 1e-7, 1e-200):
+        code = cli_main(
+            ["analyze", "--psi", state(f"psi{scale}.json", scale), "--phi", phi,
+             "--alpha", "0.6", "--beta", "0.8", "--json"]
+        )
+        assert code == 0, scale
+        reports.append(capsys.readouterr().out)
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
+def test_non_finite_amplitude_is_a_parse_error(block_pair_files, tmp_path, capsys):
+    _, phi_path = block_pair_files
+    for literal in ("1e400", "-1e400", "Infinity", "NaN"):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"dim_a": 2, "dim_b": 2, "entries": [[0, 0, 1, 0], [1, 1, 0, %s]]}' % literal
+        )
+        code = cli_main(
+            ["analyze", "--psi", str(path), "--phi", phi_path, "--alpha", "0.6", "--beta", "0.8"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1, literal
+        assert "entry 1" in err and "finite" in err, literal

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from supent import bounds
@@ -37,8 +39,20 @@ def test_minimize_grid_values_above_the_minimum_change_nothing():
     )
     with pytest.raises(ValueError):
         minimize_scalar(f, 0.0, 3.0, grid_n=101, grid_values=exact[:-1])
-    with pytest.raises(NonFiniteObjective):
+    # a non-finite grid value is reported with its point
+    with pytest.raises(NonFiniteObjective, match=re.escape(f"nan at x={xs[-1]!r}") + "$"):
         minimize_scalar(f, 0.0, 3.0, grid_n=101, grid_values=exact[:-1] + [math.nan])
+    one_nan = np.array(exact)
+    one_nan[7] = math.nan
+    with pytest.raises(NonFiniteObjective, match=re.escape(f"nan at x={xs[7]!r}") + "$"):
+        minimize_scalar(f, 0.0, 3.0, grid_n=101, grid_values=one_nan)
+
+
+def test_maximize_with_grid_values_matches_scalar_grid():
+    f = lambda x: math.cos(7.0 * x) - (x - 0.4) ** 2
+    xs = grid_points(0.0, 2.0, 65)
+    with_values = maximize_scalar(f, 0.0, 2.0, grid_n=65, grid_values=np.array([f(x) for x in xs]))
+    assert with_values == maximize_scalar(f, 0.0, 2.0, grid_n=65)
 
 
 def test_maximize_quadratic():

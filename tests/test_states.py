@@ -136,6 +136,15 @@ def test_entanglement_zero_state_rejected():
         entanglement_entropy(BipartiteState(np.zeros((2, 2))))
 
 
+def test_normalized_scales_tiny_amplitudes_first():
+    unit = BipartiteState(np.array([[1.0, -0.5j], [0.0, 2.0]]))
+    for scale in (1e-7, 1e-200):
+        tiny = BipartiteState(unit.coeffs * scale)
+        assert np.array_equal(tiny.normalized().coeffs, unit.normalized().coeffs), scale
+    with pytest.raises(ZeroState):
+        BipartiteState(np.zeros((2, 3))).normalized()
+
+
 def test_entropy_routes_agree():
     rng = np.random.default_rng(13)
     for _ in range(30):
