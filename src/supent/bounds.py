@@ -27,7 +27,6 @@ drops below max over t of these, and also never below zero.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -78,6 +77,11 @@ ENTROPY_ROUNDING = 1e-9
 # Every PRUNE_STRIDE-th grid point of the refined search is eigendecomposed
 # unconditionally; the bounds on the points between interpolate from them.
 PRUNE_STRIDE = 16
+
+# The one grid of every t-search, read-only.  On it the array and float forms
+# of h2 give the same bits (a test checks this).
+_T_GRID = np.asarray(optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N))
+_T_GRID.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -251,12 +255,7 @@ def _lower_value(t, h, e_psi, e_phi, alpha_sq, beta_sq, branch):
 
 
 def minimize_f_scalar(
-    e_psi: float,
-    e_phi: float,
-    alpha_sq: float,
-    gamma_norm_sq: float,
-    grid_n: int = optimize.DEFAULT_GRID_N,
-    tol: float = optimize.DEFAULT_TOL,
+    e_psi: float, e_phi: float, alpha_sq: float, gamma_norm_sq: float
 ) -> tuple[float, float]:
     """Minimize f over t in [eps, 1-eps]; returns (value, t_star).
 
@@ -266,30 +265,14 @@ def minimize_f_scalar(
     return _minimize_f(
         lambda t: f_upper_value(t, e_psi, e_phi, alpha_sq, gamma_norm_sq),
         alpha_sq,
-        grid_n,
-        tol,
-        grid_values=f_upper_value(_t_grid(grid_n), e_psi, e_phi, alpha_sq, gamma_norm_sq),
+        grid_values=f_upper_value(_T_GRID, e_psi, e_phi, alpha_sq, gamma_norm_sq),
     )
-
-
-@functools.lru_cache(maxsize=16)
-def _t_grid(grid_n: int) -> np.ndarray:
-    """The search grid over [T_EPS, 1 - T_EPS], as a read-only array."""
-    grid = np.asarray(optimize.grid_points(T_EPS, 1.0 - T_EPS, grid_n))
-    grid.setflags(write=False)
-    return grid
 
 
 def _minimize_f(
-    objective: Callable[[float], float],
-    alpha_sq: float,
-    grid_n: int,
-    tol: float,
-    grid_values: np.ndarray,
+    objective: Callable[[float], float], alpha_sq: float, grid_values: np.ndarray
 ) -> tuple[float, float]:
-    res = optimize.minimize_scalar(
-        objective, T_EPS, 1.0 - T_EPS, grid_n=grid_n, tol=tol, grid_values=grid_values
-    )
+    res = optimize.minimize_scalar(objective, T_EPS, 1.0 - T_EPS, grid_values=grid_values)
     value, t_star = res.value, res.x_star
     if T_EPS < alpha_sq < 1.0 - T_EPS:
         at_a = objective(alpha_sq)
@@ -305,8 +288,6 @@ def minimize_f_with_refinement(
     gamma_norm_sq: float,
     overlap_sq: float,
     side_entropies: Callable,
-    grid_n: int = optimize.DEFAULT_GRID_N,
-    tol: float = optimize.DEFAULT_TOL,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Minimize the plain and refined f together.
 
@@ -343,10 +324,8 @@ def minimize_f_with_refinement(
        grid minimum, and the grid argmin, the golden-section path and the
        result are those of a full-grid evaluation, bit for bit.
     """
-    plain_value, plain_t = minimize_f_scalar(
-        e_psi, e_phi, alpha_sq, gamma_norm_sq, grid_n=grid_n, tol=tol
-    )
-    grid = _t_grid(grid_n)
+    plain_value, plain_t = minimize_f_scalar(e_psi, e_phi, alpha_sq, gamma_norm_sq)
+    grid = _T_GRID
 
     def refined_f(t, s_a, s_b):
         return f_upper_value(t, e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=s_a - s_b)
@@ -354,7 +333,7 @@ def minimize_f_with_refinement(
     def objective(t: float) -> float:
         return refined_f(t, *side_entropies(t))
 
-    knots = np.unique(np.r_[np.arange(0, grid_n, PRUNE_STRIDE), grid_n - 1])
+    knots = np.unique(np.r_[np.arange(0, grid.size, PRUNE_STRIDE), grid.size - 1])
     s_a, s_b = side_entropies(grid[knots, None, None])
     values, allowance = _refined_f_floor(
         grid, grid[knots], s_a, s_b, e_psi, e_phi, alpha_sq, gamma_norm_sq, overlap_sq
@@ -365,7 +344,7 @@ def minimize_f_with_refinement(
     if todo.size:
         values[todo] = refined_f(grid[todo], *side_entropies(grid[todo, None, None]))
 
-    value, t_star = _minimize_f(objective, alpha_sq, grid_n, tol, grid_values=values)
+    value, t_star = _minimize_f(objective, alpha_sq, grid_values=values)
     at_plain = objective(plain_t)
     if at_plain < value:
         value, t_star = at_plain, plain_t
@@ -431,25 +410,17 @@ def _concave_envelope(
 
 
 def maximize_lower_scalar(
-    e_psi: float,
-    e_phi: float,
-    alpha_sq: float,
-    beta_sq: float,
-    grid_n: int = optimize.DEFAULT_GRID_N,
-    tol: float = optimize.DEFAULT_TOL,
+    e_psi: float, e_phi: float, alpha_sq: float, beta_sq: float
 ) -> tuple[float, float, str]:
     """Maximize max(L1, L2) over t; returns the unclamped (value, t_star, branch)."""
-    grid = _t_grid(grid_n)
-    h = _h2(grid)
+    h = _h2(_T_GRID)
     best: Optional[tuple[float, float, str]] = None
     for branch in ("L1", "L2"):
         res = optimize.maximize_scalar(
             lambda t, b=branch: lower_value(t, e_psi, e_phi, alpha_sq, beta_sq, b),
             T_EPS,
             1.0 - T_EPS,
-            grid_n=grid_n,
-            tol=tol,
-            grid_values=_lower_value(grid, h, e_psi, e_phi, alpha_sq, beta_sq, branch),
+            grid_values=_lower_value(_T_GRID, h, e_psi, e_phi, alpha_sq, beta_sq, branch),
         )
         if best is None or res.value > best[0]:
             best = (res.value, res.x_star, branch)
@@ -627,21 +598,17 @@ def certify(
     psi: BipartiteState, phi: BipartiteState, alpha: complex, beta: complex
 ) -> BoundReport:
     """Evaluate every bound against the exact entanglement for one problem."""
-    return certify_problem(SuperpositionProblem.from_states(psi, phi, alpha, beta))
-
-
-def certify_problem(p: SuperpositionProblem) -> BoundReport:
-    _require_constructive(p)
+    p = SuperpositionProblem.from_states(psi, phi, alpha, beta)
     exact = states.entanglement_entropy(p.gamma)
     reduced = states.ReducedPair.of(p.psi, p.phi)
     s_a, s_b = reduced.entropies(p.alpha_sq)
-    lps = lps_upper(p)
+    lps = lps_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
     t2 = theorem2_upper_value(
         p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=s_a - s_b
     )
     (t3, t3_star), (t3r, _) = _refined_search(p, reduced, at_alpha_sq=(s_a, s_b))
-    low, low_t, branch = theorem4_optimal(p)
-    raw = lower_l(p, low_t, branch)
+    raw, low_t, branch = maximize_lower_scalar(p.e_psi, p.e_phi, *_rescaled_squares(p))
+    low = max(0.0, raw)
     one_sided = states.classify_orthogonality(p.psi, p.phi).one_sided
     simple = simple_lower(p) if abs(p.overlap) <= states.ORTHOGONALITY_TOL else None
     ex1 = _one_sided_value(p, s_a, s_b) if one_sided else None
@@ -693,10 +660,8 @@ def _check_t(t) -> None:
 def _h2(t):
     """h2 of a float weight or of each entry of an array of weights.
 
-    The two forms give the same bits on the default 257-point grid, where
-    ``np.log2`` and ``math.log2`` agree (a test checks this).  They need not
-    agree on every grid: where they differ, a grid value moves by an ulp
-    from the float form, and the searches stay valid.
+    On ``_T_GRID``, the only array any search passes, both forms give the
+    same bits, so a grid value equals the float form at its weight.
     """
     return binary_entropy(t) if isinstance(t, float) else qmath.binary_entropy_array(t)
 

@@ -5,10 +5,6 @@ class SupentError(Exception):
     """Base class for all supent errors."""
 
 
-class NotHermitian(SupentError):
-    """Matrix failed the Hermitian symmetry check."""
-
-
 class NoConvergence(SupentError):
     """Iterative diagonalization did not converge."""
 

@@ -51,6 +51,13 @@ __all__ = [
 
 DEFAULT_SEED = 0x5EED
 
+# Largest dim_a or dim_b of a state file: certifying eigendecomposes reduced
+# densities of that size, and a 4096 x 4096 complex matrix takes 256 MiB.
+MAX_STATE_DIM = 4096
+
+# Largest sweep dimension d: a record peaks at about 40 d bytes (160 MiB).
+MAX_FAMILY_DIM = 2**22 + 1
+
 SWEEP_COLUMNS = (
     "d",
     "exact_e",
@@ -139,8 +146,8 @@ def serialize_state(state: BipartiteState, label: Optional[str] = None) -> str:
 
 def _required_dim(doc: dict, name: str) -> int:
     value = doc.get(name)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ParseError(f"field {name!r} must be a positive integer")
+    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= MAX_STATE_DIM:
+        raise ParseError(f"field {name!r} = {value!r} is not an integer in [1, {MAX_STATE_DIM}]")
     return value
 
 
@@ -239,11 +246,17 @@ def family_coefficients(family: str) -> tuple[float, float]:
 
 def family_state_probs(d: int) -> np.ndarray:
     """Squared Schmidt coefficients of the diagonal family state at size d."""
-    if d < 2:
-        raise ValueError("family dimension must be at least 2")
+    d = _family_dim(d)
     probs = np.full(d, 1.0 / (2.0 * (d - 1)))
     probs[0] = 0.5
     return probs
+
+
+def _family_dim(d) -> int:
+    """``d`` as an int, checked against the family's range before any allocation."""
+    if not 2 <= int(d) <= MAX_FAMILY_DIM:
+        raise ValueError(f"family dimension d = {d} outside [2, {MAX_FAMILY_DIM}]")
+    return int(d)
 
 
 def family_gamma_probs(d: int, alpha: float, beta: float) -> tuple[np.ndarray, float]:
@@ -547,7 +560,8 @@ class SweepRecord:
 def dimension_sweep(d_list, family: str) -> list[SweepRecord]:
     """Evaluate every bound for the diagonal family at each dimension."""
     alpha, beta = family_coefficients(family)
-    return [_sweep_record(int(d), alpha, beta) for d in d_list]
+    d_list = [_family_dim(d) for d in d_list]
+    return [_sweep_record(d, alpha, beta) for d in d_list]
 
 
 def _sweep_record(d: int, alpha: float, beta: float) -> SweepRecord:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,8 +23,10 @@ __all__ = [
 ]
 
 DEFAULT_GRID_N = 257
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200
+# Golden-section search stops at a bracket narrower than TOL or after
+# MAX_ITER steps; from two grid steps of [0, 1] it takes about 40.
+TOL = 1e-10
+MAX_ITER = 200
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -44,15 +46,11 @@ def _checked(f: Callable[[float], float], x: float) -> float:
     return v
 
 
-def grid_points(a: float, b: float, grid_n: int) -> list[float]:
+@functools.lru_cache(maxsize=16)
+def grid_points(a: float, b: float, grid_n: int) -> tuple[float, ...]:
     """The exact uniform evaluation grid used by the searches below."""
     step = (b - a) / (grid_n - 1)
-    return [a + i * step for i in range(grid_n - 1)] + [b]
-
-
-@functools.lru_cache(maxsize=16)
-def _grid(a: float, b: float, grid_n: int) -> tuple[float, ...]:
-    return tuple(grid_points(a, b, grid_n))
+    return tuple(a + i * step for i in range(grid_n - 1)) + (b,)
 
 
 def minimize_scalar(
@@ -60,15 +58,13 @@ def minimize_scalar(
     a: float,
     b: float,
     grid_n: int = DEFAULT_GRID_N,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     grid_values: Optional[np.ndarray | Sequence[float]] = None,
 ) -> OptimizerResult:
     """Global-ish scalar minimization on [a, b].
 
     Evaluates ``f`` on ``grid_n`` uniform points, then refines around the
     best grid point with golden-section search until the bracket is narrower
-    than ``tol``.  The coarse grid guards against multiple local minima; the
+    than ``TOL``.  The coarse grid guards against multiple local minima; the
     returned value never exceeds any grid sample.
 
     ``grid_values``, when given, stands in for ``f`` on the grid
@@ -83,7 +79,7 @@ def minimize_scalar(
     if grid_n < 3:
         raise ValueError("grid_n must be at least 3")
 
-    xs = _grid(a, b, grid_n)
+    xs = grid_points(a, b, grid_n)
     if grid_values is None:
         grid_values = [_checked(f, x) for x in xs]
     vals = np.asarray(grid_values, dtype=float)
@@ -104,7 +100,7 @@ def minimize_scalar(
     fc = _checked(f, c)
     fd = _checked(f, d)
     iterations = 0
-    while (hi - lo) > tol and iterations < max_iter:
+    while (hi - lo) > TOL and iterations < MAX_ITER:
         if fc < best_v:
             best_x, best_v = c, fc
         if fd < best_v:
@@ -125,7 +121,7 @@ def minimize_scalar(
         x_star=best_x,
         value=best_v,
         iterations=iterations,
-        converged=(hi - lo) <= tol,
+        converged=(hi - lo) <= TOL,
     )
 
 
@@ -134,18 +130,11 @@ def maximize_scalar(
     a: float,
     b: float,
     grid_n: int = DEFAULT_GRID_N,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     grid_values: Optional[np.ndarray | Sequence[float]] = None,
 ) -> OptimizerResult:
     """As ``minimize_scalar`` with the sign flipped, ``grid_values`` included."""
     if grid_values is not None:
         grid_values = -np.asarray(grid_values, dtype=float)
-    res = minimize_scalar(lambda x: -f(x), a, b, grid_n, tol, max_iter, grid_values)
-    return OptimizerResult(
-        x_star=res.x_star,
-        value=-res.value,
-        iterations=res.iterations,
-        converged=res.converged,
-    )
+    res = minimize_scalar(lambda x: -f(x), a, b, grid_n, grid_values)
+    return replace(res, value=-res.value)
 

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, NotHermitian, NotNormalized
+from .errors import DomainError, NoConvergence, NotNormalized
 
 __all__ = [
     "Spectrum",
     "as_complex_matrix",
-    "hermitian_eigenvalues",
     "psd_entropy",
     "singular_values",
     "shannon_entropy",
@@ -25,17 +24,16 @@ __all__ = [
     "binary_entropy_array",
 ]
 
-DEFAULT_HERMITICITY_TOL = 1e-10
+# How far outside [0, 1] a binary-entropy argument may stray by round-off
+# and still be clipped into the interval rather than rejected.
+H2_DOMAIN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Descending real spectrum plus the sum it should carry.
+    """Descending singular values plus the sum they should carry.
 
-    ``values`` holds eigenvalues or singular values sorted in descending
-    order; round-off negatives in ``[-tol, 0)`` are cleaned up by the
-    producing operation.  ``trace`` is the sum the values are expected to
-    have (matrix trace for eigenvalues, plain sum for singular values).
+    ``trace`` is the sum ``values`` are expected to have.
     """
 
     values: np.ndarray
@@ -67,30 +65,6 @@ def as_complex_matrix(matrix) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def hermitian_eigenvalues(matrix, tol: float = DEFAULT_HERMITICITY_TOL) -> Spectrum:
-    """Eigenvalues of a Hermitian matrix, descending.
-
-    Round-off negatives in ``[-tol, 0)`` are clipped to zero so that later
-    entropy evaluations never see spurious negative probabilities; genuinely
-    negative eigenvalues (below ``-tol``) pass through unchanged.
-
-    Raises ``NotHermitian`` if ``max|M - M^dagger| > tol`` and
-    ``NoConvergence`` if the diagonalization fails.
-    """
-    m = as_complex_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"matrix is not square: shape {m.shape}")
-    if m.size and float(np.max(np.abs(m - m.conj().T))) > tol:
-        raise NotHermitian(f"matrix is not Hermitian within tol={tol:g}")
-    try:
-        w = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    w = np.where((w < 0.0) & (w >= -tol), 0.0, w)
-    w = np.sort(w)[::-1]
-    return Spectrum(values=w, trace=float(np.trace(m).real))
 
 
 def psd_entropy(rho):
@@ -142,9 +116,9 @@ def shannon_entropy(p) -> float:
     return max(0.0, float(-(pos * np.log2(pos)).sum()))
 
 
-def binary_entropy(x: float, tol: float = 1e-12) -> float:
+def binary_entropy(x: float) -> float:
     """Binary entropy h2(x) = -x log2 x - (1-x) log2(1-x), with h2(0)=h2(1)=0."""
-    if x < -tol or x > 1.0 + tol:
+    if x < -H2_DOMAIN_SLACK or x > 1.0 + H2_DOMAIN_SLACK:
         raise DomainError(f"binary entropy argument {x!r} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     if x == 0.0 or x == 1.0:
@@ -152,15 +126,15 @@ def binary_entropy(x: float, tol: float = 1e-12) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def binary_entropy_array(x, tol: float = 1e-12) -> np.ndarray:
+def binary_entropy_array(x) -> np.ndarray:
     """Elementwise h2 of an array, with h2(0) = h2(1) = 0.
 
-    numpy's log2 may differ from ``math.log2`` in the last bit, so values
-    that are reported go through ``binary_entropy``; this form serves bounds
-    that carry their own rounding allowance.
+    numpy's log2 may differ from ``math.log2`` in the last bit, so an entry
+    can differ from ``binary_entropy`` by an ulp; on the one t grid of
+    ``bounds`` the two agree bit for bit (a test checks this).
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < -tol) or np.any(x > 1.0 + tol):
+    if np.any(x < -H2_DOMAIN_SLACK) or np.any(x > 1.0 + H2_DOMAIN_SLACK):
         raise DomainError("binary entropy argument outside [0, 1]")
     x = np.clip(x, 0.0, 1.0)
     inside = (x > 0.0) & (x < 1.0)

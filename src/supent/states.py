@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .errors import DimMismatch, DomainError, NotNormalized, NotOneSided, ZeroState
-from .qmath import Spectrum
+from .errors import DimMismatch, DomainError, NotNormalized, ZeroState
 
 __all__ = [
     "BipartiteState",
-    "SchmidtForm",
     "OrthogonalityClass",
     "ReducedPair",
     "norm_squared",
@@ -28,7 +26,6 @@ __all__ = [
     "reduced_density",
     "entanglement_entropy",
     "classify_orthogonality",
-    "lemma1_canonical_form",
     "mixture_entropy",
     "mixture_entropy_array",
     "reduced_mixture_entropies",
@@ -36,8 +33,6 @@ __all__ = [
 
 ZERO_NORM_SQ = 1e-12
 ORTHOGONALITY_TOL = 1e-9
-ONE_SIDED_TOL = 1e-8
-_RANK_CUT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,24 +73,6 @@ class BipartiteState:
             raise ZeroState("cannot normalize the zero state")
         scaled = self.coeffs / peak
         return BipartiteState(scaled / np.sqrt(np.vdot(scaled, scaled).real))
-
-
-@dataclass(frozen=True)
-class SchmidtForm:
-    """Schmidt data: squared coefficients plus orthonormal local frames.
-
-    ``coefficients.values`` are the probabilities p_i (squared Schmidt
-    coefficients); column k of ``a_vectors``/``b_vectors`` is the k-th
-    Schmidt vector on the respective side.
-    """
-
-    coefficients: Spectrum
-    a_vectors: np.ndarray
-    b_vectors: np.ndarray
-
-    def reconstruct(self) -> BipartiteState:
-        s = np.sqrt(self.coefficients.values)
-        return BipartiteState((self.a_vectors * s) @ self.b_vectors.T)
 
 
 @dataclass(frozen=True)
@@ -183,51 +160,26 @@ def entanglement_entropy(s: BipartiteState) -> float:
     return qmath.shannon_entropy(probs)
 
 
-def classify_orthogonality(
-    s1: BipartiteState, s2: BipartiteState, tol: float = ORTHOGONALITY_TOL
-) -> OrthogonalityClass:
+def classify_orthogonality(s1: BipartiteState, s2: BipartiteState) -> OrthogonalityClass:
     """Classify the pair per the reduced-support overlap on each side.
 
-    ``tol`` bounds the trace overlap Tr[rho(psi) rho(phi)] of the reduced
-    operators of the normalized states.  One-sidedness on either side
-    implies ordinary orthogonality of the states themselves.
+    A side counts as orthogonal when the trace overlap Tr[rho(psi) rho(phi)]
+    of the reduced operators of the normalized states is at most
+    ORTHOGONALITY_TOL.  One-sidedness on either side implies ordinary
+    orthogonality of the states themselves.
     """
     _check_dims(s1, s2)
     n1 = s1.normalized()
     n2 = s2.normalized()
     overlap = inner_product(n1, n2)
-    eq1 = _trace_overlap(reduced_density(n1, "B"), reduced_density(n2, "B")) <= tol
-    eq2 = _trace_overlap(reduced_density(n1, "A"), reduced_density(n2, "A")) <= tol
+    eq1 = _trace_overlap(n1, n2, "B") <= ORTHOGONALITY_TOL
+    eq2 = _trace_overlap(n1, n2, "A") <= ORTHOGONALITY_TOL
     return OrthogonalityClass(
         overlap=overlap,
         one_sided_eq1=eq1,
         one_sided_eq2=eq2,
         biorthogonal=eq1 and eq2,
     )
-
-
-def lemma1_canonical_form(
-    s1: BipartiteState, s2: BipartiteState
-) -> tuple[SchmidtForm, SchmidtForm]:
-    """Joint Schmidt data of a one-sided orthogonal pair.
-
-    Requires the B-side reduced supports to be orthogonal (callers swap the
-    sides via transpose first when only the A-side condition holds).  The
-    returned forms have mutually orthogonal B-side frames, so stacking them
-    realizes the pair on disjoint B-index blocks of sizes d1 and d2 after a
-    local rotation.  Reconstruction from each form reproduces the normalized
-    input state exactly up to numerical rank truncation.
-    """
-    _check_dims(s1, s2)
-    form1 = _schmidt_form(s1.normalized())
-    form2 = _schmidt_form(s2.normalized())
-    cross = form1.b_vectors.conj().T @ form2.b_vectors
-    worst = float(np.max(np.abs(cross))) if cross.size else 0.0
-    if worst > ONE_SIDED_TOL:
-        raise NotOneSided(
-            f"B-side frames overlap by {worst:.3e} (tol {ONE_SIDED_TOL:g})"
-        )
-    return form1, form2
 
 
 def mixture_entropy(s1: BipartiteState, s2: BipartiteState, t: float) -> float:
@@ -276,7 +228,9 @@ def _check_mixture_args(s1: BipartiteState, s2: BipartiteState, t: float) -> Non
             raise NotNormalized("mixture entropies require normalized states")
 
 
-def _trace_overlap(rho1: np.ndarray, rho2: np.ndarray) -> float:
+def _trace_overlap(s1: BipartiteState, s2: BipartiteState, side: str) -> float:
+    """Tr[rho(s1) rho(s2)] of the reduced operators on ``side``."""
+    rho1, rho2 = reduced_density(s1, side), reduced_density(s2, side)
     return float(np.einsum("ij,ji->", rho1, rho2).real)
 
 
@@ -285,14 +239,3 @@ def _mixture_top_eigenvalue(t, c2):
     r = np.sqrt((2.0 * t - 1.0) ** 2 + 4.0 * t * (1.0 - t) * c2)
     return np.minimum(1.0, 0.5 * (1.0 + r))
 
-
-def _schmidt_form(s: BipartiteState) -> SchmidtForm:
-    u, sig, vh = np.linalg.svd(s.coeffs, full_matrices=False)
-    keep = sig > max(_RANK_CUT, _RANK_CUT * (sig[0] if sig.size else 0.0))
-    sig = sig[keep]
-    p = sig**2
-    return SchmidtForm(
-        coefficients=Spectrum(values=p, trace=float(p.sum())),
-        a_vectors=u[:, keep],
-        b_vectors=vh[keep, :].T,
-    )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from supent import harness
 from supent.cli import cli_main
 from supent.harness import bell_block_pair, serialize_state
 
@@ -201,3 +202,43 @@ def test_non_finite_amplitude_is_a_parse_error(block_pair_files, tmp_path, capsy
         err = capsys.readouterr().err
         assert code == 1, literal
         assert "entry 1" in err and "finite" in err, literal
+
+
+def _refuse(monkeypatch, allocator):
+    """Make ``np.<allocator>`` fail, so an oversized input can never allocate."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"np.{allocator} called with {args!r}")
+
+    monkeypatch.setattr(harness.np, allocator, refuse)
+
+
+def test_oversized_state_file_is_rejected_before_allocating(
+    block_pair_files, tmp_path, monkeypatch, capsys
+):
+    _, phi_path = block_pair_files
+    _refuse(monkeypatch, "zeros")
+    for field in ("dim_a", "dim_b"):
+        for size in (harness.MAX_STATE_DIM + 1, 10**12):
+            doc = {"dim_a": 2, "dim_b": 2, "entries": [[0, 0, 1, 0]]}
+            doc[field] = size
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps(doc))
+            argv = ["analyze", "--psi", str(path), "--phi", phi_path]
+            code = cli_main(argv + ["--alpha", "0.6", "--beta", "0.8"])
+            err = capsys.readouterr().err
+            assert code == 1, (field, size)
+            assert repr(field) in err and str(size) in err, (field, size)
+
+
+def test_oversized_sweep_dimension_is_rejected_before_allocating(tmp_path, monkeypatch, capsys):
+    _refuse(monkeypatch, "full")
+    out_path = tmp_path / "sweep.csv"
+    for size in (harness.MAX_FAMILY_DIM + 1, 2**40):
+        code = cli_main(
+            ["sweep", "--family", "example3", "--dims", f"257,{size}", "--out", str(out_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1, size
+        assert "family dimension" in err and str(size) in err, size
+    assert not out_path.exists()

@@ -5,64 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supent.errors import DomainError, NoConvergence, NotHermitian, NotNormalized
+from supent.errors import DomainError, NoConvergence, NotNormalized
 from supent.qmath import (
     Spectrum,
     binary_entropy,
-    hermitian_eigenvalues,
     psd_entropy,
     shannon_entropy,
     singular_values,
 )
-
-
-def test_eigenvalues_identity():
-    spec = hermitian_eigenvalues(np.eye(2))
-    assert np.allclose(spec.values, [1.0, 1.0], atol=1e-12)
-    assert spec.trace == pytest.approx(2.0)
-
-
-def test_eigenvalues_rank_one_projector():
-    m = np.full((2, 2), 0.5)
-    spec = hermitian_eigenvalues(m)
-    assert np.allclose(spec.values, [1.0, 0.0], atol=1e-12)
-
-
-def test_eigenvalues_random_hermitian_against_char_poly():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = g + g.conj().T
-        spec = hermitian_eigenvalues(h)
-        assert spec.values.sum() == pytest.approx(np.trace(h).real, abs=1e-9)
-        # Independent oracle: each eigenvalue annihilates det(H - lambda I).
-        scale = np.prod(np.abs(spec.values) + 1.0)
-        for lam in spec.values:
-            assert abs(np.linalg.det(h - lam * np.eye(4))) / scale <= 1e-8
-
-
-def test_eigenvalue_sum_matches_trace_many_sizes():
-    rng = np.random.default_rng(3)
-    for n in range(2, 9):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = 0.5 * (g + g.conj().T)
-        spec = hermitian_eigenvalues(h)
-        tr = np.trace(h).real
-        assert abs(spec.values.sum() - tr) <= 1e-9 * max(1.0, abs(tr))
-
-
-def test_eigenvalues_clip_only_roundoff_band():
-    tiny = np.diag([1.0, -5e-11])
-    assert hermitian_eigenvalues(tiny).values[-1] == 0.0
-    genuine = np.diag([1.0, -1.0])
-    assert hermitian_eigenvalues(genuine).values[-1] == -1.0
-
-
-def test_not_hermitian_rejected():
-    with pytest.raises(NotHermitian):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NotHermitian):
-        hermitian_eigenvalues(np.zeros((2, 3)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,7 +38,7 @@ def test_psd_entropy_stack_matches_single_matrices(seed, d, ranks):
         alone = psd_entropy(rho)
         assert isinstance(alone, float)
         assert alone == s
-        assert alone == pytest.approx(shannon_entropy(hermitian_eigenvalues(rho).values), abs=1e-12)
+        assert alone == pytest.approx(shannon_entropy(np.linalg.eigvalsh(rho)), abs=1e-12)
 
 
 def test_psd_entropy_diagonalization_failure_is_no_convergence(monkeypatch):
@@ -119,8 +69,8 @@ def test_singular_values_square_against_gram_eigenvalues():
     rng = np.random.default_rng(7)
     c = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     sv = singular_values(c)
-    ev = hermitian_eigenvalues(c @ c.conj().T)
-    assert np.allclose(sv.values**2, ev.values, atol=1e-9)
+    ev = np.linalg.eigvalsh(c @ c.conj().T)[::-1]
+    assert np.allclose(sv.values**2, ev, atol=1e-9)
 
 
 def test_singular_value_gram_identity_up_to_8x8():
@@ -129,7 +79,7 @@ def test_singular_value_gram_identity_up_to_8x8():
         for cols in (1, rows, 8):
             c = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
             sv = singular_values(c)
-            ev = hermitian_eigenvalues(c @ c.conj().T).values
+            ev = np.linalg.eigvalsh(c @ c.conj().T)[::-1]
             assert np.allclose(sv.values**2, ev[: len(sv)], atol=1e-9)
             assert sv.values.sum() == pytest.approx(sv.trace)
 

@@ -5,14 +5,13 @@ import pytest
 
 from helpers import random_state, random_sphere_pair, random_unitary
 from supent import harness, qmath
-from supent.errors import DimMismatch, NotNormalized, NotOneSided, ZeroState
+from supent.errors import DimMismatch, NotNormalized, ZeroState
 from supent.qmath import binary_entropy
 from supent.states import (
     BipartiteState,
     classify_orthogonality,
     entanglement_entropy,
     inner_product,
-    lemma1_canonical_form,
     mixture_entropy,
     norm_squared,
     reduced_density,
@@ -150,8 +149,8 @@ def test_entropy_routes_agree():
     for _ in range(30):
         s = random_state(rng, rng.integers(2, 7), rng.integers(2, 7))
         via_svd = entanglement_entropy(s)
-        via_a = qmath.shannon_entropy(qmath.hermitian_eigenvalues(reduced_density(s, "A")).values)
-        via_b = qmath.shannon_entropy(qmath.hermitian_eigenvalues(reduced_density(s, "B")).values)
+        via_a = qmath.shannon_entropy(np.linalg.eigvalsh(reduced_density(s, "A")))
+        via_b = qmath.shannon_entropy(np.linalg.eigvalsh(reduced_density(s, "B")))
         assert via_svd == pytest.approx(via_a, abs=1e-10)
         assert via_svd == pytest.approx(via_b, abs=1e-10)
 
@@ -198,49 +197,6 @@ def test_one_sided_implies_orthogonal():
         cls = classify_orthogonality(psi, phi)
         assert cls.one_sided_eq1
         assert abs(cls.overlap) <= 1e-9
-
-
-# -- lemma1_canonical_form -----------------------------------------------------
-
-
-def test_canonical_form_block_pair():
-    psi, phi = harness.bell_block_pair()
-    f1, f2 = lemma1_canonical_form(psi, phi)
-    assert np.allclose(f1.coefficients.values, [0.5, 0.5], atol=1e-12)
-    assert np.allclose(f2.coefficients.values, [0.5, 0.5], atol=1e-12)
-    # B-side frames live on disjoint index blocks {0,1} and {2,3}.
-    assert np.max(np.abs(f1.b_vectors[2:, :])) <= 1e-12
-    assert np.max(np.abs(f2.b_vectors[:2, :])) <= 1e-12
-
-
-def test_canonical_form_biorthogonal_products():
-    f1, f2 = lemma1_canonical_form(basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1))
-    assert np.allclose(f1.coefficients.values, [1.0])
-    assert np.allclose(f2.coefficients.values, [1.0])
-
-
-def test_canonical_form_roundtrip_random_pairs():
-    for seed in range(8):
-        psi, phi = harness.generate_one_sided_pair(2, 2, 4, seed)
-        f1, f2 = lemma1_canonical_form(psi, phi)
-        for form, original in ((f1, psi), (f2, phi)):
-            rebuilt = form.reconstruct()
-            phase = inner_product(rebuilt, original)
-            phase /= abs(phase)
-            err = np.max(np.abs(phase * rebuilt.coeffs - original.coeffs))
-            assert err <= 1e-8
-        # orthonormal frames
-        for form in (f1, f2):
-            gram_a = form.a_vectors.conj().T @ form.a_vectors
-            gram_b = form.b_vectors.conj().T @ form.b_vectors
-            assert np.allclose(gram_a, np.eye(gram_a.shape[0]), atol=1e-8)
-            assert np.allclose(gram_b, np.eye(gram_b.shape[0]), atol=1e-8)
-
-
-def test_canonical_form_rejects_overlapping_pair():
-    psi, phi = harness.overlapping_triple_pair()
-    with pytest.raises(NotOneSided):
-        lemma1_canonical_form(psi, phi)
 
 
 # -- mixture_entropy -----------------------------------------------------------
@@ -318,11 +274,17 @@ def test_araki_lieb_and_concavity_sandwich():
 
 
 def test_one_sided_pairs_have_larger_b_entropy():
-    for seed in range(10):
-        psi, phi = harness.generate_one_sided_pair(2, 2, 3, seed)
-        for t in (0.1, 0.5, 0.9):
-            s_a, s_b = reduced_mixture_entropies(psi, phi, t)
-            assert s_b >= s_a - 1e-9
+    # Lemma 1: the B-side supports are orthogonal, so rho_B(t) is the direct
+    # sum t rho_B(psi) + (1-t) rho_B(phi) and S_B(t) = t E(psi) + (1-t) E(phi) + h2(t).
+    for d1, d2, dim_a in ((2, 2, 3), (1, 3, 4), (3, 2, 5), (4, 4, 4), (2, 5, 6)):
+        for seed in range(10):
+            psi, phi = harness.generate_one_sided_pair(d1, d2, dim_a, seed)
+            e_psi, e_phi = entanglement_entropy(psi), entanglement_entropy(phi)
+            for t in (0.1, 0.5, 0.9):
+                s_a, s_b = reduced_mixture_entropies(psi, phi, t)
+                assert s_b >= s_a - 1e-9
+                lemma1 = t * e_psi + (1.0 - t) * e_phi + binary_entropy(t)
+                assert s_b == pytest.approx(lemma1, abs=1e-10), (d1, d2, dim_a, seed, t)
 
 
 def test_exact_formula_identity_for_generated_pairs():
