@@ -34,20 +34,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import optimize, qmath, states
-from .errors import DegenerateSubspace, DomainError, NotOneSided, NotOrthogonal, ZeroState
+from .errors import DegenerateSubspace, DomainError, NotOrthogonal, ZeroState
 from .qmath import binary_entropy
 from .states import BipartiteState
 
 __all__ = [
     "SuperpositionProblem",
     "BoundReport",
-    "exact_one_sided",
-    "lps_upper",
-    "theorem2_upper",
-    "f_of_t",
-    "theorem3_optimal",
-    "lower_l",
-    "theorem4_optimal",
     "simple_lower",
     "subspace_lower",
     "certify",
@@ -239,18 +232,21 @@ def lower_value(
 
 def _lower_value(t, h, e_psi, e_phi, alpha_sq, beta_sq, branch):
     """``lower_value`` given h = h2(t), which L1 and L2 share."""
+    e_psi, e_phi, alpha_sq, beta_sq = _as_l1(branch, e_psi, e_phi, alpha_sq, beta_sq)
+    return (
+        (1.0 - t) * beta_sq / (1.0 - t * (1.0 - alpha_sq)) * e_phi
+        - (1.0 - t) / t * e_psi
+        - h / t
+    )
+
+
+def _as_l1(branch, e_psi, e_phi, alpha_sq, beta_sq):
+    """The arguments of the L1 formula for ``branch``: L2 is L1 with
+    (psi, a') and (phi, b') exchanged."""
     if branch == "L1":
-        return (
-            (1.0 - t) * beta_sq / (1.0 - t * (1.0 - alpha_sq)) * e_phi
-            - (1.0 - t) / t * e_psi
-            - h / t
-        )
+        return e_psi, e_phi, alpha_sq, beta_sq
     if branch == "L2":
-        return (
-            (1.0 - t) * alpha_sq / (1.0 - t * (1.0 - beta_sq)) * e_psi
-            - (1.0 - t) / t * e_phi
-            - h / t
-        )
+        return e_phi, e_psi, beta_sq, alpha_sq
     raise ValueError(f"branch must be 'L1' or 'L2', got {branch!r}")
 
 
@@ -447,95 +443,15 @@ def theorem4_stationarity_residual(
 
     a b t^2 / (1 - (1-a) t)^2 * E(phi) = E(psi) - log2(1-t).
     """
-    if branch == "L1":
-        lhs = alpha_sq * beta_sq * t**2 / (1.0 - (1.0 - alpha_sq) * t) ** 2 * e_phi
-        rhs = e_psi - math.log2(1.0 - t)
-    else:
-        lhs = alpha_sq * beta_sq * t**2 / (1.0 - (1.0 - beta_sq) * t) ** 2 * e_psi
-        rhs = e_phi - math.log2(1.0 - t)
+    e_psi, e_phi, alpha_sq, beta_sq = _as_l1(branch, e_psi, e_phi, alpha_sq, beta_sq)
+    lhs = alpha_sq * beta_sq * t**2 / (1.0 - (1.0 - alpha_sq) * t) ** 2 * e_phi
+    rhs = e_psi - math.log2(1.0 - t)
     return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
 # Problem-level operations.
 # ---------------------------------------------------------------------------
-
-
-def exact_one_sided(p: SuperpositionProblem) -> float:
-    """Exact entanglement of the superposition of a one-sided orthogonal pair:
-
-    E = a E(psi) + (1-a) E(phi) + S(rho_AB) - |S(rho_A) - S(rho_B)|
-
-    with a = |alpha|^2 and rho_AB = a |psi><psi| + (1-a) |phi><phi|.
-    Raises NotOneSided when neither reduced side has orthogonal supports.
-    """
-    if not states.classify_orthogonality(p.psi, p.phi).one_sided:
-        raise NotOneSided("pair is not one-sided orthogonal on either side")
-    s_a, s_b = states.reduced_mixture_entropies(p.psi, p.phi, p.alpha_sq)
-    return _one_sided_value(p, s_a, s_b)
-
-
-def _one_sided_value(p: SuperpositionProblem, s_a: float, s_b: float) -> float:
-    t = p.alpha_sq
-    s_ab = states.mixture_entropy(p.psi, p.phi, t)
-    return t * p.e_psi + (1.0 - t) * p.e_phi + s_ab - abs(s_a - s_b)
-
-
-def lps_upper(p: SuperpositionProblem) -> float:
-    _require_constructive(p)
-    return lps_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
-
-
-def theorem2_upper(p: SuperpositionProblem) -> float:
-    _require_constructive(p)
-    s_a, s_b = states.reduced_mixture_entropies(p.psi, p.phi, p.alpha_sq)
-    return theorem2_upper_value(
-        p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=s_a - s_b
-    )
-
-
-def f_of_t(p: SuperpositionProblem, t: float, refined: bool = False) -> float:
-    """Evaluate the f(t) upper bound (refined variant on request)."""
-    s_a, s_b = states.ReducedPair.of(p.psi, p.phi).entropies(t) if refined else (0.0, 0.0)
-    return f_upper_value(
-        t, p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=s_a - s_b
-    )
-
-
-def theorem3_optimal(p: SuperpositionProblem, refined: bool = False) -> tuple[float, float]:
-    """Minimize f(t); returns (value, t_star).
-
-    The refined search additionally evaluates at the plain minimizer so the
-    refined optimum can never exceed the plain one.
-    """
-    _require_constructive(p)
-    if not refined:
-        return minimize_f_scalar(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
-    _, refined_result = _refined_search(p, states.ReducedPair.of(p.psi, p.phi))
-    return refined_result
-
-
-def lower_l(p: SuperpositionProblem, t: float, branch: str) -> float:
-    """L1/L2 lower bound at mixing weight t, in the unit-norm convention.
-
-    The problem's (alpha, beta) live on the unit sphere while the bound
-    family assumes a normalized superposition, so the squared coefficients
-    are rescaled by 1 / ||gamma||^2 before evaluation.  May be negative.
-    """
-    asq, bsq = _rescaled_squares(p)
-    return lower_value(t, p.e_psi, p.e_phi, asq, bsq, branch)
-
-
-def theorem4_optimal(p: SuperpositionProblem) -> tuple[float, float, str]:
-    """Best lower bound over t and branch, clamped at zero.
-
-    Returns (value, t_star, branch); the unclamped value at (t_star, branch)
-    is recoverable via ``lower_l``.
-    """
-    _require_constructive(p)
-    asq, bsq = _rescaled_squares(p)
-    raw, t_star, branch = maximize_lower_scalar(p.e_psi, p.e_phi, asq, bsq)
-    return max(0.0, raw), t_star, branch
 
 
 def simple_lower(p: SuperpositionProblem) -> float:
@@ -606,8 +522,19 @@ def certify(
     t2 = theorem2_upper_value(
         p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=s_a - s_b
     )
-    (t3, t3_star), (t3r, _) = _refined_search(p, reduced, at_alpha_sq=(s_a, s_b))
-    raw, low_t, branch = maximize_lower_scalar(p.e_psi, p.e_phi, *_rescaled_squares(p))
+
+    def side_entropies(t):
+        # the t = |alpha|^2 pin reuses the entropies computed above
+        if isinstance(t, float) and t == p.alpha_sq:
+            return s_a, s_b
+        return reduced.entropies(t)
+
+    (t3, t3_star), (t3r, _) = minimize_f_with_refinement(
+        p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, abs(p.overlap) ** 2, side_entropies
+    )
+    raw, low_t, branch = maximize_lower_scalar(
+        p.e_psi, p.e_phi, p.alpha_sq / p.gamma_norm_sq, p.beta_sq / p.gamma_norm_sq
+    )
     low = max(0.0, raw)
     one_sided = states.classify_orthogonality(p.psi, p.phi).one_sided
     simple = simple_lower(p) if abs(p.overlap) <= states.ORTHOGONALITY_TOL else None
@@ -629,6 +556,19 @@ def certify(
         exact_one_sided=ex1,
         sane=sane,
     )
+
+
+def _one_sided_value(p: SuperpositionProblem, s_a: float, s_b: float) -> float:
+    """Lemma 1: the exact entanglement of a one-sided orthogonal superposition,
+
+    E = a E(psi) + (1-a) E(phi) + S(rho_AB) - |S_A - S_B|
+
+    with a = |alpha|^2, rho_AB = a |psi><psi| + (1-a) |phi><phi| and
+    (s_a, s_b) the entropies of its reduced operators.
+    """
+    t = p.alpha_sq
+    s_ab = states.mixture_entropy(p.psi, p.phi, t)
+    return t * p.e_psi + (1.0 - t) * p.e_phi + s_ab - abs(s_a - s_b)
 
 
 def _weight(name: str, c: complex) -> float:
@@ -664,41 +604,3 @@ def _h2(t):
     same bits, so a grid value equals the float form at its weight.
     """
     return binary_entropy(t) if isinstance(t, float) else qmath.binary_entropy_array(t)
-
-
-def _require_constructive(p: SuperpositionProblem) -> None:
-    if p.gamma_norm_sq <= DESTRUCTIVE_NORM_SQ:
-        raise ZeroState("superposition is fully destructive")
-
-
-def _rescaled_squares(p: SuperpositionProblem) -> tuple[float, float]:
-    return p.alpha_sq / p.gamma_norm_sq, p.beta_sq / p.gamma_norm_sq
-
-
-def _refined_search(
-    p: SuperpositionProblem,
-    reduced: states.ReducedPair,
-    at_alpha_sq: Optional[tuple[float, float]] = None,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Both f searches of ``p``.
-
-    ``at_alpha_sq``, when given, is ``reduced.entropies(p.alpha_sq)``, which
-    the caller already has; the t = |alpha|^2 pin then reuses it.
-    """
-    side_entropies = reduced.entropies
-    if at_alpha_sq is not None:
-
-        def side_entropies(t):
-            if isinstance(t, float) and t == p.alpha_sq:
-                return at_alpha_sq
-            return reduced.entropies(t)
-
-    return minimize_f_with_refinement(
-        p.e_psi,
-        p.e_phi,
-        p.alpha_sq,
-        p.gamma_norm_sq,
-        abs(p.overlap) ** 2,
-        side_entropies=side_entropies,
-    )
-

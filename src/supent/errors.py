@@ -25,10 +25,6 @@ class ZeroState(SupentError):
     """State (or superposition) has vanishing norm."""
 
 
-class NotOneSided(SupentError):
-    """States are not one-sided orthogonal."""
-
-
 class NotOrthogonal(SupentError):
     """States are not orthogonal."""
 

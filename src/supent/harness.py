@@ -18,14 +18,14 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import bounds, qmath, states
 from .bounds import SuperpositionProblem
-from .errors import DimError, ParseError
+from .errors import DimError, ParseError, ZeroState
 from .qmath import binary_entropy
 from .rng import Xoshiro256StarStar
 from .states import BipartiteState
@@ -51,8 +51,9 @@ __all__ = [
 
 DEFAULT_SEED = 0x5EED
 
-# Largest dim_a or dim_b of a state file: certifying eigendecomposes reduced
-# densities of that size, and a 4096 x 4096 complex matrix takes 256 MiB.
+# Largest dim_a or dim_b of a state file or an audit draw: certifying
+# eigendecomposes reduced densities of that size, and a 4096 x 4096 complex
+# matrix takes 256 MiB.
 MAX_STATE_DIM = 4096
 
 # Largest sweep dimension d: a record peaks at about 40 d bytes (160 MiB).
@@ -333,12 +334,12 @@ def _example1_rows() -> list[ExampleRow]:
         beta = math.sqrt(1.0 - alpha * alpha)
         case = f"E1[alpha={alpha:.4g}]"
         prob = SuperpositionProblem.from_states(psi, phi, alpha, beta)
-        exact = states.entanglement_entropy(prob.gamma)
+        report = bounds.certify(psi, phi, alpha, beta)
         s_a, s_b = states.reduced_mixture_entropies(prob.psi, prob.phi, prob.alpha_sq)
         rows.append(_check_row(case, "E(psi)", prob.e_psi, 1.0, 1e-9))
         rows.append(_check_row(case, "E(phi)", prob.e_phi, 1.0, 1e-9))
-        rows.append(_check_row(case, "exact_e", exact, 1.0, 1e-9))
-        rows.append(_check_row(case, "one_sided_formula", bounds.exact_one_sided(prob), 1.0, 1e-9))
+        rows.append(_check_row(case, "exact_e", report.exact_e, 1.0, 1e-9))
+        rows.append(_check_row(case, "one_sided_formula", report.exact_one_sided, 1.0, 1e-9))
         rows.append(_check_row(case, "S_A(t=|alpha|^2)", s_a, 1.0, 1e-9))
         rows.append(
             _check_row(
@@ -353,10 +354,9 @@ def _example2_rows() -> list[ExampleRow]:
     s = 1.0 / math.sqrt(2.0)
     psi, phi = overlapping_triple_pair()
     prob = SuperpositionProblem.from_states(psi, phi, s, s)
-    exact = states.entanglement_entropy(prob.gamma)
+    report = bounds.certify(psi, phi, s, s)
+    exact, lps, t2 = report.exact_e, report.lps_upper, report.theorem2_upper
     s_a, s_b = states.reduced_mixture_entropies(prob.psi, prob.phi, prob.alpha_sq)
-    lps = bounds.lps_upper(prob)
-    t2 = bounds.theorem2_upper(prob)
     rows = [
         _check_row(case, "E(psi)", prob.e_psi, 1.5, 1e-9),
         _check_row(case, "E(phi)", prob.e_phi, 1.5, 1e-9),
@@ -625,20 +625,7 @@ class AuditSummary:
     worst_case: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "max_dim": self.max_dim,
-            "seed": self.seed,
-            "violations": self.violations,
-            "order_violations_t2": self.order_violations_t2,
-            "order_violations_t3": self.order_violations_t3,
-            "skipped_destructive": self.skipped_destructive,
-            "min_upper_margin": self.min_upper_margin,
-            "mean_upper_margin": self.mean_upper_margin,
-            "min_lower_margin": self.min_lower_margin,
-            "mean_lower_margin": self.mean_lower_margin,
-            "worst_case": self.worst_case,
-        }
+        return asdict(self)
 
 
 def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> AuditSummary:
@@ -654,6 +641,11 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
         raise ValueError("n_trials must be at least 1")
     if max_dim < 2:
         raise ValueError("max_dim must be at least 2")
+    if max_dim > MAX_STATE_DIM:
+        raise ValueError(
+            f"max_dim = {max_dim} exceeds {MAX_STATE_DIM}: certifying "
+            "eigendecomposes reduced densities of that size"
+        )
     base = Xoshiro256StarStar(seed)
     violations = 0
     t2_violations = 0
@@ -676,12 +668,11 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
             skipped += 1
             continue
         alpha, beta = z1 / norm, z2 / norm
-        overlap = states.inner_product(psi, phi)
-        n2 = 1.0 + 2.0 * (alpha.conjugate() * beta * overlap).real
-        if n2 <= bounds.DESTRUCTIVE_NORM_SQ:
+        try:
+            report = bounds.certify(psi, phi, alpha, beta)
+        except ZeroState:
             skipped += 1
             continue
-        report = bounds.certify(psi, phi, alpha, beta)
         if not report.sane:
             violations += 1
         if report.theorem2_upper > report.lps_upper + 1e-9:

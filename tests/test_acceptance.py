@@ -32,7 +32,7 @@ def test_criterion_01_example1_reproduction():
         beta = math.sqrt(1.0 - alpha * alpha)
         p = SuperpositionProblem.from_states(psi, phi, alpha, beta)
         exact = entanglement_entropy(p.gamma)
-        formula = bounds.exact_one_sided(p)
+        formula = bounds.certify(psi, phi, alpha, beta).exact_one_sided
         s_a, s_b = states.reduced_mixture_entropies(p.psi, p.phi, p.alpha_sq)
         worst = max(
             worst,
@@ -52,8 +52,8 @@ def test_criterion_02_example2_reproduction():
     p = SuperpositionProblem.from_states(psi, phi, s, s)
     exact = entanglement_entropy(p.gamma)
     s_a, s_b = states.reduced_mixture_entropies(p.psi, p.phi, p.alpha_sq)
-    lps = bounds.lps_upper(p)
-    t2 = bounds.theorem2_upper(p)
+    report = bounds.certify(psi, phi, s, s)
+    lps, t2 = report.lps_upper, report.theorem2_upper
     worst = max(
         abs(p.e_psi - 1.5),
         abs(p.e_phi - 1.5),
@@ -206,9 +206,8 @@ def test_criterion_06_one_sided_exactness_100_draws():
         psi, phi = harness.generate_one_sided_pair(d1, d2, dim_a, seed=trial)
         alpha, beta = random_sphere_pair(rng)
         p = SuperpositionProblem.from_states(psi, phi, alpha, beta)
-        worst = max(
-            worst, abs(bounds.exact_one_sided(p) - entanglement_entropy(p.gamma))
-        )
+        formula = bounds.certify(psi, phi, alpha, beta).exact_one_sided
+        worst = max(worst, abs(formula - entanglement_entropy(p.gamma)))
     ok = worst <= 1e-9
     _report("criterion 6 (exact formula on 100 one-sided draws)", ok, f"worst |diff| {worst:.2e}")
     assert ok
@@ -238,7 +237,10 @@ def test_criterion_08_f_at_alpha_sq_equals_lps_100_problems():
         phi = random_state(rng, da, db)
         alpha, beta = random_sphere_pair(rng)
         p = SuperpositionProblem.from_states(psi, phi, alpha, beta)
-        worst = max(worst, abs(bounds.f_of_t(p, p.alpha_sq) - bounds.lps_upper(p)))
+        args = (p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
+        worst = max(
+            worst, abs(bounds.f_upper_value(p.alpha_sq, *args) - bounds.lps_upper_value(*args))
+        )
     ok = worst <= 1e-12
     _report("criterion 8 (f(|alpha|^2) = LPS on 100 problems)", ok, f"worst |diff| {worst:.2e}")
     assert ok

@@ -12,23 +12,18 @@ from supent.bounds import (
     T_EPS,
     SuperpositionProblem,
     certify,
-    exact_one_sided,
-    f_of_t,
     f_upper_value,
-    lower_l,
-    lps_upper,
+    lower_value,
     lps_upper_value,
     maximize_lower_scalar,
     minimize_f_scalar,
+    minimize_f_with_refinement,
     simple_lower,
     subspace_lower,
-    theorem2_upper,
-    theorem3_optimal,
     theorem3_stationarity_residual,
-    theorem4_optimal,
     theorem4_stationarity_residual,
 )
-from supent.errors import DegenerateSubspace, DomainError, NotOneSided, NotOrthogonal, ZeroState
+from supent.errors import DegenerateSubspace, DomainError, NotOrthogonal, ZeroState
 from supent.qmath import binary_entropy
 from supent.states import BipartiteState, entanglement_entropy, superpose
 
@@ -109,13 +104,15 @@ def test_exact_one_sided_block_pair_any_alpha():
     for alpha in (0.3, 0.6, INV_SQRT2, 0.95):
         beta = math.sqrt(1.0 - alpha * alpha)
         p = block_problem(alpha, beta)
-        assert exact_one_sided(p) == pytest.approx(1.0, abs=1e-9)
+        report = certify(p.psi, p.phi, p.alpha, p.beta)
+        assert report.exact_one_sided == pytest.approx(1.0, abs=1e-9)
         assert entanglement_entropy(p.gamma) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_exact_one_sided_biorthogonal_bell():
     p = biorthogonal_problem()
-    assert exact_one_sided(p) == pytest.approx(1.0, abs=1e-12)
+    report = certify(p.psi, p.phi, p.alpha, p.beta)
+    assert report.exact_one_sided == pytest.approx(1.0, abs=1e-12)
     assert entanglement_entropy(p.gamma) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -123,14 +120,18 @@ def test_exact_one_sided_matches_direct_entropy():
     rng = np.random.default_rng(37)
     for seed in range(20):
         p = one_sided_problem(seed, rng)
-        assert exact_one_sided(p) == pytest.approx(
+        assert certify(p.psi, p.phi, p.alpha, p.beta).exact_one_sided == pytest.approx(
             entanglement_entropy(p.gamma), abs=1e-9
         )
 
 
-def test_exact_one_sided_rejects_overlapping_pair():
-    with pytest.raises(NotOneSided):
-        exact_one_sided(triple_problem())
+def test_exact_one_sided_absent_for_overlapping_pairs():
+    rng = np.random.default_rng(38)
+    pairs = [harness.overlapping_triple_pair()]
+    pairs += [(random_state(rng, 3, 4), random_state(rng, 3, 4)) for _ in range(3)]
+    for psi, phi in pairs:
+        assert not states.classify_orthogonality(psi, phi).one_sided
+        assert certify(psi, phi, INV_SQRT2, INV_SQRT2).exact_one_sided is None
 
 
 # -- lps_upper / theorem2_upper --------------------------------------------------
@@ -141,11 +142,13 @@ def test_lps_upper_pure_limit():
     psi = random_state(rng, 3, 3)
     phi = random_state(rng, 3, 3)
     p = SuperpositionProblem.from_states(psi, phi, 1.0, 0.0)
-    assert lps_upper(p) == pytest.approx(2.0 * p.e_psi, abs=1e-9)
+    assert certify(psi, phi, 1.0, 0.0).lps_upper == pytest.approx(2.0 * p.e_psi, abs=1e-9)
 
 
 def test_lps_upper_triple_pair():
-    assert lps_upper(triple_problem()) == pytest.approx(10.0 / 3.0, abs=1e-9)
+    psi, phi = harness.overlapping_triple_pair()
+    report = certify(psi, phi, INV_SQRT2, INV_SQRT2)
+    assert report.lps_upper == pytest.approx(10.0 / 3.0, abs=1e-9)
 
 
 def test_lps_upper_family_closed_form():
@@ -156,29 +159,33 @@ def test_lps_upper_family_closed_form():
 
 
 def test_theorem2_upper_triple_pair():
-    assert theorem2_upper(triple_problem()) == pytest.approx(8.0 / 3.0, abs=1e-9)
+    psi, phi = harness.overlapping_triple_pair()
+    report = certify(psi, phi, INV_SQRT2, INV_SQRT2)
+    assert report.theorem2_upper == pytest.approx(8.0 / 3.0, abs=1e-9)
 
 
 def test_theorem2_equals_lps_for_biorthogonal():
     p = biorthogonal_problem(0.6, 0.8)
-    assert theorem2_upper(p) == pytest.approx(lps_upper(p), abs=1e-9)
+    report = certify(p.psi, p.phi, p.alpha, p.beta)
+    assert report.theorem2_upper == pytest.approx(report.lps_upper, abs=1e-9)
 
 
 def test_theorem2_block_pair_dominates_exact():
     p = block_problem(INV_SQRT2, INV_SQRT2)
-    t2 = theorem2_upper(p)
+    t2 = certify(p.psi, p.phi, p.alpha, p.beta).theorem2_upper
     assert t2 == pytest.approx(2.0, abs=1e-9)
     assert t2 >= entanglement_entropy(p.gamma)
 
 
-# -- f_of_t / theorem3_optimal ----------------------------------------------------
+# -- f(t) and its minimum ---------------------------------------------------------
 
 
 def test_f_at_alpha_sq_reproduces_lps_exactly():
     rng = np.random.default_rng(43)
     for _ in range(25):
         p = random_problem(rng)
-        assert abs(f_of_t(p, p.alpha_sq) - lps_upper(p)) <= 1e-12
+        args = (p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
+        assert abs(f_upper_value(p.alpha_sq, *args) - lps_upper_value(*args)) <= 1e-12
 
 
 def test_f_dominates_static_bracket():
@@ -186,7 +193,8 @@ def test_f_dominates_static_bracket():
     p = random_problem(rng)
     floor = p.alpha_sq * p.e_psi + p.beta_sq * p.e_phi + binary_entropy(p.alpha_sq)
     for t in np.linspace(0.01, 0.99, 33):
-        assert f_of_t(p, float(t)) * p.gamma_norm_sq >= floor - 1e-9
+        f = f_upper_value(float(t), p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
+        assert f * p.gamma_norm_sq >= floor - 1e-9
 
 
 def test_f_family_value_direct_substitution():
@@ -199,9 +207,9 @@ def test_f_family_value_direct_substitution():
 def test_f_domain_error():
     p = triple_problem()
     with pytest.raises(DomainError):
-        f_of_t(p, 0.0)
+        f_upper_value(0.0, p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
     with pytest.raises(DomainError):
-        f_of_t(p, 1.0)
+        f_upper_value(1.0, p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
 
 
 def test_theorem3_optimal_pure_limit():
@@ -209,7 +217,7 @@ def test_theorem3_optimal_pure_limit():
     psi = random_state(rng, 4, 4)
     phi = random_state(rng, 4, 4)
     p = SuperpositionProblem.from_states(psi, phi, 1.0, 0.0)
-    value, _ = theorem3_optimal(p)
+    value = certify(psi, phi, 1.0, 0.0).theorem3_upper
     assert value == pytest.approx(p.e_psi, abs=1e-6)
     assert value == pytest.approx(entanglement_entropy(p.gamma), abs=1e-6)
 
@@ -229,8 +237,7 @@ def test_theorem3_optimal_family_t_star():
 def test_theorem3_optimal_symmetric_problem():
     # equal coefficients and equal entanglements: f(t) = f(1-t)
     psi, phi = harness.bell_block_pair()
-    p = SuperpositionProblem.from_states(psi, phi, INV_SQRT2, INV_SQRT2)
-    _, t_star = theorem3_optimal(p)
+    t_star = certify(psi, phi, INV_SQRT2, INV_SQRT2).t_star_upper
     assert t_star == pytest.approx(0.5, abs=1e-6)
 
 
@@ -239,7 +246,7 @@ def test_theorem3_interior_stationarity_residual():
     checked = 0
     for _ in range(25):
         p = random_problem(rng)
-        value, t_star = theorem3_optimal(p)
+        t_star = certify(p.psi, p.phi, p.alpha, p.beta).t_star_upper
         if 0.01 < t_star < 0.99:
             checked += 1
             assert (
@@ -253,8 +260,8 @@ def test_theorem3_refined_never_exceeds_plain():
     rng = np.random.default_rng(61)
     for _ in range(20):
         p = random_problem(rng)
-        plain, _ = theorem3_optimal(p, refined=False)
-        refined, _ = theorem3_optimal(p, refined=True)
+        report = certify(p.psi, p.phi, p.alpha, p.beta)
+        plain, refined = report.theorem3_upper, report.theorem3_refined_upper
         exact = entanglement_entropy(p.gamma)
         assert refined <= plain + 1e-12
         assert exact <= refined + 1e-8
@@ -353,7 +360,14 @@ def test_refined_pruning_matches_exhaustive_grid(monkeypatch):
     monkeypatch.setattr(optimize, "minimize_scalar", spy)
     for p in _pruning_problems():
         seen.clear()
-        result = theorem3_optimal(p, refined=True)
+        _, result = minimize_f_with_refinement(
+            p.e_psi,
+            p.e_phi,
+            p.alpha_sq,
+            p.gamma_norm_sq,
+            abs(p.overlap) ** 2,
+            states.ReducedPair.of(p.psi, p.phi).entropies,
+        )
         # the plain f search runs first, then the refined one, each given grid values
         _, pruned = seen
         reference, expected = _reference_refined(p)
@@ -447,12 +461,19 @@ def test_refined_search_eigendecomposes_few_grid_points(d, monkeypatch):
             random_state(rng, d, d), random_state(rng, d, d), alpha, beta
         )
         stacked.clear()
-        theorem3_optimal(p, refined=True)
+        minimize_f_with_refinement(
+            p.e_psi,
+            p.e_phi,
+            p.alpha_sq,
+            p.gamma_norm_sq,
+            abs(p.overlap) ** 2,
+            states.ReducedPair.of(p.psi, p.phi).entropies,
+        )
         # one stacked call per side for each batch of grid points
         assert 0 < sum(stacked) // 2 <= 64
 
 
-# -- lower_l / theorem4_optimal ----------------------------------------------------
+# -- L1/L2 and their maximum -------------------------------------------------------
 
 
 def test_lower_l_limit_is_e_phi():
@@ -460,7 +481,9 @@ def test_lower_l_limit_is_e_phi():
     psi = random_state(rng, 3, 4)
     phi = random_state(rng, 3, 4)
     p = SuperpositionProblem.from_states(psi, phi, 0.0, 1.0)
-    assert lower_l(p, 1.0 - 1e-9, "L1") == pytest.approx(p.e_phi, abs=1e-6)
+    asq, bsq = p.alpha_sq / p.gamma_norm_sq, p.beta_sq / p.gamma_norm_sq
+    value = lower_value(1.0 - 1e-9, p.e_psi, p.e_phi, asq, bsq, "L1")
+    assert value == pytest.approx(p.e_phi, abs=1e-6)
 
 
 def test_lower_l_family_reference_point():
@@ -473,7 +496,9 @@ def test_lower_l_family_reference_point():
             + 1.0 / 25.0
             - (28.0 / 25.0) * binary_entropy(25.0 / 28.0)
         )
-        assert lower_l(p, 25.0 / 28.0, "L1") == pytest.approx(expected, abs=1e-9)
+        asq, bsq = p.alpha_sq / p.gamma_norm_sq, p.beta_sq / p.gamma_norm_sq
+        value = lower_value(25.0 / 28.0, p.e_psi, p.e_phi, asq, bsq, "L1")
+        assert value == pytest.approx(expected, abs=1e-9)
 
 
 def test_lower_l_product_states_non_positive():
@@ -482,9 +507,11 @@ def test_lower_l_product_states_non_positive():
     psi[0, 0] = 1.0
     phi[1, 1] = 1.0
     p = SuperpositionProblem.from_states(BipartiteState(psi), BipartiteState(phi), 0.6, 0.8)
+    asq, bsq = p.alpha_sq / p.gamma_norm_sq, p.beta_sq / p.gamma_norm_sq
     for t in (0.1, 0.5, 0.9):
-        assert lower_l(p, t, "L1") == pytest.approx(-binary_entropy(t) / t, abs=1e-12)
-        assert lower_l(p, t, "L1") <= 0.0
+        value = lower_value(t, p.e_psi, p.e_phi, asq, bsq, "L1")
+        assert value == pytest.approx(-binary_entropy(t) / t, abs=1e-12)
+        assert value <= 0.0
 
 
 def test_theorem4_optimal_pure_limit():
@@ -492,7 +519,7 @@ def test_theorem4_optimal_pure_limit():
     psi = random_state(rng, 3, 3)
     phi = random_state(rng, 3, 3)
     p = SuperpositionProblem.from_states(psi, phi, 0.0, 1.0)
-    value, _, _ = theorem4_optimal(p)
+    value = certify(psi, phi, 0.0, 1.0).lower_l
     assert value == pytest.approx(p.e_phi, abs=1e-6)
 
 
@@ -501,10 +528,9 @@ def test_theorem4_optimal_product_pair_clamps_to_zero():
     phi = np.zeros((2, 2), dtype=complex)
     psi[0, 0] = 1.0
     phi[1, 1] = 1.0
-    p = SuperpositionProblem.from_states(BipartiteState(psi), BipartiteState(phi), 0.6, 0.8)
-    value, t_star, branch = theorem4_optimal(p)
-    assert value == 0.0
-    assert lower_l(p, t_star, branch) <= 0.0
+    report = certify(BipartiteState(psi), BipartiteState(phi), 0.6, 0.8)
+    assert report.lower_l == 0.0
+    assert report.lower_raw <= 0.0
 
 
 def test_theorem4_interior_maximizer_in_high_entanglement_regime():
@@ -518,11 +544,27 @@ def test_theorem4_interior_maximizer_in_high_entanglement_regime():
     assert theorem4_stationarity_residual(t_star, 100.0, 100.0, 0.36, 0.64, "L1") <= 1e-6
 
 
+@pytest.mark.parametrize("branch", ["l1", "L3", ""])
+def test_unknown_lower_branch_is_rejected(branch):
+    with pytest.raises(ValueError, match="branch"):
+        theorem4_stationarity_residual(0.5, 1.0, 2.0, 0.3, 0.7, branch)
+    with pytest.raises(ValueError, match="branch"):
+        lower_value(0.5, 1.0, 2.0, 0.3, 0.7, branch)
+
+
+def test_l2_is_l1_with_states_and_weights_exchanged():
+    for t, e_psi, e_phi, asq, bsq in ((0.3, 0.4, 2.5, 0.2, 0.9), (0.9, 3.0, 1.0, 0.6, 0.5)):
+        l2 = theorem4_stationarity_residual(t, e_psi, e_phi, asq, bsq, "L2")
+        assert l2 == theorem4_stationarity_residual(t, e_phi, e_psi, bsq, asq, "L1")
+        l2 = lower_value(t, e_psi, e_phi, asq, bsq, "L2")
+        assert l2 == lower_value(t, e_phi, e_psi, bsq, asq, "L1")
+
+
 def test_theorem4_bound_is_valid_lower_bound():
     rng = np.random.default_rng(73)
     for _ in range(25):
         p = random_problem(rng)
-        value, _, _ = theorem4_optimal(p)
+        value = certify(p.psi, p.phi, p.alpha, p.beta).lower_l
         assert value <= entanglement_entropy(p.gamma) + 1e-8
 
 
@@ -532,7 +574,7 @@ def test_theorem4_bound_is_valid_lower_bound():
 def test_simple_lower_symmetric_coefficients_vacuous():
     p = block_problem(INV_SQRT2, INV_SQRT2)
     assert simple_lower(p) == pytest.approx(-2.0, abs=1e-9)
-    value, _, _ = theorem4_optimal(p)
+    value = certify(p.psi, p.phi, p.alpha, p.beta).lower_l
     assert simple_lower(p) <= value + 1e-9
 
 
@@ -542,7 +584,7 @@ def test_simple_lower_family_example():
     expected = -(25.0 / 16.0) * binary_entropy(9.0 / 25.0)
     assert simple_lower(p) == pytest.approx(expected, abs=1e-9)
     assert expected == pytest.approx(-1.473, abs=5e-4)
-    value, _, _ = theorem4_optimal(p)
+    value = certify(p.psi, p.phi, p.alpha, p.beta).lower_l
     assert simple_lower(p) <= value + 1e-9
 
 

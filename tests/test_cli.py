@@ -129,6 +129,18 @@ def test_audit_bad_environment_seed(monkeypatch, capsys):
     assert code == 1
 
 
+def test_oversized_audit_dimension_is_rejected_before_drawing(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError(f"state drawn with {args!r}")
+
+    monkeypatch.setattr(harness, "_haar_state", refuse)
+    for size in (harness.MAX_STATE_DIM + 1, 10**12):
+        code = cli_main(["audit", "--trials", "1", "--max-dim", str(size), "--seed", "7"])
+        err = capsys.readouterr().err
+        assert code == 1, size
+        assert "max_dim" in err and str(size) in err, size
+
+
 def test_subspace_command(block_pair_files, capsys):
     psi_path, phi_path = block_pair_files
     code = cli_main(["subspace", "--psi", psi_path, "--phi", phi_path, "--grid", "6"])

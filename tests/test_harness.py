@@ -165,9 +165,8 @@ def test_one_sided_generator_exactness_identity():
         beta = complex(z[2], z[3])
         norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
         p = bounds.SuperpositionProblem.from_states(psi, phi, alpha / norm, beta / norm)
-        assert bounds.exact_one_sided(p) == pytest.approx(
-            entanglement_entropy(p.gamma), abs=1e-9
-        )
+        report = bounds.certify(psi, phi, alpha / norm, beta / norm)
+        assert report.exact_one_sided == pytest.approx(entanglement_entropy(p.gamma), abs=1e-9)
 
 
 # -- reference examples ----------------------------------------------------------
