@@ -33,8 +33,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import optimize, qmath, states
-from .errors import DegenerateSubspace, DomainError, NotOrthogonal, ZeroState
+from . import optimize, states
+from .errors import DegenerateSubspace, DomainError, ZeroState
 from .qmath import binary_entropy
 from .states import BipartiteState
 
@@ -202,10 +202,10 @@ def f_upper_value(
     subtracted inside the bracket (zero for the plain bound).  ``t`` is a
     float or an array of weights, and ``delta_s`` a float or an array of
     the same shape; on an array every entry gets the same bits as the float
-    call at that weight (see ``_h2``).
+    call at that weight (see ``_T_GRID``).
     """
     _check_t(t)
-    bracket = t * e_psi + (1.0 - t) * e_phi + _h2(t) - abs(delta_s)
+    bracket = t * e_psi + (1.0 - t) * e_phi + binary_entropy(t) - abs(delta_s)
     return _f_prefactor(t, alpha_sq) * bracket / gamma_norm_sq
 
 
@@ -227,7 +227,7 @@ def lower_value(
     ``t`` is a float or an array of weights, as for ``f_upper_value``.
     """
     _check_t(t)
-    return _lower_value(t, _h2(t), e_psi, e_phi, alpha_sq, beta_sq, branch)
+    return _lower_value(t, binary_entropy(t), e_psi, e_phi, alpha_sq, beta_sq, branch)
 
 
 def _lower_value(t, h, e_psi, e_phi, alpha_sq, beta_sq, branch):
@@ -364,10 +364,10 @@ def _refined_f_floor(
     ``minimize_f_with_refinement`` for why the bound holds.
     """
     m = t * e_psi + (1.0 - t) * e_phi
-    cap = _delta_cap(t, knots, s_a, s_b, m, states.mixture_entropy_array(t, overlap_sq))
+    cap = _delta_cap(t, knots, s_a, s_b, m, states.mixture_entropy(t, overlap_sq))
     floor = f_upper_value(t, e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=cap)
     weight = _f_prefactor(t, alpha_sq) / gamma_norm_sq
-    return floor, weight * ENTROPY_ROUNDING * (1.0 + np.abs(m + _h2(t)))
+    return floor, weight * ENTROPY_ROUNDING * (1.0 + np.abs(m + binary_entropy(t)))
 
 
 def _delta_cap(
@@ -409,7 +409,7 @@ def maximize_lower_scalar(
     e_psi: float, e_phi: float, alpha_sq: float, beta_sq: float
 ) -> tuple[float, float, str]:
     """Maximize max(L1, L2) over t; returns the unclamped (value, t_star, branch)."""
-    h = _h2(_T_GRID)
+    h = binary_entropy(_T_GRID)
     best: Optional[tuple[float, float, str]] = None
     for branch in ("L1", "L2"):
         res = optimize.maximize_scalar(
@@ -454,8 +454,8 @@ def theorem4_stationarity_residual(
 # ---------------------------------------------------------------------------
 
 
-def simple_lower(p: SuperpositionProblem) -> float:
-    """Closed-form lower bound for orthogonal pairs:
+def simple_lower(p: SuperpositionProblem) -> Optional[float]:
+    """Closed-form lower bound for orthogonal pairs, None for any other pair:
 
     (|beta|^2 - |alpha|^2)[E(phi) - E(psi)] - h2(|alpha|^2) / max(|alpha|^2, |beta|^2).
 
@@ -464,14 +464,9 @@ def simple_lower(p: SuperpositionProblem) -> float:
     |alpha| = |beta| with equal entanglements.
     """
     if abs(p.overlap) > states.ORTHOGONALITY_TOL:
-        raise NotOrthogonal(
-            f"simple lower bound needs orthogonal states, overlap {abs(p.overlap):.3e}"
-        )
+        return None
     asq, bsq = p.alpha_sq, p.beta_sq
-    gsq = max(asq, bsq)
-    if gsq < 0.5:
-        raise DomainError("max(|alpha|^2, |beta|^2) < 1/2 cannot happen on the sphere")
-    return (bsq - asq) * (p.e_phi - p.e_psi) - binary_entropy(asq) / gsq
+    return (bsq - asq) * (p.e_phi - p.e_psi) - binary_entropy(asq) / max(asq, bsq)
 
 
 def subspace_lower(psi: BipartiteState, phi: BipartiteState, grid_n: int) -> float:
@@ -517,6 +512,7 @@ def certify(
     p = SuperpositionProblem.from_states(psi, phi, alpha, beta)
     exact = states.entanglement_entropy(p.gamma)
     reduced = states.ReducedPair.of(p.psi, p.phi)
+    overlap_sq = abs(p.overlap) ** 2
     s_a, s_b = reduced.entropies(p.alpha_sq)
     lps = lps_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
     t2 = theorem2_upper_value(
@@ -530,15 +526,14 @@ def certify(
         return reduced.entropies(t)
 
     (t3, t3_star), (t3r, _) = minimize_f_with_refinement(
-        p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, abs(p.overlap) ** 2, side_entropies
+        p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, overlap_sq, side_entropies
     )
     raw, low_t, branch = maximize_lower_scalar(
         p.e_psi, p.e_phi, p.alpha_sq / p.gamma_norm_sq, p.beta_sq / p.gamma_norm_sq
     )
     low = max(0.0, raw)
-    one_sided = states.classify_orthogonality(p.psi, p.phi).one_sided
-    simple = simple_lower(p) if abs(p.overlap) <= states.ORTHOGONALITY_TOL else None
-    ex1 = _one_sided_value(p, s_a, s_b) if one_sided else None
+    one_sided = states.classify_orthogonality(reduced).one_sided
+    ex1 = _one_sided_value(p, s_a, s_b, overlap_sq) if one_sided else None
     upper_min = min(lps, t2, t3, t3r)
     sane = (low - SANITY_SLACK <= exact) and (exact <= upper_min + SANITY_SLACK)
     return BoundReport(
@@ -552,22 +547,24 @@ def certify(
         t_star_lower=low_t,
         branch=branch,
         lower_raw=raw,
-        simple_lower=simple,
+        simple_lower=simple_lower(p),
         exact_one_sided=ex1,
         sane=sane,
     )
 
 
-def _one_sided_value(p: SuperpositionProblem, s_a: float, s_b: float) -> float:
+def _one_sided_value(
+    p: SuperpositionProblem, s_a: float, s_b: float, overlap_sq: float
+) -> float:
     """Lemma 1: the exact entanglement of a one-sided orthogonal superposition,
 
     E = a E(psi) + (1-a) E(phi) + S(rho_AB) - |S_A - S_B|
 
-    with a = |alpha|^2, rho_AB = a |psi><psi| + (1-a) |phi><phi| and
-    (s_a, s_b) the entropies of its reduced operators.
+    with a = |alpha|^2, rho_AB = a |psi><psi| + (1-a) |phi><phi|, (s_a, s_b)
+    the entropies of its reduced operators and overlap_sq = |<psi|phi>|^2.
     """
     t = p.alpha_sq
-    s_ab = states.mixture_entropy(p.psi, p.phi, t)
+    s_ab = states.mixture_entropy(t, overlap_sq)
     return t * p.e_psi + (1.0 - t) * p.e_phi + s_ab - abs(s_a - s_b)
 
 
@@ -595,12 +592,3 @@ def _check_t(t) -> None:
             return
         bad = float(t[outside][0])
     raise DomainError(f"t={bad!r} outside [{T_EPS:g}, 1 - {T_EPS:g}]")
-
-
-def _h2(t):
-    """h2 of a float weight or of each entry of an array of weights.
-
-    On ``_T_GRID``, the only array any search passes, both forms give the
-    same bits, so a grid value equals the float form at its weight.
-    """
-    return binary_entropy(t) if isinstance(t, float) else qmath.binary_entropy_array(t)

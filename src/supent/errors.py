@@ -25,10 +25,6 @@ class ZeroState(SupentError):
     """State (or superposition) has vanishing norm."""
 
 
-class NotOrthogonal(SupentError):
-    """States are not orthogonal."""
-
-
 class DegenerateSubspace(SupentError):
     """The two states do not span a two-dimensional subspace."""
 

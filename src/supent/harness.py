@@ -335,7 +335,7 @@ def _example1_rows() -> list[ExampleRow]:
         case = f"E1[alpha={alpha:.4g}]"
         prob = SuperpositionProblem.from_states(psi, phi, alpha, beta)
         report = bounds.certify(psi, phi, alpha, beta)
-        s_a, s_b = states.reduced_mixture_entropies(prob.psi, prob.phi, prob.alpha_sq)
+        s_a, s_b = states.ReducedPair.of(prob.psi, prob.phi).entropies(prob.alpha_sq)
         rows.append(_check_row(case, "E(psi)", prob.e_psi, 1.0, 1e-9))
         rows.append(_check_row(case, "E(phi)", prob.e_phi, 1.0, 1e-9))
         rows.append(_check_row(case, "exact_e", report.exact_e, 1.0, 1e-9))
@@ -356,7 +356,7 @@ def _example2_rows() -> list[ExampleRow]:
     prob = SuperpositionProblem.from_states(psi, phi, s, s)
     report = bounds.certify(psi, phi, s, s)
     exact, lps, t2 = report.exact_e, report.lps_upper, report.theorem2_upper
-    s_a, s_b = states.reduced_mixture_entropies(prob.psi, prob.phi, prob.alpha_sq)
+    s_a, s_b = states.ReducedPair.of(prob.psi, prob.phi).entropies(prob.alpha_sq)
     rows = [
         _check_row(case, "E(psi)", prob.e_psi, 1.5, 1e-9),
         _check_row(case, "E(phi)", prob.e_phi, 1.5, 1e-9),

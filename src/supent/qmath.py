@@ -21,7 +21,6 @@ __all__ = [
     "singular_values",
     "shannon_entropy",
     "binary_entropy",
-    "binary_entropy_array",
 ]
 
 # How far outside [0, 1] a binary-entropy argument may stray by round-off
@@ -116,27 +115,25 @@ def shannon_entropy(p) -> float:
     return max(0.0, float(-(pos * np.log2(pos)).sum()))
 
 
-def binary_entropy(x: float) -> float:
-    """Binary entropy h2(x) = -x log2 x - (1-x) log2(1-x), with h2(0)=h2(1)=0."""
-    if x < -H2_DOMAIN_SLACK or x > 1.0 + H2_DOMAIN_SLACK:
+def binary_entropy(x):
+    """Binary entropy h2(x) = -x log2 x - (1-x) log2(1-x), with h2(0)=h2(1)=0.
+
+    ``x`` is a number, giving a float from ``math.log2``, or an array, giving
+    the elementwise h2 from ``np.log2``.  The two logs may differ in the last
+    bit; on the one t grid of ``bounds`` they agree (a test checks this).
+    Raises DomainError for NaN or for a value outside [0, 1] by more than
+    H2_DOMAIN_SLACK.
+    """
+    if isinstance(x, np.ndarray):
+        if not np.all((x >= -H2_DOMAIN_SLACK) & (x <= 1.0 + H2_DOMAIN_SLACK)):
+            raise DomainError("binary entropy argument outside [0, 1]")
+        x = np.clip(x, 0.0, 1.0)
+        inside = (x > 0.0) & (x < 1.0)
+        y = np.where(inside, x, 0.5)
+        return np.where(inside, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
+    if not -H2_DOMAIN_SLACK <= x <= 1.0 + H2_DOMAIN_SLACK:
         raise DomainError(f"binary entropy argument {x!r} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
-def binary_entropy_array(x) -> np.ndarray:
-    """Elementwise h2 of an array, with h2(0) = h2(1) = 0.
-
-    numpy's log2 may differ from ``math.log2`` in the last bit, so an entry
-    can differ from ``binary_entropy`` by an ulp; on the one t grid of
-    ``bounds`` the two agree bit for bit (a test checks this).
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -H2_DOMAIN_SLACK) or np.any(x > 1.0 + H2_DOMAIN_SLACK):
-        raise DomainError("binary entropy argument outside [0, 1]")
-    x = np.clip(x, 0.0, 1.0)
-    inside = (x > 0.0) & (x < 1.0)
-    y = np.where(inside, x, 0.5)
-    return np.where(inside, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)

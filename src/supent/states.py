@@ -27,12 +27,14 @@ __all__ = [
     "entanglement_entropy",
     "classify_orthogonality",
     "mixture_entropy",
-    "mixture_entropy_array",
-    "reduced_mixture_entropies",
 ]
 
 ZERO_NORM_SQ = 1e-12
 ORTHOGONALITY_TOL = 1e-9
+# How far the squared norm of each state of a ReducedPair may stray from 1.
+# normalized() leaves a few ulps; a state that was never normalized misses
+# by far more, and would scale every trace overlap and entropy it feeds.
+UNIT_NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,19 +86,24 @@ class OrthogonalityClass:
     side; ``biorthogonal`` means both.
     """
 
-    overlap: complex
     one_sided_eq1: bool
     one_sided_eq2: bool
-    biorthogonal: bool
 
     @property
     def one_sided(self) -> bool:
         return self.one_sided_eq1 or self.one_sided_eq2
 
+    @property
+    def biorthogonal(self) -> bool:
+        return self.one_sided_eq1 and self.one_sided_eq2
+
 
 @dataclass(frozen=True)
 class ReducedPair:
-    """Reduced operators of two normalized states on each side, built once."""
+    """Reduced operators of two normalized states on each side, built once.
+
+    ``a1``, ``a2`` are rho_A of s1, s2 and ``b1``, ``b2`` their rho_B.
+    """
 
     a1: np.ndarray
     a2: np.ndarray
@@ -105,7 +112,14 @@ class ReducedPair:
 
     @classmethod
     def of(cls, s1: BipartiteState, s2: BipartiteState) -> "ReducedPair":
-        return cls(*(reduced_density(s, side) for side in "AB" for s in (s1, s2)))
+        """Raises DimMismatch for states on different spaces and NotNormalized
+        unless each squared norm is 1 within UNIT_NORM_TOL."""
+        _check_dims(s1, s2)
+        pair = cls(*(reduced_density(s, side) for side in "AB" for s in (s1, s2)))
+        for rho in (pair.a1, pair.a2):
+            if abs(np.trace(rho).real - 1.0) > UNIT_NORM_TOL:
+                raise NotNormalized("a reduced pair needs normalized states")
+        return pair
 
     def entropies(self, t):
         """(S_A, S_B) of t |s1><s1| + (1-t) |s2><s2|.
@@ -160,56 +174,35 @@ def entanglement_entropy(s: BipartiteState) -> float:
     return qmath.shannon_entropy(probs)
 
 
-def classify_orthogonality(s1: BipartiteState, s2: BipartiteState) -> OrthogonalityClass:
+def classify_orthogonality(pair: ReducedPair) -> OrthogonalityClass:
     """Classify the pair per the reduced-support overlap on each side.
 
     A side counts as orthogonal when the trace overlap Tr[rho(psi) rho(phi)]
-    of the reduced operators of the normalized states is at most
-    ORTHOGONALITY_TOL.  One-sidedness on either side implies ordinary
-    orthogonality of the states themselves.
+    of its two reduced operators is at most ORTHOGONALITY_TOL.
+    One-sidedness on either side implies ordinary orthogonality of the
+    states themselves.
     """
-    _check_dims(s1, s2)
-    n1 = s1.normalized()
-    n2 = s2.normalized()
-    overlap = inner_product(n1, n2)
-    eq1 = _trace_overlap(n1, n2, "B") <= ORTHOGONALITY_TOL
-    eq2 = _trace_overlap(n1, n2, "A") <= ORTHOGONALITY_TOL
     return OrthogonalityClass(
-        overlap=overlap,
-        one_sided_eq1=eq1,
-        one_sided_eq2=eq2,
-        biorthogonal=eq1 and eq2,
+        one_sided_eq1=_trace_overlap(pair.b1, pair.b2) <= ORTHOGONALITY_TOL,
+        one_sided_eq2=_trace_overlap(pair.a1, pair.a2) <= ORTHOGONALITY_TOL,
     )
 
 
-def mixture_entropy(s1: BipartiteState, s2: BipartiteState, t: float) -> float:
-    """Entropy of t |s1><s1| + (1-t) |s2><s2| for normalized s1, s2.
+def mixture_entropy(t, overlap_sq: float):
+    """Entropy of t |s1><s1| + (1-t) |s2><s2| for normalized s1, s2 with
+    |<s1|s2>|^2 = overlap_sq.
 
     The mixture has rank at most two, so its nonzero eigenvalues are those
     of the 2x2 Gram-weighted matrix
     [[t, sqrt(t(1-t)) <s1|s2>], [sqrt(t(1-t)) <s2|s1>, 1-t]],
-    namely (1 +- r)/2 with r = sqrt((2t-1)^2 + 4t(1-t)|<s1|s2>|^2).
+    namely (1 +- r)/2 with r = sqrt((2t-1)^2 + 4t(1-t)|<s1|s2>|^2).  ``t``
+    is one weight, giving a float, or an array of weights, giving an array,
+    with h2 taken as ``qmath.binary_entropy`` takes it.  A weight outside
+    [0, 1] or an overlap_sq above 1 puts (1 + r)/2 above 1 (unless the
+    states are parallel), which h2 rejects beyond its rounding slack.
     """
-    _check_mixture_args(s1, s2, t)
-    c2 = abs(inner_product(s1, s2)) ** 2
-    return qmath.binary_entropy(_mixture_top_eigenvalue(t, c2))
-
-
-def mixture_entropy_array(ts: np.ndarray, overlap_sq: float) -> np.ndarray:
-    """``mixture_entropy`` at every weight in ``ts``, given |<s1|s2>|^2."""
-    return qmath.binary_entropy_array(_mixture_top_eigenvalue(np.asarray(ts), overlap_sq))
-
-
-def reduced_mixture_entropies(
-    s1: BipartiteState, s2: BipartiteState, t: float
-) -> tuple[float, float]:
-    """Entropies (S_A, S_B) of the reduced operators of the rank-2 mixture.
-
-    Unlike the joint mixture the reduced operators are genuinely higher
-    rank, so they are diagonalized in full.
-    """
-    _check_mixture_args(s1, s2, t)
-    return ReducedPair.of(s1, s2).entropies(t)
+    r = np.sqrt((2.0 * t - 1.0) ** 2 + 4.0 * t * (1.0 - t) * overlap_sq)
+    return qmath.binary_entropy(0.5 * (1.0 + r))
 
 
 def _check_dims(s1: BipartiteState, s2: BipartiteState) -> None:
@@ -219,23 +212,6 @@ def _check_dims(s1: BipartiteState, s2: BipartiteState) -> None:
         )
 
 
-def _check_mixture_args(s1: BipartiteState, s2: BipartiteState, t: float) -> None:
-    _check_dims(s1, s2)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"mixing weight t={t!r} outside [0, 1]")
-    for s in (s1, s2):
-        if abs(norm_squared(s) - 1.0) > 1e-8:
-            raise NotNormalized("mixture entropies require normalized states")
-
-
-def _trace_overlap(s1: BipartiteState, s2: BipartiteState, side: str) -> float:
-    """Tr[rho(s1) rho(s2)] of the reduced operators on ``side``."""
-    rho1, rho2 = reduced_density(s1, side), reduced_density(s2, side)
+def _trace_overlap(rho1: np.ndarray, rho2: np.ndarray) -> float:
+    """Tr[rho1 rho2] of two reduced operators on the same side."""
     return float(np.einsum("ij,ji->", rho1, rho2).real)
-
-
-def _mixture_top_eigenvalue(t, c2):
-    """(1 + r)/2 of ``mixture_entropy``, capped at 1; t may be an array."""
-    r = np.sqrt((2.0 * t - 1.0) ** 2 + 4.0 * t * (1.0 - t) * c2)
-    return np.minimum(1.0, 0.5 * (1.0 + r))
-

@@ -33,7 +33,7 @@ def test_criterion_01_example1_reproduction():
         p = SuperpositionProblem.from_states(psi, phi, alpha, beta)
         exact = entanglement_entropy(p.gamma)
         formula = bounds.certify(psi, phi, alpha, beta).exact_one_sided
-        s_a, s_b = states.reduced_mixture_entropies(p.psi, p.phi, p.alpha_sq)
+        s_a, s_b = states.ReducedPair.of(p.psi, p.phi).entropies(p.alpha_sq)
         worst = max(
             worst,
             abs(exact - 1.0),
@@ -51,7 +51,7 @@ def test_criterion_02_example2_reproduction():
     s = 1.0 / math.sqrt(2.0)
     p = SuperpositionProblem.from_states(psi, phi, s, s)
     exact = entanglement_entropy(p.gamma)
-    s_a, s_b = states.reduced_mixture_entropies(p.psi, p.phi, p.alpha_sq)
+    s_a, s_b = states.ReducedPair.of(p.psi, p.phi).entropies(p.alpha_sq)
     report = bounds.certify(psi, phi, s, s)
     lps, t2 = report.lps_upper, report.theorem2_upper
     worst = max(
@@ -254,8 +254,8 @@ def test_criterion_09_sandwich_and_araki_lieb_500_draws():
         psi = random_state(rng, da, db)
         phi = random_state(rng, da, db)
         t = float(rng.uniform(0.02, 0.98))
-        s_ab = states.mixture_entropy(psi, phi, t)
-        s_a, s_b = states.reduced_mixture_entropies(psi, phi, t)
+        s_ab = states.mixture_entropy(t, abs(states.inner_product(psi, phi)) ** 2)
+        s_a, s_b = states.ReducedPair.of(psi, phi).entropies(t)
         excess = s_a - t * entanglement_entropy(psi) - (1.0 - t) * entanglement_entropy(phi)
         worst_slack = min(
             worst_slack,

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -23,7 +24,7 @@ from supent.bounds import (
     theorem3_stationarity_residual,
     theorem4_stationarity_residual,
 )
-from supent.errors import DegenerateSubspace, DomainError, NotOrthogonal, ZeroState
+from supent.errors import DegenerateSubspace, DomainError, ZeroState
 from supent.qmath import binary_entropy
 from supent.states import BipartiteState, entanglement_entropy, superpose
 
@@ -130,7 +131,7 @@ def test_exact_one_sided_absent_for_overlapping_pairs():
     pairs = [harness.overlapping_triple_pair()]
     pairs += [(random_state(rng, 3, 4), random_state(rng, 3, 4)) for _ in range(3)]
     for psi, phi in pairs:
-        assert not states.classify_orthogonality(psi, phi).one_sided
+        assert not states.classify_orthogonality(states.ReducedPair.of(psi, phi)).one_sided
         assert certify(psi, phi, INV_SQRT2, INV_SQRT2).exact_one_sided is None
 
 
@@ -210,6 +211,8 @@ def test_f_domain_error():
         f_upper_value(0.0, p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
     with pytest.raises(DomainError):
         f_upper_value(1.0, p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
+    with pytest.raises(DomainError):
+        lps_upper_value(1.0, 1.0, math.nan, 1.0)
 
 
 def test_theorem3_optimal_pure_limit():
@@ -437,7 +440,7 @@ def test_delta_cap_bounds_entropy_gap(seed, kind, dim, alpha_sq):
     s_a, s_b = _mixture_side_entropies(p, t)
     knots = np.arange(0, t.size, bounds.PRUNE_STRIDE)
     m = t * p.e_psi + (1.0 - t) * p.e_phi
-    s_ab = states.mixture_entropy_array(t, abs(p.overlap) ** 2)
+    s_ab = states.mixture_entropy(t, abs(p.overlap) ** 2)
     cap = bounds._delta_cap(t, t[knots], s_a[knots], s_b[knots], m, s_ab)
     assert np.all(cap >= np.abs(s_a - s_b) - bounds.ENTROPY_ROUNDING)
 
@@ -598,8 +601,7 @@ def test_simple_lower_boundary_coefficient():
 
 
 def test_simple_lower_requires_orthogonality():
-    with pytest.raises(NotOrthogonal):
-        simple_lower(triple_problem())
+    assert simple_lower(triple_problem()) is None
 
 
 # -- subspace_lower ---------------------------------------------------------------
@@ -677,6 +679,49 @@ def test_certify_block_pair():
     assert report.exact_one_sided == pytest.approx(1.0, abs=1e-9)
     assert report.simple_lower is not None
     assert report.sane
+
+
+# alpha and beta whose rescaled weights both round to just below 1/2
+ROUNDED_HALF = (
+    complex(-0.2014404972018415, -0.6778065550635186),
+    complex(-0.7060079873150796, -0.03940459170338132),
+)
+
+
+def test_certify_weights_rounded_below_half():
+    psi, phi = harness.bell_block_pair()
+    p = SuperpositionProblem.from_states(psi, phi, *ROUNDED_HALF)
+    assert max(p.alpha_sq, p.beta_sq) < 0.5
+    report = certify(psi, phi, *ROUNDED_HALF)
+    assert report.simple_lower == pytest.approx(-2.0, abs=1e-9)
+    assert report.exact_one_sided == pytest.approx(1.0, abs=1e-9)
+    assert report.sane
+
+
+@pytest.mark.parametrize("kind", ["haar", "one_sided"])
+def test_certify_derives_each_pair_quantity_once(kind, monkeypatch):
+    if kind == "haar":
+        rng = np.random.default_rng(97)
+        psi, phi = random_state(rng, 4, 5), random_state(rng, 4, 5)
+    else:
+        psi, phi = harness.generate_one_sided_pair(2, 3, 4, seed=5)
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(states, "reduced_density")
+    counted(states, "inner_product")
+    counted(BipartiteState, "normalized")
+    report = certify(psi, phi, 0.6, 0.8)
+    assert (report.exact_one_sided is not None) == (kind == "one_sided")
+    assert calls == {"reduced_density": 4, "inner_product": 1, "normalized": 2}
 
 
 def test_certify_haar_random():

@@ -30,6 +30,23 @@ def test_analyze_json_end_to_end(block_pair_files, capsys):
     assert report["sane"] is True
 
 
+def test_analyze_weights_rounded_below_half(block_pair_files, capsys):
+    # both rescaled weights round to just below 1/2
+    psi_path, phi_path = block_pair_files
+    code = cli_main(
+        [
+            "analyze", "--psi", psi_path, "--phi", phi_path,
+            "--alpha=-0.2014404972018415,-0.6778065550635186",
+            "--beta=-0.7060079873150796,-0.03940459170338132",
+            "--json",
+        ]
+    )
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["simple_lower"] == pytest.approx(-2.0, abs=1e-9)
+    assert report["exact_one_sided"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_analyze_human_output(block_pair_files, capsys):
     psi_path, phi_path = block_pair_files
     code = cli_main(

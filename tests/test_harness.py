@@ -129,7 +129,7 @@ def test_haar_ensemble_mean_matches_independent_sampler():
 def test_one_sided_generator_classification():
     for seed in range(10):
         psi, phi = generate_one_sided_pair(2, 3, 3, seed)
-        cls = states.classify_orthogonality(psi, phi)
+        cls = states.classify_orthogonality(states.ReducedPair.of(psi, phi))
         assert cls.one_sided_eq1
         assert states.norm_squared(psi) == pytest.approx(1.0, abs=1e-9)
         assert states.norm_squared(phi) == pytest.approx(1.0, abs=1e-9)
@@ -141,7 +141,7 @@ def test_one_sided_generator_single_term_blocks():
     psi, phi = generate_one_sided_pair(1, 1, 2, seed=3)
     assert entanglement_entropy(psi) == pytest.approx(0.0, abs=1e-9)
     assert entanglement_entropy(phi) == pytest.approx(0.0, abs=1e-9)
-    assert states.classify_orthogonality(psi, phi).one_sided_eq1
+    assert states.classify_orthogonality(states.ReducedPair.of(psi, phi)).one_sided_eq1
 
 
 def test_one_sided_generator_block_structure():

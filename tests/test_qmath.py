@@ -110,6 +110,8 @@ def test_binary_entropy_reference_values():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
     assert binary_entropy(1.0 / 50.0) == pytest.approx(0.141441, abs=5e-7)
+    h = binary_entropy(np.array([0.5, 0.0, 1.0, 1.0 / 50.0]))
+    assert h.tolist() == pytest.approx([1.0, 0.0, 0.0, 0.141441], abs=5e-7)
 
 
 def test_binary_entropy_domain():
@@ -117,8 +119,14 @@ def test_binary_entropy_domain():
         binary_entropy(-1e-6)
     with pytest.raises(DomainError):
         binary_entropy(1.0 + 1e-6)
+    with pytest.raises(DomainError):
+        binary_entropy(np.array([0.5, 1.0 + 1e-6]))
+    for nan in (math.nan, np.array([0.3, math.nan])):
+        with pytest.raises(DomainError):
+            binary_entropy(nan)
     # within slack
     assert binary_entropy(-1e-13) == 0.0
+    assert binary_entropy(np.array([-1e-13, 1.0 + 1e-13])).tolist() == [0.0, 0.0]
 
 
 @settings(max_examples=60)

@@ -5,17 +5,17 @@ import pytest
 
 from helpers import random_state, random_sphere_pair, random_unitary
 from supent import harness, qmath
-from supent.errors import DimMismatch, NotNormalized, ZeroState
+from supent.errors import DimMismatch, DomainError, NotNormalized, ZeroState
 from supent.qmath import binary_entropy
 from supent.states import (
     BipartiteState,
+    ReducedPair,
     classify_orthogonality,
     entanglement_entropy,
     inner_product,
     mixture_entropy,
     norm_squared,
     reduced_density,
-    reduced_mixture_entropies,
     superpose,
 )
 
@@ -171,32 +171,33 @@ def test_entanglement_local_unitary_invariant():
 
 
 def test_classify_biorthogonal_products():
-    cls = classify_orthogonality(basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1))
+    psi, phi = basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)
+    cls = classify_orthogonality(ReducedPair.of(psi, phi))
     assert cls.biorthogonal and cls.one_sided_eq1 and cls.one_sided_eq2
-    assert abs(cls.overlap) <= 1e-12
+    assert abs(inner_product(psi, phi)) <= 1e-12
 
 
 def test_classify_block_pair_one_sided_only():
     psi, phi = harness.bell_block_pair()
-    cls = classify_orthogonality(psi, phi)
+    cls = classify_orthogonality(ReducedPair.of(psi, phi))
     assert cls.one_sided_eq1
     assert not cls.one_sided_eq2
     assert not cls.biorthogonal
-    assert abs(cls.overlap) <= 1e-12
+    assert abs(inner_product(psi, phi)) <= 1e-12
 
 
 def test_classify_identical_states():
-    cls = classify_orthogonality(bell_state(), bell_state())
+    cls = classify_orthogonality(ReducedPair.of(bell_state(), bell_state()))
     assert not cls.one_sided_eq1 and not cls.one_sided_eq2 and not cls.biorthogonal
-    assert cls.overlap == pytest.approx(1.0)
+    assert inner_product(bell_state(), bell_state()) == pytest.approx(1.0)
 
 
 def test_one_sided_implies_orthogonal():
     for seed in range(6):
         psi, phi = harness.generate_one_sided_pair(2, 3, 3, seed)
-        cls = classify_orthogonality(psi, phi)
+        cls = classify_orthogonality(ReducedPair.of(psi, phi))
         assert cls.one_sided_eq1
-        assert abs(cls.overlap) <= 1e-9
+        assert abs(inner_product(psi, phi)) <= 1e-9
 
 
 # -- mixture_entropy -----------------------------------------------------------
@@ -204,35 +205,51 @@ def test_one_sided_implies_orthogonal():
 
 def test_mixture_entropy_orthogonal_pair_is_binary_entropy():
     psi, phi = harness.bell_block_pair()
+    c2 = abs(inner_product(psi, phi)) ** 2
     for t in (0.1, 0.36, 0.5, 0.9):
-        assert mixture_entropy(psi, phi, t) == pytest.approx(binary_entropy(t), abs=1e-12)
+        assert mixture_entropy(t, c2) == pytest.approx(binary_entropy(t), abs=1e-12)
 
 
 def test_mixture_entropy_identical_states_zero():
+    c2 = abs(inner_product(bell_state(), bell_state())) ** 2
     for t in (0.0, 0.3, 1.0):
-        assert mixture_entropy(bell_state(), bell_state(), t) == pytest.approx(0.0, abs=1e-12)
+        assert mixture_entropy(t, c2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mixture_entropy_half_overlap():
     # overlap 1/2 at t = 1/2: eigenvalues (1 +- 1/2)/2 = {3/4, 1/4}
     psi, phi = harness.overlapping_triple_pair()
     expected = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
-    assert mixture_entropy(psi, phi, 0.5) == pytest.approx(expected, abs=1e-12)
+    c2 = abs(inner_product(psi, phi)) ** 2
+    assert mixture_entropy(0.5, c2) == pytest.approx(expected, abs=1e-12)
+    assert mixture_entropy(np.array([0.5, 0.5]), c2).tolist() == pytest.approx([expected] * 2)
     assert expected == pytest.approx(0.811278, abs=5e-7)
 
 
 def test_mixture_entropy_requires_normalized_inputs():
     big = BipartiteState(2.0 * np.eye(2))
     with pytest.raises(NotNormalized):
-        mixture_entropy(big, bell_state(), 0.5)
+        ReducedPair.of(big, bell_state()).entropies(0.5)
+    with pytest.raises(NotNormalized):
+        classify_orthogonality(ReducedPair.of(bell_state(), big))
+    with pytest.raises(DimMismatch):
+        ReducedPair.of(bell_state(), basis_state(2, 3, 0, 0))
 
 
-# -- reduced_mixture_entropies ---------------------------------------------------
+def test_mixture_entropy_rejects_bad_arguments_in_both_forms():
+    for t, c2 in ((0.3, math.nan), (math.nan, 0.5), (1.5, 0.0), (-0.2, 0.5), (0.3, 1.2)):
+        with pytest.raises(DomainError):
+            mixture_entropy(t, c2)
+        with pytest.raises(DomainError):
+            mixture_entropy(np.array([0.5, t]), c2)
+
+
+# -- ReducedPair.entropies -------------------------------------------------------
 
 
 def test_reduced_mixture_entropies_triple_pair():
     psi, phi = harness.overlapping_triple_pair()
-    s_a, s_b = reduced_mixture_entropies(psi, phi, 0.5)
+    s_a, s_b = ReducedPair.of(psi, phi).entropies(0.5)
     assert s_a == pytest.approx(1.5, abs=1e-12)
     assert s_b == pytest.approx(2.0, abs=1e-12)
 
@@ -240,7 +257,7 @@ def test_reduced_mixture_entropies_triple_pair():
 def test_reduced_mixture_entropies_block_pair():
     psi, phi = harness.bell_block_pair()
     for alpha_sq in (0.09, 0.36, 0.5):
-        s_a, s_b = reduced_mixture_entropies(psi, phi, alpha_sq)
+        s_a, s_b = ReducedPair.of(psi, phi).entropies(alpha_sq)
         assert s_a == pytest.approx(1.0, abs=1e-12)
         assert s_b == pytest.approx(1.0 + binary_entropy(alpha_sq), abs=1e-12)
 
@@ -250,7 +267,7 @@ def test_reduced_mixture_entropies_identical_states():
     s = random_state(rng, 3, 3)
     e = entanglement_entropy(s)
     for t in (0.2, 0.7):
-        s_a, s_b = reduced_mixture_entropies(s, s, t)
+        s_a, s_b = ReducedPair.of(s, s).entropies(t)
         assert s_a == pytest.approx(e, abs=1e-10)
         assert s_b == pytest.approx(e, abs=1e-10)
 
@@ -265,8 +282,8 @@ def test_araki_lieb_and_concavity_sandwich():
         psi = random_state(rng, da, db)
         phi = random_state(rng, da, db)
         t = float(rng.uniform(0.05, 0.95))
-        s_ab = mixture_entropy(psi, phi, t)
-        s_a, s_b = reduced_mixture_entropies(psi, phi, t)
+        s_ab = mixture_entropy(t, abs(inner_product(psi, phi)) ** 2)
+        s_a, s_b = ReducedPair.of(psi, phi).entropies(t)
         assert s_ab - abs(s_a - s_b) >= -1e-9
         excess = s_a - t * entanglement_entropy(psi) - (1.0 - t) * entanglement_entropy(phi)
         assert excess >= -1e-9
@@ -281,7 +298,7 @@ def test_one_sided_pairs_have_larger_b_entropy():
             psi, phi = harness.generate_one_sided_pair(d1, d2, dim_a, seed)
             e_psi, e_phi = entanglement_entropy(psi), entanglement_entropy(phi)
             for t in (0.1, 0.5, 0.9):
-                s_a, s_b = reduced_mixture_entropies(psi, phi, t)
+                s_a, s_b = ReducedPair.of(psi, phi).entropies(t)
                 assert s_b >= s_a - 1e-9
                 lemma1 = t * e_psi + (1.0 - t) * e_phi + binary_entropy(t)
                 assert s_b == pytest.approx(lemma1, abs=1e-10), (d1, d2, dim_a, seed, t)
@@ -295,8 +312,8 @@ def test_exact_formula_identity_for_generated_pairs():
         t = abs(alpha) ** 2
         gamma = superpose(alpha, psi, beta, phi)
         lhs = entanglement_entropy(gamma)
-        s_ab = mixture_entropy(psi, phi, t)
-        s_a, s_b = reduced_mixture_entropies(psi, phi, t)
+        s_ab = mixture_entropy(t, abs(inner_product(psi, phi)) ** 2)
+        s_a, s_b = ReducedPair.of(psi, phi).entropies(t)
         rhs = (
             t * entanglement_entropy(psi)
             + (1.0 - t) * entanglement_entropy(phi)
