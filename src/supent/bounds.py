@@ -28,8 +28,9 @@ drops below max over t of these, and also never below zero.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "simple_lower",
     "subspace_lower",
     "certify",
+    "certify_many",
     "lps_upper_value",
     "theorem2_upper_value",
     "f_upper_value",
@@ -71,10 +73,14 @@ ENTROPY_ROUNDING = 1e-9
 # unconditionally; the bounds on the points between interpolate from them.
 PRUNE_STRIDE = 16
 
-# The one grid of every t-search, read-only.  On it the array and float forms
-# of h2 give the same bits (a test checks this).
+# The one grid of every t-search and h2 on it, read-only.  On the grid the
+# array and float forms of h2 give the same bits (a test checks this).
 _T_GRID = np.asarray(optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N))
 _T_GRID.setflags(write=False)
+_H_GRID = binary_entropy(_T_GRID)
+_H_GRID.setflags(write=False)
+# The refined search's knots: every PRUNE_STRIDE-th grid index and the last.
+_KNOTS = np.append(np.arange(0, _T_GRID.size - 1, PRUNE_STRIDE), _T_GRID.size - 1)
 
 
 @dataclass(frozen=True)
@@ -202,10 +208,16 @@ def f_upper_value(
     subtracted inside the bracket (zero for the plain bound).  ``t`` is a
     float or an array of weights, and ``delta_s`` a float or an array of
     the same shape; on an array every entry gets the same bits as the float
-    call at that weight (see ``_T_GRID``).
+    call at that weight (see ``_T_GRID``).  A sequence of weights is taken
+    as an array.
     """
-    _check_t(t)
-    bracket = t * e_psi + (1.0 - t) * e_phi + binary_entropy(t) - abs(delta_s)
+    t = _check_t(t)
+    return _f_value(t, binary_entropy(t), e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s)
+
+
+def _f_value(t, h, e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=0.0):
+    """``f_upper_value`` given h = h2(t)."""
+    bracket = t * e_psi + (1.0 - t) * e_phi + h - abs(delta_s)
     return _f_prefactor(t, alpha_sq) * bracket / gamma_norm_sq
 
 
@@ -226,13 +238,12 @@ def lower_value(
 
     ``t`` is a float or an array of weights, as for ``f_upper_value``.
     """
-    _check_t(t)
-    return _lower_value(t, binary_entropy(t), e_psi, e_phi, alpha_sq, beta_sq, branch)
+    t = _check_t(t)
+    return _l1(t, binary_entropy(t), *_as_l1(branch, e_psi, e_phi, alpha_sq, beta_sq))
 
 
-def _lower_value(t, h, e_psi, e_phi, alpha_sq, beta_sq, branch):
-    """``lower_value`` given h = h2(t), which L1 and L2 share."""
-    e_psi, e_phi, alpha_sq, beta_sq = _as_l1(branch, e_psi, e_phi, alpha_sq, beta_sq)
+def _l1(t, h, e_psi, e_phi, alpha_sq, beta_sq):
+    """L1(t) given h = h2(t)."""
     return (
         (1.0 - t) * beta_sq / (1.0 - t * (1.0 - alpha_sq)) * e_phi
         - (1.0 - t) / t * e_psi
@@ -258,44 +269,37 @@ def minimize_f_scalar(
     Besides the grid + golden-section search the candidate set always
     contains t = |alpha|^2, which pins the result at or below the LPS bound.
     """
-    return _minimize_f(
-        lambda t: f_upper_value(t, e_psi, e_phi, alpha_sq, gamma_norm_sq),
-        alpha_sq,
-        grid_values=f_upper_value(_T_GRID, e_psi, e_phi, alpha_sq, gamma_norm_sq),
-    )
+    return _minimize_f(*np.array([[e_psi], [e_phi], [alpha_sq], [gamma_norm_sq]]))[0]
 
 
-def _minimize_f(
-    objective: Callable[[float], float], alpha_sq: float, grid_values: np.ndarray
-) -> tuple[float, float]:
-    res = optimize.minimize_scalar(objective, T_EPS, 1.0 - T_EPS, grid_values=grid_values)
-    value, t_star = res.value, res.x_star
-    if T_EPS < alpha_sq < 1.0 - T_EPS:
-        at_a = objective(alpha_sq)
-        if at_a < value:
-            value, t_star = at_a, alpha_sq
-    return value, t_star
+def _minimize_f(*cols: np.ndarray) -> list[tuple[float, float]]:
+    """``minimize_f_scalar`` in lockstep for the problems of the arrays
+    cols = (e_psi, e_phi, alpha_sq, gamma_norm_sq)."""
+    f = _pointwise(_f_value, cols)
+    found = _golden(f, _f_value(_T_GRID, _H_GRID, *(c[:, None] for c in cols)))
+    return _pin(f, found, *_inside(cols[2]))
 
 
 def minimize_f_with_refinement(
-    e_psi: float,
-    e_phi: float,
-    alpha_sq: float,
-    gamma_norm_sq: float,
-    overlap_sq: float,
-    side_entropies: Callable,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Minimize the plain and refined f together.
+    e_psi: np.ndarray,
+    e_phi: np.ndarray,
+    alpha_sq: np.ndarray,
+    gamma_norm_sq: np.ndarray,
+    overlap_sq: np.ndarray,
+    stack: states.PairStack,
+    pinned: tuple[np.ndarray, np.ndarray],
+) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+    """Minimize the plain and refined f of n problems in lockstep; returns
+    ((plain_value, plain_t), (refined_value, refined_t)) for each.
 
-    Returns ((plain_value, plain_t), (refined_value, refined_t)).  The
-    refined candidate set includes the plain minimizer, which pins the
-    refined optimum at or below the plain one.
+    Each argument but ``stack`` and ``pinned`` is an array of n.  The refined
+    candidate set includes the plain minimizer, which pins the refined
+    optimum at or below the plain one.
 
     The refined f subtracts Delta(t) = |S_A(t) - S_B(t)|, the gap between the
-    reduced entropies of t |psi><psi| + (1-t) |phi><phi|.
-    ``side_entropies(t)`` returns (S_A, S_B) at one weight t, or arrays of
-    them at weights shaped (n, 1, 1), as ``states.ReducedPair.entropies``.
-    ``overlap_sq`` is |<psi|phi>|^2.
+    reduced entropies of t |psi><psi| + (1-t) |phi><phi|.  ``stack`` holds
+    the ``states.ReducedPair`` of each problem, and ``pinned`` their
+    (S_A, S_B) at t = |alpha|^2.  ``overlap_sq`` is |<psi|phi>|^2.
 
     The grid stage eigendecomposes only the points that could be the grid
     minimum:
@@ -320,54 +324,54 @@ def minimize_f_with_refinement(
        grid minimum, and the grid argmin, the golden-section path and the
        result are those of a full-grid evaluation, bit for bit.
     """
-    plain_value, plain_t = minimize_f_scalar(e_psi, e_phi, alpha_sq, gamma_norm_sq)
-    grid = _T_GRID
+    cols = (e_psi, e_phi, alpha_sq, gamma_norm_sq)
+    plain = _minimize_f(*cols)
+    f = _pointwise(_f_value, cols)
 
-    def refined_f(t, s_a, s_b):
-        return f_upper_value(t, e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=s_a - s_b)
+    def objective(rows, t):
+        if isinstance(rows, int):
+            s_a, s_b = stack.pairs[rows].entropies(t)
+        else:
+            s_a, s_b = stack.entropies(rows, t)
+        return f(rows, t, s_a - s_b)
 
-    def objective(t: float) -> float:
-        return refined_f(t, *side_entropies(t))
+    def on_grid(rows, i, s_a, s_b):
+        return _f_value(_T_GRID[i], _H_GRID[i], *(c[rows] for c in cols), s_a - s_b)
 
-    knots = np.unique(np.r_[np.arange(0, grid.size, PRUNE_STRIDE), grid.size - 1])
-    s_a, s_b = side_entropies(grid[knots, None, None])
-    values, allowance = _refined_f_floor(
-        grid, grid[knots], s_a, s_b, e_psi, e_phi, alpha_sq, gamma_norm_sq, overlap_sq
+    n, k = len(e_psi), _KNOTS.size
+    all_rows = np.arange(n)[:, None]
+    s_a, s_b = (
+        s.reshape(n, k)
+        for s in stack.entropies(np.repeat(all_rows, k), np.tile(_T_GRID[_KNOTS], n))
     )
-    values[knots] = refined_f(grid[knots], s_a, s_b)
-    best = values[knots].min()
-    todo = np.setdiff1d(np.flatnonzero(values - allowance <= best), knots)
-    if todo.size:
-        values[todo] = refined_f(grid[todo], *side_entropies(grid[todo, None, None]))
+    values, allowance = _refined_f_floor(s_a, s_b, *(c[:, None] for c in cols), overlap_sq[:, None])
+    values[:, _KNOTS] = on_grid(all_rows, _KNOTS, s_a, s_b)
+    todo = values - allowance <= values[:, _KNOTS].min(axis=1, keepdims=True)
+    todo[:, _KNOTS] = False
+    rows, i = np.nonzero(todo)
+    if rows.size:
+        values[rows, i] = on_grid(rows, i, *stack.entropies(rows, _T_GRID[i]))
+    found = _golden(objective, values)
+    delta = pinned[0] - pinned[1]  # t = |alpha|^2 takes the entropies at hand
+    _pin(lambda r, t: f(r, t, delta[r]), found, *_inside(alpha_sq))
+    _pin(objective, found, list(range(n)), [t for _, t in plain])
+    return list(zip(plain, found))
 
-    value, t_star = _minimize_f(objective, alpha_sq, grid_values=values)
-    at_plain = objective(plain_t)
-    if at_plain < value:
-        value, t_star = at_plain, plain_t
-    return (plain_value, plain_t), (value, t_star)
 
+def _refined_f_floor(s_a, s_b, e_psi, e_phi, alpha_sq, gamma_norm_sq, overlap_sq):
+    """Lower bound on the refined f of n problems on the grid, and its rounding
+    allowance, each of shape (n, 257).
 
-def _refined_f_floor(
-    t: np.ndarray,
-    knots: np.ndarray,
-    s_a: np.ndarray,
-    s_b: np.ndarray,
-    e_psi: float,
-    e_phi: float,
-    alpha_sq: float,
-    gamma_norm_sq: float,
-    overlap_sq: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lower bound on the refined f at weights ``t`` and its rounding allowance.
-
-    ``s_a``, ``s_b`` are the exact side entropies at ``knots``; see
+    Row k of ``s_a``, ``s_b`` holds problem k's exact side entropies at the
+    knots, and the other arguments are columns of shape (n, 1); see
     ``minimize_f_with_refinement`` for why the bound holds.
     """
+    t = _T_GRID
     m = t * e_psi + (1.0 - t) * e_phi
-    cap = _delta_cap(t, knots, s_a, s_b, m, states.mixture_entropy(t, overlap_sq))
-    floor = f_upper_value(t, e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=cap)
+    cap = _delta_cap(t, t[_KNOTS], s_a, s_b, m, states.mixture_entropy(t, overlap_sq))
+    floor = _f_value(t, _H_GRID, e_psi, e_phi, alpha_sq, gamma_norm_sq, cap)
     weight = _f_prefactor(t, alpha_sq) / gamma_norm_sq
-    return floor, weight * ENTROPY_ROUNDING * (1.0 + np.abs(m + binary_entropy(t)))
+    return floor, weight * ENTROPY_ROUNDING * (1.0 + np.abs(m + _H_GRID))
 
 
 def _delta_cap(
@@ -397,10 +401,12 @@ def _concave_envelope(
     last = knots.size - 2
     j = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, last)
     slope = np.diff(s) / np.diff(knots)
-    chord = s[j] + slope[j] * (t - knots[j])
-    left = np.where(j > 0, s[j] + slope[j - 1] * (t - knots[j]), np.inf)
+    chord = s[..., j] + slope[..., j] * (t - knots[j])
+    left = np.where(j > 0, s[..., j] + slope[..., j - 1] * (t - knots[j]), np.inf)
     right = np.where(
-        j < last, s[j + 1] + slope[np.minimum(j + 1, last)] * (t - knots[j + 1]), np.inf
+        j < last,
+        s[..., j + 1] + slope[..., np.minimum(j + 1, last)] * (t - knots[j + 1]),
+        np.inf,
     )
     return np.maximum(chord, floor), np.minimum(np.minimum(left, right), ceiling)
 
@@ -409,18 +415,58 @@ def maximize_lower_scalar(
     e_psi: float, e_phi: float, alpha_sq: float, beta_sq: float
 ) -> tuple[float, float, str]:
     """Maximize max(L1, L2) over t; returns the unclamped (value, t_star, branch)."""
-    h = binary_entropy(_T_GRID)
-    best: Optional[tuple[float, float, str]] = None
+    return _maximize_lower(*np.array([[e_psi], [e_phi], [alpha_sq], [beta_sq]]))[0]
+
+
+def _maximize_lower(*cols: np.ndarray) -> list[tuple[float, float, str]]:
+    """``maximize_lower_scalar`` in lockstep for the problems of the arrays
+    cols = (e_psi, e_phi, alpha_sq, beta_sq): one search per branch, L1
+    winning ties."""
+    found = []
     for branch in ("L1", "L2"):
-        res = optimize.maximize_scalar(
-            lambda t, b=branch: lower_value(t, e_psi, e_phi, alpha_sq, beta_sq, b),
-            T_EPS,
-            1.0 - T_EPS,
-            grid_values=_lower_value(_T_GRID, h, e_psi, e_phi, alpha_sq, beta_sq, branch),
-        )
-        if best is None or res.value > best[0]:
-            best = (res.value, res.x_star, branch)
-    return best
+        l1_cols = _as_l1(branch, *cols)
+        grid = _l1(_T_GRID, _H_GRID, *(c[:, None] for c in l1_cols))
+        negated = _pointwise(lambda *args: -_l1(*args), l1_cols)
+        found.append([(-v, t, branch) for v, t in _golden(negated, -grid)])
+    return [l2 if l2[0] > l1[0] else l1 for l1, l2 in zip(*found)]
+
+
+def _pointwise(formula, cols):
+    """``formula(t, h2(t), *params, *extra)`` as an objective f(rows, t, *extra)
+    of ``optimize.minimize_many``, search r's params being entry r of each
+    array in ``cols``.  One search computes in floats, as ``f_upper_value``
+    and ``lower_value`` do; several take h2 one weight at a time, because
+    off the grid np.log2 and math.log2 differ in the last bit on about 0.2 %
+    of weights."""
+    scalars = list(zip(*(c.tolist() for c in cols)))
+
+    def f(rows, t, *extra):
+        if isinstance(rows, int):
+            return formula(t, binary_entropy(t), *scalars[rows], *extra)
+        h = np.array([binary_entropy(x) for x in t.tolist()])
+        return formula(t, h, *(c[rows] for c in cols), *extra)
+
+    return f
+
+
+def _golden(f, grid_values: np.ndarray) -> list[tuple[float, float]]:
+    """(value, t_star) of each row's grid + golden-section search on the window."""
+    results = optimize.minimize_many(f, T_EPS, 1.0 - T_EPS, grid_values)
+    return [(r.value, r.x_star) for r in results]
+
+
+def _inside(alpha_sq: np.ndarray) -> tuple[list[int], list[float]]:
+    """The problems whose |alpha|^2 lies strictly inside the window, and their |alpha|^2."""
+    rows = [r for r, a in enumerate(alpha_sq.tolist()) if T_EPS < a < 1.0 - T_EPS]
+    return rows, alpha_sq[rows].tolist()
+
+
+def _pin(f, found: list, rows: list[int], ts: list[float]) -> list:
+    """``found`` with ts[k] as search rows[k]'s optimum where f is lower there."""
+    for r, t, v in zip(rows, ts, optimize.evaluate(f, rows, ts)):
+        if v < found[r][0]:
+            found[r] = (v, t)
+    return found
 
 
 def theorem3_stationarity_residual(
@@ -509,33 +555,40 @@ def certify(
     psi: BipartiteState, phi: BipartiteState, alpha: complex, beta: complex
 ) -> BoundReport:
     """Evaluate every bound against the exact entanglement for one problem."""
-    p = SuperpositionProblem.from_states(psi, phi, alpha, beta)
+    return certify_many([SuperpositionProblem.from_states(psi, phi, alpha, beta)])[0]
+
+
+def certify_many(problems: Sequence[SuperpositionProblem]) -> list[BoundReport]:
+    """``certify`` for each problem, in input order, with the bits it gives
+    each alone.  The plain f, refined f, L1 and L2 searches each run for all
+    problems in lockstep, and each step of the refined search takes one
+    stacked eigendecomposition per side and distinct dimension."""
+    problems = list(problems)
+    pairs = [states.ReducedPair.of(p.psi, p.phi) for p in problems]
+    stack = states.PairStack(pairs)
+    e_psi, e_phi, asq, bsq, n2 = (
+        np.array([getattr(p, name) for p in problems], dtype=float)
+        for name in ("e_psi", "e_phi", "alpha_sq", "beta_sq", "gamma_norm_sq")
+    )
+    overlap_sq = np.array([abs(p.overlap) ** 2 for p in problems])
+    pinned = stack.entropies(np.arange(len(problems)), asq)
+    upper = minimize_f_with_refinement(e_psi, e_phi, asq, n2, overlap_sq, stack, pinned)
+    lower = _maximize_lower(e_psi, e_phi, asq / n2, bsq / n2)
+    return [
+        _report(*args)
+        for args in zip(problems, pairs, pinned[0].tolist(), pinned[1].tolist(), upper, lower)
+    ]
+
+
+def _report(p, pair, s_a, s_b, upper, lower) -> BoundReport:
+    """Problem ``p``'s report, given what ``certify_many`` computed for it."""
+    ((t3, t3_star), (t3r, _)), (raw, low_t, branch) = upper, lower
     exact = states.entanglement_entropy(p.gamma)
-    reduced = states.ReducedPair.of(p.psi, p.phi)
-    overlap_sq = abs(p.overlap) ** 2
-    s_a, s_b = reduced.entropies(p.alpha_sq)
     lps = lps_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
-    t2 = theorem2_upper_value(
-        p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=s_a - s_b
-    )
-
-    def side_entropies(t):
-        # the t = |alpha|^2 pin reuses the entropies computed above
-        if isinstance(t, float) and t == p.alpha_sq:
-            return s_a, s_b
-        return reduced.entropies(t)
-
-    (t3, t3_star), (t3r, _) = minimize_f_with_refinement(
-        p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, overlap_sq, side_entropies
-    )
-    raw, low_t, branch = maximize_lower_scalar(
-        p.e_psi, p.e_phi, p.alpha_sq / p.gamma_norm_sq, p.beta_sq / p.gamma_norm_sq
-    )
+    t2 = theorem2_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=s_a - s_b)
     low = max(0.0, raw)
-    one_sided = states.classify_orthogonality(reduced).one_sided
-    ex1 = _one_sided_value(p, s_a, s_b, overlap_sq) if one_sided else None
+    one_sided = states.classify_orthogonality(pair).one_sided
     upper_min = min(lps, t2, t3, t3r)
-    sane = (low - SANITY_SLACK <= exact) and (exact <= upper_min + SANITY_SLACK)
     return BoundReport(
         exact_e=exact,
         lps_upper=lps,
@@ -548,23 +601,21 @@ def certify(
         branch=branch,
         lower_raw=raw,
         simple_lower=simple_lower(p),
-        exact_one_sided=ex1,
-        sane=sane,
+        exact_one_sided=_one_sided_value(p, s_a, s_b) if one_sided else None,
+        sane=(low - SANITY_SLACK <= exact) and (exact <= upper_min + SANITY_SLACK),
     )
 
 
-def _one_sided_value(
-    p: SuperpositionProblem, s_a: float, s_b: float, overlap_sq: float
-) -> float:
+def _one_sided_value(p: SuperpositionProblem, s_a: float, s_b: float) -> float:
     """Lemma 1: the exact entanglement of a one-sided orthogonal superposition,
 
     E = a E(psi) + (1-a) E(phi) + S(rho_AB) - |S_A - S_B|
 
-    with a = |alpha|^2, rho_AB = a |psi><psi| + (1-a) |phi><phi|, (s_a, s_b)
-    the entropies of its reduced operators and overlap_sq = |<psi|phi>|^2.
+    with a = |alpha|^2, rho_AB = a |psi><psi| + (1-a) |phi><phi| and (s_a, s_b)
+    the entropies of its reduced operators.
     """
     t = p.alpha_sq
-    s_ab = states.mixture_entropy(t, overlap_sq)
+    s_ab = states.mixture_entropy(t, abs(p.overlap) ** 2)
     return t * p.e_psi + (1.0 - t) * p.e_phi + s_ab - abs(s_a - s_b)
 
 
@@ -579,16 +630,21 @@ def _weight(name: str, c: complex) -> float:
     return w
 
 
-def _check_t(t) -> None:
-    """Reject a weight, or any entry of an array of weights, outside the window."""
-    if isinstance(t, float):
-        if T_EPS <= t <= 1.0 - T_EPS:
-            return
-        bad = t
+def _check_t(t):
+    """``t`` as a float, or as a float array for an array or sequence of
+    weights, after checking that every weight lies in the window."""
+    if isinstance(t, numbers.Real):
+        t = float(t)
     else:
-        t = np.asarray(t, dtype=float)
-        outside = ~((t >= T_EPS) & (t <= 1.0 - T_EPS))
-        if not outside.any():
-            return
-        bad = float(t[outside][0])
-    raise DomainError(f"t={bad!r} outside [{T_EPS:g}, 1 - {T_EPS:g}]")
+        try:
+            t = np.asarray(t)
+        except ValueError as exc:  # a ragged sequence
+            raise DomainError(f"t is not an array of weights: {exc}") from None
+        if t.dtype.kind not in "iuf":
+            raise DomainError(f"t={t!r} is not a real weight or an array of them")
+        t = t.astype(float, copy=False)
+    inside = (t >= T_EPS) & (t <= 1.0 - T_EPS)
+    if not np.all(inside):
+        bad = t if isinstance(t, float) else float(t[~inside][0])
+        raise DomainError(f"t={bad!r} outside [{T_EPS:g}, 1 - {T_EPS:g}]")
+    return t

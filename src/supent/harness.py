@@ -56,6 +56,11 @@ DEFAULT_SEED = 0x5EED
 # matrix takes 256 MiB.
 MAX_STATE_DIM = 4096
 
+# Most state coefficients (psi and phi) in one batch of audit trials; a larger
+# trial is its own batch.  At max-dim 6 a batch holds about 250 trials, whose
+# (trials x 257) grid arrays take 0.5 MiB each; 2^16 was only 4 % faster.
+AUDIT_BATCH_COEFFS = 2**13
+
 # Largest sweep dimension d: a record peaks at about 40 d bytes (160 MiB).
 MAX_FAMILY_DIM = 2**22 + 1
 
@@ -635,7 +640,8 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
     (alpha, beta) uniform on the complex unit sphere from a per-trial stream,
     then certifies the problem.  Fully destructive draws are skipped and
     counted.  The trial with the smallest margin is serialized so it can be
-    reproduced from the summary alone.
+    reproduced from the summary alone.  Trials are certified in batches
+    (``bounds.certify_many``) and summarized in trial order.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -646,7 +652,6 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
             f"max_dim = {max_dim} exceeds {MAX_STATE_DIM}: certifying "
             "eigendecomposes reduced densities of that size"
         )
-    base = Xoshiro256StarStar(seed)
     violations = 0
     t2_violations = 0
     t3_violations = 0
@@ -655,22 +660,9 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
     lower_margins: list[float] = []
     worst: dict = {}
     worst_margin = math.inf
-    for trial in range(n_trials):
-        rng = base.spawn(trial)
-        dim_a = rng.randint(2, max_dim)
-        dim_b = rng.randint(2, max_dim)
-        psi = _haar_state(rng, dim_a, dim_b)
-        phi = _haar_state(rng, dim_a, dim_b)
-        z1 = complex(rng.gaussian(), rng.gaussian())
-        z2 = complex(rng.gaussian(), rng.gaussian())
-        norm = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2)
-        if norm == 0.0:
-            skipped += 1
-            continue
-        alpha, beta = z1 / norm, z2 / norm
-        try:
-            report = bounds.certify(psi, phi, alpha, beta)
-        except ZeroState:
+    draws = _audit_draws(n_trials, max_dim, seed)
+    for (trial, psi, phi, alpha, beta, _), report in _certified(draws):
+        if report is None:
             skipped += 1
             continue
         if not report.sane:
@@ -694,8 +686,8 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
             worst_margin = margin
             worst = {
                 "trial": trial,
-                "dim_a": dim_a,
-                "dim_b": dim_b,
+                "dim_a": psi.dim_a,
+                "dim_b": psi.dim_b,
                 "alpha": [alpha.real, alpha.imag],
                 "beta": [beta.real, beta.imag],
                 "psi": state_document(psi, label=f"audit trial {trial} psi"),
@@ -720,3 +712,45 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
         mean_lower_margin=sum(lower_margins) / done if done else math.nan,
         worst_case=worst,
     )
+
+
+def _audit_draws(n_trials: int, max_dim: int, seed: int):
+    """(trial, psi, phi, alpha, beta, problem) of each trial, from its own
+    stream; the problem is None for a fully destructive draw."""
+    base = Xoshiro256StarStar(seed)
+    for trial in range(n_trials):
+        rng = base.spawn(trial)
+        dim_a = rng.randint(2, max_dim)
+        dim_b = rng.randint(2, max_dim)
+        psi = _haar_state(rng, dim_a, dim_b)
+        phi = _haar_state(rng, dim_a, dim_b)
+        z1 = complex(rng.gaussian(), rng.gaussian())
+        z2 = complex(rng.gaussian(), rng.gaussian())
+        norm = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2)
+        if norm == 0.0:
+            yield trial, psi, phi, None, None, None
+            continue
+        alpha, beta = z1 / norm, z2 / norm
+        try:
+            problem = SuperpositionProblem.from_states(psi, phi, alpha, beta)
+        except ZeroState:
+            problem = None
+        yield trial, psi, phi, alpha, beta, problem
+
+
+def _certified(draws):
+    """(draw, report) for each audit draw, its problem certified in a batch of
+    at most AUDIT_BATCH_COEFFS state coefficients (or alone, if larger); a
+    draw without a problem is passed on at once, with report None."""
+    batch, held = [], 0
+    for draw in draws:
+        if draw[-1] is None:
+            yield draw, None
+            continue
+        size = 2 * draw[1].coeffs.size
+        if batch and held + size > AUDIT_BATCH_COEFFS:
+            yield from zip(batch, bounds.certify_many([d[-1] for d in batch]))
+            batch, held = [], 0
+        batch.append(draw)
+        held += size
+    yield from zip(batch, bounds.certify_many([d[-1] for d in batch]))

@@ -20,6 +20,7 @@ __all__ = [
     "BipartiteState",
     "OrthogonalityClass",
     "ReducedPair",
+    "PairStack",
     "norm_squared",
     "inner_product",
     "superpose",
@@ -126,12 +127,47 @@ class ReducedPair:
 
         ``t`` is one weight, giving two floats, or an array of weights shaped
         (n, 1, 1), giving two length-n arrays from one stacked
-        eigendecomposition per side.
+        eigendecomposition per side.  Raises DomainError for a weight
+        outside [0, 1] or NaN: the mixture would not be a state.
         """
+        _check_weights(t)
         return (
             qmath.psd_entropy(t * self.a1 + (1.0 - t) * self.a2),
             qmath.psd_entropy(t * self.b1 + (1.0 - t) * self.b2),
         )
+
+
+class PairStack:
+    """Many ``ReducedPair``s (``pairs``, in input order), their operators
+    stacked by side and dimension for ``entropies``."""
+
+    def __init__(self, pairs):
+        self.pairs = list(pairs)
+        dims = [(p.a1.shape[0], p.b1.shape[0]) for p in self.pairs]
+        self._dims = np.array(dims, dtype=int).reshape(-1, 2)
+        self._stacks = {}  # (side, dim): (members, their s1 operators, their s2 operators)
+        for side, names in enumerate((("a1", "a2"), ("b1", "b2"))):
+            for d in sorted(set(self._dims[:, side].tolist())):
+                members = np.flatnonzero(self._dims[:, side] == d)
+                ops = (np.stack([getattr(self.pairs[k], x) for k in members]) for x in names)
+                self._stacks[side, d] = (members, *ops)
+
+    def entropies(self, rows: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(S_A, S_B) of t[k] |s1><s1| + (1 - t[k]) |s2><s2| for the pair
+        ``pairs[rows[k]]``, with the bits ``ReducedPair.entropies`` gives:
+        one stacked eigendecomposition per side and distinct dimension.
+        Raises DomainError for a weight outside [0, 1] or NaN."""
+        _check_weights(t)
+        out = np.empty((2, len(rows)))
+        for (side, d), (members, x1, x2) in self._stacks.items():
+            sel = np.flatnonzero(self._dims[rows, side] == d)
+            if sel.size:
+                if len(members) > 1:  # one pair is broadcast, not copied per weight
+                    at = np.searchsorted(members, rows[sel])
+                    x1, x2 = x1[at], x2[at]
+                w = t[sel, None, None]
+                out[side, sel] = qmath.psd_entropy(w * x1 + (1.0 - w) * x2)
+        return out[0], out[1]
 
 
 def norm_squared(s: BipartiteState) -> float:
@@ -203,6 +239,12 @@ def mixture_entropy(t, overlap_sq: float):
     """
     r = np.sqrt((2.0 * t - 1.0) ** 2 + 4.0 * t * (1.0 - t) * overlap_sq)
     return qmath.binary_entropy(0.5 * (1.0 + r))
+
+
+def _check_weights(t) -> None:
+    """Reject a mixture weight, or any of an array of them, outside [0, 1] or NaN."""
+    if not (0.0 <= t <= 1.0 if isinstance(t, float) else np.all((t >= 0.0) & (t <= 1.0))):
+        raise DomainError(f"mixture weights must lie in [0, 1], got {t!r}")
 
 
 def _check_dims(s1: BipartiteState, s2: BipartiteState) -> None:

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from supent.bounds import (
     T_EPS,
     SuperpositionProblem,
     certify,
+    certify_many,
     f_upper_value,
     lower_value,
     lps_upper_value,
@@ -352,27 +354,36 @@ def _pruning_problems():
         )
 
 
+def _refine(problems):
+    """``minimize_f_with_refinement`` on the problems, as ``certify_many`` calls it."""
+    stack = states.PairStack(states.ReducedPair.of(p.psi, p.phi) for p in problems)
+    e_psi, e_phi, alpha_sq, gamma_norm_sq = (
+        np.array([getattr(p, name) for p in problems])
+        for name in ("e_psi", "e_phi", "alpha_sq", "gamma_norm_sq")
+    )
+    overlap_sq = np.array([abs(p.overlap) ** 2 for p in problems])
+    pinned = stack.entropies(np.arange(len(problems)), alpha_sq)
+    return minimize_f_with_refinement(
+        e_psi, e_phi, alpha_sq, gamma_norm_sq, overlap_sq, stack, pinned
+    )
+
+
 def test_refined_pruning_matches_exhaustive_grid(monkeypatch):
     seen = []
-    minimize = optimize.minimize_scalar
+    minimize = optimize.minimize_many
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("grid_values"))
-        return minimize(*args, **kwargs)
+    def spy(f, a, b, grid_values):
+        seen.append(grid_values)
+        return minimize(f, a, b, grid_values)
 
-    monkeypatch.setattr(optimize, "minimize_scalar", spy)
-    for p in _pruning_problems():
-        seen.clear()
-        _, result = minimize_f_with_refinement(
-            p.e_psi,
-            p.e_phi,
-            p.alpha_sq,
-            p.gamma_norm_sq,
-            abs(p.overlap) ** 2,
-            states.ReducedPair.of(p.psi, p.phi).entropies,
-        )
-        # the plain f search runs first, then the refined one, each given grid values
-        _, pruned = seen
+    monkeypatch.setattr(optimize, "minimize_many", spy)
+    problems = list(_pruning_problems())
+    results = _refine(problems)
+    # the plain f search runs first, then the refined one, each given the
+    # grid values of every problem
+    _, pruned_rows = seen
+    assert len(pruned_rows) == len(results) == len(problems)
+    for p, pruned, (_, result) in zip(problems, pruned_rows, results):
         reference, expected = _reference_refined(p)
         assert int(np.argmin(pruned)) == int(np.argmin(reference))
         # every grid value is exact, or lies above the grid minimum
@@ -413,6 +424,27 @@ def test_array_weights_are_checked_entrywise():
         f_upper_value(np.array([0.5, 0.0, 1.0]), 1.0, 1.0, 0.5, 1.0)
     with pytest.raises(DomainError, match="t=1.0 "):
         bounds.lower_value(np.array([0.5, 1.0]), 1.0, 1.0, 0.5, 0.5, "L1")
+
+
+def test_weights_are_coerced_to_a_float_or_a_float_array():
+    upper, low = (1.0, 2.0, 0.3, 0.9), (1.0, 2.0, 0.3, 0.7)
+    ts = [0.2, 0.5, 0.7]
+    # a sequence of weights is an array of them, with the same bits
+    assert f_upper_value(ts, *upper).tolist() == f_upper_value(np.array(ts), *upper).tolist()
+    for branch in ("L1", "L2"):
+        as_array = lower_value(np.array(ts), *low, branch)
+        assert lower_value(ts, *low, branch).tolist() == as_array.tolist()
+    # any real scalar is a float
+    for t in (np.float32(0.5), np.float64(0.5), np.int64(1) / 2, Fraction(1, 2)):
+        assert type(f_upper_value(t, *upper)) is float
+        assert f_upper_value(t, *upper) == f_upper_value(0.5, *upper)
+        assert type(lower_value(t, *low, "L1")) is float
+        assert lower_value(t, *low, "L1") == lower_value(0.5, *low, "L1")
+    for t in ("0.5", ["0.5"], None, [0.5, None], 0.5j, [[0.5], [0.5, 0.6]]):
+        with pytest.raises(DomainError):
+            f_upper_value(t, *upper)
+        with pytest.raises(DomainError):
+            lower_value(t, *low, "L2")
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,14 +496,7 @@ def test_refined_search_eigendecomposes_few_grid_points(d, monkeypatch):
             random_state(rng, d, d), random_state(rng, d, d), alpha, beta
         )
         stacked.clear()
-        minimize_f_with_refinement(
-            p.e_psi,
-            p.e_phi,
-            p.alpha_sq,
-            p.gamma_norm_sq,
-            abs(p.overlap) ** 2,
-            states.ReducedPair.of(p.psi, p.phi).entropies,
-        )
+        _refine([p])
         # one stacked call per side for each batch of grid points
         assert 0 < sum(stacked) // 2 <= 64
 
@@ -722,6 +747,82 @@ def test_certify_derives_each_pair_quantity_once(kind, monkeypatch):
     report = certify(psi, phi, 0.6, 0.8)
     assert (report.exact_one_sided is not None) == (kind == "one_sided")
     assert calls == {"reduced_density": 4, "inner_product": 1, "normalized": 2}
+
+
+def _hexed(report):
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)]
+
+
+def _mixed_draws():
+    """(psi, phi, alpha, beta) as the audit draws them, with mixed dimensions
+    on either side, and one-sided pairs with weights at and past the window."""
+    rng = np.random.default_rng(101)
+    for _ in range(40):
+        dim_a, dim_b = rng.integers(2, 7, 2)
+        yield (
+            random_state(rng, dim_a, dim_b),
+            random_state(rng, dim_a, dim_b),
+            *random_sphere_pair(rng),
+        )
+    for seed, alpha_sq in enumerate((1e-6, 1.0 - 1e-6, 1e-10, 1.0)):
+        psi, phi = harness.generate_one_sided_pair(2, 2, 3, 700 + seed)
+        yield psi, phi, math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)
+
+
+def _stationary_at_alpha_sq():
+    """Problems with E(psi) set so that f is stationary at t = |alpha|^2
+    (Theorem 3's condition), which makes |alpha|^2 the plain minimizer of
+    some of them."""
+    rng = np.random.default_rng(103)
+    psi, phi = random_state(rng, 3, 4), random_state(rng, 3, 4)
+    for x in np.linspace(0.3, 0.9, 13).tolist():
+        p = SuperpositionProblem.from_states(psi, phi, x, math.sqrt(1.0 - x * x))
+        a = p.alpha_sq
+        for e_phi in (0.5, 1.0, 2.0):
+            e_psi = (1.0 - a) / a * (e_phi - math.log2(1.0 - a)) + math.log2(a)
+            if e_psi >= 0.0:
+                yield dataclasses.replace(p, e_psi=e_psi, e_phi=e_phi)
+
+
+def test_certify_many_equals_certify_bit_for_bit():
+    draws = list(_mixed_draws())
+    built = [SuperpositionProblem.from_states(*draw) for draw in draws]
+    problems = list(_pruning_problems()) + list(_stationary_at_alpha_sq())
+    at_alpha_sq = [
+        p
+        for p in problems
+        if minimize_f_scalar(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)[1] == p.alpha_sq
+    ]
+    assert at_alpha_sq
+    for edge in (1e-6, 1.0 - 1e-6):
+        assert any(abs(p.alpha_sq - edge) < 1e-12 for p in problems + built)
+    reports = certify_many(built + problems)
+    alone = [certify(*draw) for draw in draws] + [certify_many([p])[0] for p in problems]
+    assert [_hexed(r) for r in reports] == [_hexed(r) for r in alone]
+    assert certify_many([]) == []
+
+
+def test_certify_eigendecomposes_the_audit_in_few_calls(monkeypatch):
+    calls, matrices = [], []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        calls.append(1)
+        matrices.append(int(np.prod(a.shape[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    harness.random_audit(64, 6, seed=7)
+    # trial by trial this is 5,632 calls for the same 9,174 matrices
+    assert sum(matrices) == 9174
+    assert len(calls) <= 1000
+    # a single problem makes the calls it made before the batch search: one
+    # per side for t = |alpha|^2, the knots and the unpruned grid points,
+    # and one per side at each golden-section point
+    calls.clear()
+    certify(harness.haar_random_state(4, 4, 1), harness.haar_random_state(4, 4, 2), 0.6, 0.8)
+    assert len(calls) <= 88
 
 
 def test_certify_haar_random():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from supent import bounds, states
+from supent import bounds, harness, states
 from supent.errors import DimError, ParseError
 from supent.harness import (
     AuditSummary,
@@ -322,6 +322,23 @@ def test_audit_worst_case_is_reproducible():
     beta = complex(*worst["beta"])
     report = bounds.certify(psi, phi, alpha, beta)
     assert report.exact_e == pytest.approx(worst["exact_e"], abs=1e-12)
+
+
+def test_audit_summary_does_not_depend_on_its_batches(monkeypatch):
+    batches = []
+    certify_many = bounds.certify_many
+
+    def spy(problems):
+        batches.append(len(problems))
+        return certify_many(problems)
+
+    monkeypatch.setattr(bounds, "certify_many", spy)
+    together = random_audit(40, 6, seed=11)
+    monkeypatch.setattr(harness, "AUDIT_BATCH_COEFFS", 1)
+    one_by_one = random_audit(40, 6, seed=11)
+    assert batches == [40] + [1] * 40
+    # JSON writes each float as its repr, which keeps every bit
+    assert json.dumps(one_by_one.to_dict()) == json.dumps(together.to_dict())
 
 
 def test_audit_rejects_bad_arguments():

@@ -3,10 +3,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supent import bounds
 from supent.errors import NonFiniteObjective
-from supent.optimize import grid_points, maximize_scalar, minimize_scalar
+from supent.optimize import grid_points, maximize_scalar, minimize_many, minimize_scalar
 
 
 def test_minimize_quadratic():
@@ -94,3 +96,56 @@ def test_family_objective_minimizer_near_three_sevenths():
     res = minimize_scalar(f, 1e-9, 1.0 - 1e-9)
     assert res.x_star == pytest.approx(3.0 / 7.0, abs=0.01)
 
+
+
+def _wavy(center, ripple, freq):
+    return lambda x: (x - center) ** 2 + ripple * math.sin(freq * x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.floats(-0.5, 1.5), st.floats(0.0, 0.2), st.floats(1.0, 40.0)),
+        min_size=1,
+        max_size=6,
+    ),
+    grid_n=st.integers(3, 65),
+)
+def test_lockstep_search_equals_separate_searches(rows, grid_n):
+    # minima left of 0 or right of 1 put a row's best grid point on the edge,
+    # where its bracket is one grid step wide and finishes early
+    fs = [_wavy(*row) for row in rows]
+    xs = grid_points(0.0, 1.0, grid_n)
+    calls = []
+
+    def f(r, x):
+        calls.append(r)
+        if isinstance(r, int):
+            return fs[r](x)
+        return np.array([fs[k](v) for k, v in zip(r.tolist(), x.tolist())])
+
+    together = minimize_many(f, 0.0, 1.0, np.array([[g(x) for x in xs] for g in fs]))
+    alone = [minimize_scalar(g, 0.0, 1.0, grid_n=grid_n) for g in fs]
+    assert [(r.value, r.x_star, r.iterations, r.converged) for r in together] == [
+        (r.value, r.x_star, r.iterations, r.converged) for r in alone
+    ]
+    # one call per step for all the searches still going, plus the two
+    # initial points; a lone search gets an int row and a float
+    assert len(calls) == 2 + max(r.iterations for r in alone)
+    assert all(isinstance(r, int) == (len(fs) == 1) for r in calls[:2])
+
+
+def test_lockstep_non_finite_value_names_its_point():
+    xs = grid_points(0.0, 1.0, 5)
+    grid = np.array([[x * x for x in xs], list(xs)])
+
+    def f(r, x):
+        if isinstance(r, int):
+            return x * x
+        return np.where(r == 1, np.nan, x * x)
+
+    # the second row's best grid point is 0, so its first point is
+    # c = hi - (hi - lo) / phi in the bracket [0, xs[1]]
+    c = xs[1] - xs[1] * (math.sqrt(5.0) - 1.0) / 2.0
+    with pytest.raises(NonFiniteObjective, match=re.escape(f"nan at x={c!r}") + "$"):
+        minimize_many(f, 0.0, 1.0, grid)

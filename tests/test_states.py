@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_state, random_sphere_pair, random_unitary
-from supent import harness, qmath
+from supent import harness, qmath, states
 from supent.errors import DimMismatch, DomainError, NotNormalized, ZeroState
 from supent.qmath import binary_entropy
 from supent.states import (
@@ -270,6 +270,36 @@ def test_reduced_mixture_entropies_identical_states():
         s_a, s_b = ReducedPair.of(s, s).entropies(t)
         assert s_a == pytest.approx(e, abs=1e-10)
         assert s_b == pytest.approx(e, abs=1e-10)
+
+
+def test_reduced_pair_entropies_reject_weights_outside_the_unit_interval():
+    pair = ReducedPair.of(*harness.overlapping_triple_pair())
+    for t in (1.5, -0.2, math.nan):
+        with pytest.raises(DomainError):
+            pair.entropies(t)
+        with pytest.raises(DomainError):
+            pair.entropies(np.array([0.25, t, 0.5])[:, None, None])
+    # both ends of the interval are mixtures
+    assert pair.entropies(0.0) == pytest.approx((1.5, 1.5), abs=1e-12)
+    assert pair.entropies(np.array([1.0])[:, None, None])[0].tolist() == pytest.approx([1.5])
+
+
+def test_pair_stack_gives_each_pair_its_own_bits():
+    rng = np.random.default_rng(37)
+    pairs = [
+        ReducedPair.of(random_state(rng, dim_a, dim_b), random_state(rng, dim_a, dim_b))
+        for dim_a, dim_b in ((2, 3), (3, 3), (2, 5), (4, 3), (2, 3), (3, 4))
+    ]
+    stack = states.PairStack(pairs)
+    rows = np.array([0, 3, 3, 1, 5, 4, 2, 0, 4])
+    t = rng.uniform(0.0, 1.0, rows.size)
+    s_a, s_b = stack.entropies(rows, t)
+    alone = [pairs[r].entropies(w) for r, w in zip(rows.tolist(), t.tolist())]
+    assert s_a.tolist() == [a for a, _ in alone]
+    assert s_b.tolist() == [b for _, b in alone]
+    for bad in (1.5, -0.2, math.nan):
+        with pytest.raises(DomainError):
+            stack.entropies(rows[:3], np.array([0.5, bad, 0.5]))
 
 
 # -- joint properties ------------------------------------------------------------
