@@ -297,8 +297,8 @@ def minimize_f_with_refinement(
     optimum at or below the plain one.
 
     The refined f subtracts Delta(t) = |S_A(t) - S_B(t)|, the gap between the
-    reduced entropies of t |psi><psi| + (1-t) |phi><phi|.  ``stack`` holds
-    the ``states.ReducedPair`` of each problem, and ``pinned`` their
+    reduced entropies of t |psi><psi| + (1-t) |phi><phi|.  Row k of ``stack``
+    holds the reduced operators of problem k, and ``pinned`` their
     (S_A, S_B) at t = |alpha|^2.  ``overlap_sq`` is |<psi|phi>|^2.
 
     The grid stage eigendecomposes only the points that could be the grid
@@ -329,10 +329,7 @@ def minimize_f_with_refinement(
     f = _pointwise(_f_value, cols)
 
     def objective(rows, t):
-        if isinstance(rows, int):
-            s_a, s_b = stack.pairs[rows].entropies(t)
-        else:
-            s_a, s_b = stack.entropies(rows, t)
+        s_a, s_b = stack.entropies(rows, t)
         return f(rows, t, s_a - s_b)
 
     def on_grid(rows, i, s_a, s_b):
@@ -564,8 +561,7 @@ def certify_many(problems: Sequence[SuperpositionProblem]) -> list[BoundReport]:
     problems in lockstep, and each step of the refined search takes one
     stacked eigendecomposition per side and distinct dimension."""
     problems = list(problems)
-    pairs = [states.ReducedPair.of(p.psi, p.phi) for p in problems]
-    stack = states.PairStack(pairs)
+    stack = states.PairStack((p.psi, p.phi) for p in problems)
     e_psi, e_phi, asq, bsq, n2 = (
         np.array([getattr(p, name) for p in problems], dtype=float)
         for name in ("e_psi", "e_phi", "alpha_sq", "beta_sq", "gamma_norm_sq")
@@ -574,20 +570,19 @@ def certify_many(problems: Sequence[SuperpositionProblem]) -> list[BoundReport]:
     pinned = stack.entropies(np.arange(len(problems)), asq)
     upper = minimize_f_with_refinement(e_psi, e_phi, asq, n2, overlap_sq, stack, pinned)
     lower = _maximize_lower(e_psi, e_phi, asq / n2, bsq / n2)
-    return [
-        _report(*args)
-        for args in zip(problems, pairs, pinned[0].tolist(), pinned[1].tolist(), upper, lower)
-    ]
+    found = zip(problems, pinned[0].tolist(), pinned[1].tolist(), upper, lower)
+    return [_report(stack, row, *args) for row, args in enumerate(found)]
 
 
-def _report(p, pair, s_a, s_b, upper, lower) -> BoundReport:
-    """Problem ``p``'s report, given what ``certify_many`` computed for it."""
+def _report(stack, row, p, s_a, s_b, upper, lower) -> BoundReport:
+    """Problem ``p``'s report, given what ``certify_many`` computed for it as
+    row ``row`` of ``stack``."""
     ((t3, t3_star), (t3r, _)), (raw, low_t, branch) = upper, lower
     exact = states.entanglement_entropy(p.gamma)
     lps = lps_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
     t2 = theorem2_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=s_a - s_b)
     low = max(0.0, raw)
-    one_sided = states.classify_orthogonality(pair).one_sided
+    one_sided = states.classify_orthogonality(stack, row).one_sided
     upper_min = min(lps, t2, t3, t3r)
     return BoundReport(
         exact_e=exact,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -259,8 +260,11 @@ def family_state_probs(d: int) -> np.ndarray:
 
 
 def _family_dim(d) -> int:
-    """``d`` as an int, checked against the family's range before any allocation."""
-    if not 2 <= int(d) <= MAX_FAMILY_DIM:
+    """``d`` as an int, checked to be an integer in the family's range before
+    any allocation."""
+    if not isinstance(d, numbers.Integral) or isinstance(d, bool):
+        raise ValueError(f"family dimension d = {d!r} is not an integer")
+    if not 2 <= d <= MAX_FAMILY_DIM:
         raise ValueError(f"family dimension d = {d} outside [2, {MAX_FAMILY_DIM}]")
     return int(d)
 
@@ -339,8 +343,8 @@ def _example1_rows() -> list[ExampleRow]:
         beta = math.sqrt(1.0 - alpha * alpha)
         case = f"E1[alpha={alpha:.4g}]"
         prob = SuperpositionProblem.from_states(psi, phi, alpha, beta)
-        report = bounds.certify(psi, phi, alpha, beta)
-        s_a, s_b = states.ReducedPair.of(prob.psi, prob.phi).entropies(prob.alpha_sq)
+        (report,) = bounds.certify_many([prob])
+        s_a, s_b = states.PairStack([(prob.psi, prob.phi)]).entropies(0, prob.alpha_sq)
         rows.append(_check_row(case, "E(psi)", prob.e_psi, 1.0, 1e-9))
         rows.append(_check_row(case, "E(phi)", prob.e_phi, 1.0, 1e-9))
         rows.append(_check_row(case, "exact_e", report.exact_e, 1.0, 1e-9))
@@ -359,9 +363,9 @@ def _example2_rows() -> list[ExampleRow]:
     s = 1.0 / math.sqrt(2.0)
     psi, phi = overlapping_triple_pair()
     prob = SuperpositionProblem.from_states(psi, phi, s, s)
-    report = bounds.certify(psi, phi, s, s)
+    (report,) = bounds.certify_many([prob])
     exact, lps, t2 = report.exact_e, report.lps_upper, report.theorem2_upper
-    s_a, s_b = states.ReducedPair.of(prob.psi, prob.phi).entropies(prob.alpha_sq)
+    s_a, s_b = states.PairStack([(prob.psi, prob.phi)]).entropies(0, prob.alpha_sq)
     rows = [
         _check_row(case, "E(psi)", prob.e_psi, 1.5, 1e-9),
         _check_row(case, "E(phi)", prob.e_phi, 1.5, 1e-9),

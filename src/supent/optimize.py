@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -83,6 +83,9 @@ def minimize_many(
     equal minima) until it is narrower than TOL; one on the edge starts one
     grid step wide and finishes early.  Each step is one call ``f(rows, x)``
     for the searches still going, and each search gets the bits it gets alone.
+    Each grid value must be ``f`` there or above its row's grid minimum of
+    ``f``, which leaves the best grid point, and with it the whole search,
+    unchanged.
     """
     vals = np.asarray(grid_values, dtype=float)
     n, grid_n = vals.shape
@@ -145,42 +148,19 @@ def _golden_section(lo: float, hi: float, best_x: float, best_v: float):
     return OptimizerResult(best_x, best_v, iterations, converged=(hi - lo) <= TOL)
 
 
-def minimize_scalar(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    grid_n: int = DEFAULT_GRID_N,
-    grid_values: Optional[np.ndarray | Sequence[float]] = None,
-) -> OptimizerResult:
+def minimize_scalar(f: Callable[[float], float], a: float, b: float) -> OptimizerResult:
     """Global-ish minimization of ``f(x)`` on [a, b]: ``minimize_many`` for one
-    search, from ``f`` on ``grid_points(a, b, grid_n)`` or from
-    ``grid_values`` there.  The coarse grid guards against multiple local
-    minima, and the value never exceeds any grid sample.  Each grid value
-    must be ``f`` there or above the grid minimum of ``f``, which leaves the
-    best grid point, and with it the whole search, unchanged.
+    search, from ``f`` on ``grid_points(a, b, DEFAULT_GRID_N)``.  The coarse
+    grid guards against multiple local minima, and the value never exceeds
+    any grid sample.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
-    if grid_n < 3:
-        raise ValueError("grid_n must be at least 3")
-    if grid_values is None:
-        grid_values = [f(x) for x in grid_points(a, b, grid_n)]
-    vals = np.asarray(grid_values, dtype=float)
-    if vals.shape != (grid_n,):
-        raise ValueError(f"expected {grid_n} grid values, got shape {vals.shape}")
-    return minimize_many(lambda _, x: f(x), a, b, vals[None, :])[0]
+    vals = np.asarray([[f(x) for x in grid_points(a, b, DEFAULT_GRID_N)]], dtype=float)
+    return minimize_many(lambda _, x: f(x), a, b, vals)[0]
 
 
-def maximize_scalar(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    grid_n: int = DEFAULT_GRID_N,
-    grid_values: Optional[np.ndarray | Sequence[float]] = None,
-) -> OptimizerResult:
-    """As ``minimize_scalar`` with the sign flipped, ``grid_values`` included."""
-    if grid_values is not None:
-        grid_values = -np.asarray(grid_values, dtype=float)
-    res = minimize_scalar(lambda x: -f(x), a, b, grid_n, grid_values)
+def maximize_scalar(f: Callable[[float], float], a: float, b: float) -> OptimizerResult:
+    """As ``minimize_scalar`` with the sign flipped."""
+    res = minimize_scalar(lambda x: -f(x), a, b)
     return replace(res, value=-res.value)
-

@@ -19,7 +19,6 @@ from .errors import DimMismatch, DomainError, NotNormalized, ZeroState
 __all__ = [
     "BipartiteState",
     "OrthogonalityClass",
-    "ReducedPair",
     "PairStack",
     "norm_squared",
     "inner_product",
@@ -32,7 +31,7 @@ __all__ = [
 
 ZERO_NORM_SQ = 1e-12
 ORTHOGONALITY_TOL = 1e-9
-# How far the squared norm of each state of a ReducedPair may stray from 1.
+# How far the squared norm of each state of a PairStack may stray from 1.
 # normalized() leaves a few ulps; a state that was never normalized misses
 # by far more, and would scale every trace overlap and entropy it feeds.
 UNIT_NORM_TOL = 1e-8
@@ -74,7 +73,11 @@ class BipartiteState:
         peak = float(np.max(np.abs(self.coeffs), initial=0.0))
         if peak == 0.0:
             raise ZeroState("cannot normalize the zero state")
-        scaled = self.coeffs / peak
+        # numpy divides a complex array by multiplying with 1 / peak, which
+        # overflows for a subnormal peak.  Scaling the real and imaginary
+        # parts by 2^-e first is exact and leaves the quotient's bits alone.
+        mantissa, e = math.frexp(peak)
+        scaled = np.ldexp(self.coeffs.view(float), -e).view(complex) / mantissa
         return BipartiteState(scaled / np.sqrt(np.vdot(scaled, scaled).real))
 
 
@@ -99,71 +102,65 @@ class OrthogonalityClass:
         return self.one_sided_eq1 and self.one_sided_eq2
 
 
-@dataclass(frozen=True)
-class ReducedPair:
-    """Reduced operators of two normalized states on each side, built once.
+class PairStack:
+    """Reduced operators of many pairs (s1, s2) of normalized states.
 
-    ``a1``, ``a2`` are rho_A of s1, s2 and ``b1``, ``b2`` their rho_B.
+    Each of a pair's four operators rho_X(s) is built once and held only in
+    the stack of its side X and dimension; ``operators`` gives a row's as
+    views of those stacks.
     """
 
-    a1: np.ndarray
-    a2: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-
-    @classmethod
-    def of(cls, s1: BipartiteState, s2: BipartiteState) -> "ReducedPair":
-        """Raises DimMismatch for states on different spaces and NotNormalized
-        unless each squared norm is 1 within UNIT_NORM_TOL."""
-        _check_dims(s1, s2)
-        pair = cls(*(reduced_density(s, side) for side in "AB" for s in (s1, s2)))
-        for rho in (pair.a1, pair.a2):
-            if abs(np.trace(rho).real - 1.0) > UNIT_NORM_TOL:
-                raise NotNormalized("a reduced pair needs normalized states")
-        return pair
-
-    def entropies(self, t):
-        """(S_A, S_B) of t |s1><s1| + (1-t) |s2><s2|.
-
-        ``t`` is one weight, giving two floats, or an array of weights shaped
-        (n, 1, 1), giving two length-n arrays from one stacked
-        eigendecomposition per side.  Raises DomainError for a weight
-        outside [0, 1] or NaN: the mixture would not be a state.
-        """
-        _check_weights(t)
-        return (
-            qmath.psd_entropy(t * self.a1 + (1.0 - t) * self.a2),
-            qmath.psd_entropy(t * self.b1 + (1.0 - t) * self.b2),
-        )
-
-
-class PairStack:
-    """Many ``ReducedPair``s (``pairs``, in input order), their operators
-    stacked by side and dimension for ``entropies``."""
-
     def __init__(self, pairs):
-        self.pairs = list(pairs)
-        dims = [(p.a1.shape[0], p.b1.shape[0]) for p in self.pairs]
-        self._dims = np.array(dims, dtype=int).reshape(-1, 2)
-        self._stacks = {}  # (side, dim): (members, their s1 operators, their s2 operators)
-        for side, names in enumerate((("a1", "a2"), ("b1", "b2"))):
+        """Raises DimMismatch for a pair on different spaces and NotNormalized
+        unless each squared norm is 1 within UNIT_NORM_TOL."""
+        pairs = list(pairs)
+        for s1, s2 in pairs:
+            _check_dims(s1, s2)
+            if any(abs(norm_squared(s) - 1.0) > UNIT_NORM_TOL for s in (s1, s2)):
+                raise NotNormalized("a pair stack needs normalized states")
+        self._dims = np.array([s1.coeffs.shape for s1, _ in pairs], dtype=int).reshape(-1, 2)
+        self._index = np.empty_like(self._dims)  # each row's place in its stack on each side
+        self._stacks = {}  # (side, dim): (s1 operators, s2 operators) of its members
+        self._views = [[None, None] for _ in pairs]  # each row's operators on each side
+        for side, name in enumerate("AB"):
             for d in sorted(set(self._dims[:, side].tolist())):
                 members = np.flatnonzero(self._dims[:, side] == d)
-                ops = (np.stack([getattr(self.pairs[k], x) for k in members]) for x in names)
-                self._stacks[side, d] = (members, *ops)
+                self._index[members, side] = np.arange(members.size)
+                x1, x2 = (
+                    np.stack([reduced_density(pairs[k][i], name) for k in members]) for i in (0, 1)
+                )
+                self._stacks[side, d] = x1, x2
+                for j, k in enumerate(members.tolist()):
+                    self._views[k][side] = x1[j], x2[j]
 
-    def entropies(self, rows: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(S_A, S_B) of t[k] |s1><s1| + (1 - t[k]) |s2><s2| for the pair
-        ``pairs[rows[k]]``, with the bits ``ReducedPair.entropies`` gives:
-        one stacked eigendecomposition per side and distinct dimension.
-        Raises DomainError for a weight outside [0, 1] or NaN."""
+    def operators(self, row: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Pair ``row``'s [(rho_A(s1), rho_A(s2)), (rho_B(s1), rho_B(s2))], as
+        views of the stacks."""
+        return self._views[row]
+
+    def entropies(self, rows, t):
+        """(S_A, S_B) of t |s1><s1| + (1-t) |s2><s2| for the pair in row ``rows``.
+
+        ``rows`` is an int and ``t`` a float, giving two floats from that
+        row's operators, or ``rows`` an int array and ``t`` an array of
+        weights, one per row, giving two arrays from one stacked
+        eigendecomposition per side and distinct dimension; both give each
+        pair the same bits.  Raises DomainError for a weight outside [0, 1]
+        or NaN: the mixture would not be a state.
+        """
         _check_weights(t)
+        if isinstance(rows, int):
+            (a1, a2), (b1, b2) = self.operators(rows)
+            return (
+                qmath.psd_entropy(t * a1 + (1.0 - t) * a2),
+                qmath.psd_entropy(t * b1 + (1.0 - t) * b2),
+            )
         out = np.empty((2, len(rows)))
-        for (side, d), (members, x1, x2) in self._stacks.items():
+        for (side, d), (x1, x2) in self._stacks.items():
             sel = np.flatnonzero(self._dims[rows, side] == d)
             if sel.size:
-                if len(members) > 1:  # one pair is broadcast, not copied per weight
-                    at = np.searchsorted(members, rows[sel])
+                if len(x1) > 1:  # one pair is broadcast, not copied per weight
+                    at = self._index[rows[sel], side]
                     x1, x2 = x1[at], x2[at]
                 w = t[sel, None, None]
                 out[side, sel] = qmath.psd_entropy(w * x1 + (1.0 - w) * x2)
@@ -210,17 +207,19 @@ def entanglement_entropy(s: BipartiteState) -> float:
     return qmath.shannon_entropy(probs)
 
 
-def classify_orthogonality(pair: ReducedPair) -> OrthogonalityClass:
-    """Classify the pair per the reduced-support overlap on each side.
+def classify_orthogonality(stack: PairStack, row: int) -> OrthogonalityClass:
+    """Classify pair ``row`` of ``stack`` per the reduced-support overlap on
+    each side.
 
     A side counts as orthogonal when the trace overlap Tr[rho(psi) rho(phi)]
     of its two reduced operators is at most ORTHOGONALITY_TOL.
     One-sidedness on either side implies ordinary orthogonality of the
     states themselves.
     """
+    (a1, a2), (b1, b2) = stack.operators(row)
     return OrthogonalityClass(
-        one_sided_eq1=_trace_overlap(pair.b1, pair.b2) <= ORTHOGONALITY_TOL,
-        one_sided_eq2=_trace_overlap(pair.a1, pair.a2) <= ORTHOGONALITY_TOL,
+        one_sided_eq1=_trace_overlap(b1, b2) <= ORTHOGONALITY_TOL,
+        one_sided_eq2=_trace_overlap(a1, a2) <= ORTHOGONALITY_TOL,
     )
 
 

@@ -133,7 +133,7 @@ def test_exact_one_sided_absent_for_overlapping_pairs():
     pairs = [harness.overlapping_triple_pair()]
     pairs += [(random_state(rng, 3, 4), random_state(rng, 3, 4)) for _ in range(3)]
     for psi, phi in pairs:
-        assert not states.classify_orthogonality(states.ReducedPair.of(psi, phi)).one_sided
+        assert not states.classify_orthogonality(states.PairStack([(psi, phi)]), 0).one_sided
         assert certify(psi, phi, INV_SQRT2, INV_SQRT2).exact_one_sided is None
 
 
@@ -356,7 +356,7 @@ def _pruning_problems():
 
 def _refine(problems):
     """``minimize_f_with_refinement`` on the problems, as ``certify_many`` calls it."""
-    stack = states.PairStack(states.ReducedPair.of(p.psi, p.phi) for p in problems)
+    stack = states.PairStack((p.psi, p.phi) for p in problems)
     e_psi, e_phi, alpha_sq, gamma_norm_sq = (
         np.array([getattr(p, name) for p in problems])
         for name in ("e_psi", "e_phi", "alpha_sq", "gamma_norm_sq")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ def test_haar_ensemble_mean_matches_independent_sampler():
 def test_one_sided_generator_classification():
     for seed in range(10):
         psi, phi = generate_one_sided_pair(2, 3, 3, seed)
-        cls = states.classify_orthogonality(states.ReducedPair.of(psi, phi))
+        cls = states.classify_orthogonality(states.PairStack([(psi, phi)]), 0)
         assert cls.one_sided_eq1
         assert states.norm_squared(psi) == pytest.approx(1.0, abs=1e-9)
         assert states.norm_squared(phi) == pytest.approx(1.0, abs=1e-9)
@@ -141,7 +142,7 @@ def test_one_sided_generator_single_term_blocks():
     psi, phi = generate_one_sided_pair(1, 1, 2, seed=3)
     assert entanglement_entropy(psi) == pytest.approx(0.0, abs=1e-9)
     assert entanglement_entropy(phi) == pytest.approx(0.0, abs=1e-9)
-    assert states.classify_orthogonality(states.ReducedPair.of(psi, phi)).one_sided_eq1
+    assert states.classify_orthogonality(states.PairStack([(psi, phi)]), 0).one_sided_eq1
 
 
 def test_one_sided_generator_block_structure():
@@ -247,6 +248,18 @@ def test_sweep_degenerate_dimension_two():
 def test_sweep_rejects_unknown_family():
     with pytest.raises(ValueError):
         dimension_sweep([5], "example5")
+
+
+def test_sweep_rejects_non_integral_dimensions_before_allocating(monkeypatch):
+    def allocates(d):
+        raise AssertionError(f"allocated a record for d = {d!r}")
+
+    monkeypatch.setattr(harness, "family_state_probs", allocates)
+    for bad in (257.9, 257.0, "257", math.inf, math.nan, True, np.float64(257.0)):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            dimension_sweep([5, bad], "example3")
+    with pytest.raises(AssertionError, match="d = 5$"):
+        dimension_sweep([np.int64(5)], "example3")
 
 
 def test_sweep_csv_format():

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 
 from supent import bounds
 from supent.errors import NonFiniteObjective
-from supent.optimize import grid_points, maximize_scalar, minimize_many, minimize_scalar
+from supent.optimize import (
+    DEFAULT_GRID_N,
+    grid_points,
+    maximize_scalar,
+    minimize_many,
+    minimize_scalar,
+)
 
 
 def test_minimize_quadratic():
@@ -23,38 +30,39 @@ def test_minimize_boundary_minimum():
     assert res.value == pytest.approx(0.0, abs=1e-8)
 
 
+def _on_grid(f, a, b, grid_n):
+    """minimize_many's objective and (1, grid_n) grid values for one search of f."""
+    return (lambda _, x: f(x)), a, b, np.array([[f(x) for x in grid_points(a, b, grid_n)]])
+
+
 def test_minimize_value_never_exceeds_grid_samples():
     f = lambda x: math.sin(13.0 * x) + 0.3 * x
-    res = minimize_scalar(f, 0.0, 3.0, grid_n=101)
-    grid_min = min(f(x) for x in grid_points(0.0, 3.0, 101))
-    assert res.value <= grid_min + 1e-15
+    g, a, b, grid = _on_grid(f, 0.0, 3.0, 101)
+    (res,) = minimize_many(g, a, b, grid)
+    assert res.value <= grid.min() + 1e-15
 
 
 def test_minimize_grid_values_above_the_minimum_change_nothing():
     f = lambda x: math.sin(13.0 * x) + 0.3 * x
     xs = grid_points(0.0, 3.0, 101)
-    exact = [f(x) for x in xs]
-    lowest = min(exact)
-    raised = [v if v == lowest else v + 1.0 for v in exact]
-    assert minimize_scalar(f, 0.0, 3.0, grid_n=101, grid_values=raised) == minimize_scalar(
-        f, 0.0, 3.0, grid_n=101
-    )
-    with pytest.raises(ValueError):
-        minimize_scalar(f, 0.0, 3.0, grid_n=101, grid_values=exact[:-1])
+    g, a, b, exact = _on_grid(f, 0.0, 3.0, 101)
+    raised = np.where(exact == exact.min(), exact, exact + 1.0)
+    assert minimize_many(g, a, b, raised) == minimize_many(g, a, b, exact)
     # a non-finite grid value is reported with its point
+    last_nan = exact.copy()
+    last_nan[0, -1] = math.nan
     with pytest.raises(NonFiniteObjective, match=re.escape(f"nan at x={xs[-1]!r}") + "$"):
-        minimize_scalar(f, 0.0, 3.0, grid_n=101, grid_values=exact[:-1] + [math.nan])
-    one_nan = np.array(exact)
-    one_nan[7] = math.nan
+        minimize_many(g, a, b, last_nan)
+    one_nan = exact.copy()
+    one_nan[0, 7] = math.nan
     with pytest.raises(NonFiniteObjective, match=re.escape(f"nan at x={xs[7]!r}") + "$"):
-        minimize_scalar(f, 0.0, 3.0, grid_n=101, grid_values=one_nan)
+        minimize_many(g, a, b, one_nan)
 
 
 def test_maximize_with_grid_values_matches_scalar_grid():
     f = lambda x: math.cos(7.0 * x) - (x - 0.4) ** 2
-    xs = grid_points(0.0, 2.0, 65)
-    with_values = maximize_scalar(f, 0.0, 2.0, grid_n=65, grid_values=np.array([f(x) for x in xs]))
-    assert with_values == maximize_scalar(f, 0.0, 2.0, grid_n=65)
+    (res,) = minimize_many(*_on_grid(lambda x: -f(x), 0.0, 2.0, DEFAULT_GRID_N))
+    assert maximize_scalar(f, 0.0, 2.0) == replace(res, value=-res.value)
 
 
 def test_maximize_quadratic():
@@ -125,7 +133,7 @@ def test_lockstep_search_equals_separate_searches(rows, grid_n):
         return np.array([fs[k](v) for k, v in zip(r.tolist(), x.tolist())])
 
     together = minimize_many(f, 0.0, 1.0, np.array([[g(x) for x in xs] for g in fs]))
-    alone = [minimize_scalar(g, 0.0, 1.0, grid_n=grid_n) for g in fs]
+    alone = [minimize_many(*_on_grid(g, 0.0, 1.0, grid_n))[0] for g in fs]
     assert [(r.value, r.x_star, r.iterations, r.converged) for r in together] == [
         (r.value, r.x_star, r.iterations, r.converged) for r in alone
     ]

@@ -9,7 +9,7 @@ from supent.errors import DimMismatch, DomainError, NotNormalized, ZeroState
 from supent.qmath import binary_entropy
 from supent.states import (
     BipartiteState,
-    ReducedPair,
+    PairStack,
     classify_orthogonality,
     entanglement_entropy,
     inner_product,
@@ -137,7 +137,7 @@ def test_entanglement_zero_state_rejected():
 
 def test_normalized_scales_tiny_amplitudes_first():
     unit = BipartiteState(np.array([[1.0, -0.5j], [0.0, 2.0]]))
-    for scale in (1e-7, 1e-200):
+    for scale in (1e-7, 1e-200, 2.0**-1060):
         tiny = BipartiteState(unit.coeffs * scale)
         assert np.array_equal(tiny.normalized().coeffs, unit.normalized().coeffs), scale
     with pytest.raises(ZeroState):
@@ -172,14 +172,14 @@ def test_entanglement_local_unitary_invariant():
 
 def test_classify_biorthogonal_products():
     psi, phi = basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)
-    cls = classify_orthogonality(ReducedPair.of(psi, phi))
+    cls = classify_orthogonality(PairStack([(psi, phi)]), 0)
     assert cls.biorthogonal and cls.one_sided_eq1 and cls.one_sided_eq2
     assert abs(inner_product(psi, phi)) <= 1e-12
 
 
 def test_classify_block_pair_one_sided_only():
     psi, phi = harness.bell_block_pair()
-    cls = classify_orthogonality(ReducedPair.of(psi, phi))
+    cls = classify_orthogonality(PairStack([(psi, phi)]), 0)
     assert cls.one_sided_eq1
     assert not cls.one_sided_eq2
     assert not cls.biorthogonal
@@ -187,7 +187,7 @@ def test_classify_block_pair_one_sided_only():
 
 
 def test_classify_identical_states():
-    cls = classify_orthogonality(ReducedPair.of(bell_state(), bell_state()))
+    cls = classify_orthogonality(PairStack([(bell_state(), bell_state())]), 0)
     assert not cls.one_sided_eq1 and not cls.one_sided_eq2 and not cls.biorthogonal
     assert inner_product(bell_state(), bell_state()) == pytest.approx(1.0)
 
@@ -195,7 +195,7 @@ def test_classify_identical_states():
 def test_one_sided_implies_orthogonal():
     for seed in range(6):
         psi, phi = harness.generate_one_sided_pair(2, 3, 3, seed)
-        cls = classify_orthogonality(ReducedPair.of(psi, phi))
+        cls = classify_orthogonality(PairStack([(psi, phi)]), 0)
         assert cls.one_sided_eq1
         assert abs(inner_product(psi, phi)) <= 1e-9
 
@@ -229,11 +229,11 @@ def test_mixture_entropy_half_overlap():
 def test_mixture_entropy_requires_normalized_inputs():
     big = BipartiteState(2.0 * np.eye(2))
     with pytest.raises(NotNormalized):
-        ReducedPair.of(big, bell_state()).entropies(0.5)
+        PairStack([(big, bell_state())]).entropies(0, 0.5)
     with pytest.raises(NotNormalized):
-        classify_orthogonality(ReducedPair.of(bell_state(), big))
+        classify_orthogonality(PairStack([(bell_state(), bell_state()), (bell_state(), big)]), 1)
     with pytest.raises(DimMismatch):
-        ReducedPair.of(bell_state(), basis_state(2, 3, 0, 0))
+        PairStack([(bell_state(), bell_state()), (bell_state(), basis_state(2, 3, 0, 0))])
 
 
 def test_mixture_entropy_rejects_bad_arguments_in_both_forms():
@@ -244,12 +244,12 @@ def test_mixture_entropy_rejects_bad_arguments_in_both_forms():
             mixture_entropy(np.array([0.5, t]), c2)
 
 
-# -- ReducedPair.entropies -------------------------------------------------------
+# -- PairStack -------------------------------------------------------------------
 
 
 def test_reduced_mixture_entropies_triple_pair():
     psi, phi = harness.overlapping_triple_pair()
-    s_a, s_b = ReducedPair.of(psi, phi).entropies(0.5)
+    s_a, s_b = PairStack([(psi, phi)]).entropies(0, 0.5)
     assert s_a == pytest.approx(1.5, abs=1e-12)
     assert s_b == pytest.approx(2.0, abs=1e-12)
 
@@ -257,7 +257,7 @@ def test_reduced_mixture_entropies_triple_pair():
 def test_reduced_mixture_entropies_block_pair():
     psi, phi = harness.bell_block_pair()
     for alpha_sq in (0.09, 0.36, 0.5):
-        s_a, s_b = ReducedPair.of(psi, phi).entropies(alpha_sq)
+        s_a, s_b = PairStack([(psi, phi)]).entropies(0, alpha_sq)
         assert s_a == pytest.approx(1.0, abs=1e-12)
         assert s_b == pytest.approx(1.0 + binary_entropy(alpha_sq), abs=1e-12)
 
@@ -267,39 +267,69 @@ def test_reduced_mixture_entropies_identical_states():
     s = random_state(rng, 3, 3)
     e = entanglement_entropy(s)
     for t in (0.2, 0.7):
-        s_a, s_b = ReducedPair.of(s, s).entropies(t)
+        s_a, s_b = PairStack([(s, s)]).entropies(0, t)
         assert s_a == pytest.approx(e, abs=1e-10)
         assert s_b == pytest.approx(e, abs=1e-10)
 
 
-def test_reduced_pair_entropies_reject_weights_outside_the_unit_interval():
-    pair = ReducedPair.of(*harness.overlapping_triple_pair())
+def test_pair_stack_entropies_reject_weights_outside_the_unit_interval():
+    stack = PairStack([harness.overlapping_triple_pair()])
     for t in (1.5, -0.2, math.nan):
         with pytest.raises(DomainError):
-            pair.entropies(t)
+            stack.entropies(0, t)
         with pytest.raises(DomainError):
-            pair.entropies(np.array([0.25, t, 0.5])[:, None, None])
+            stack.entropies(np.zeros(3, dtype=int), np.array([0.25, t, 0.5]))
     # both ends of the interval are mixtures
-    assert pair.entropies(0.0) == pytest.approx((1.5, 1.5), abs=1e-12)
-    assert pair.entropies(np.array([1.0])[:, None, None])[0].tolist() == pytest.approx([1.5])
+    assert stack.entropies(0, 0.0) == pytest.approx((1.5, 1.5), abs=1e-12)
+    assert stack.entropies(np.array([0]), np.array([1.0]))[0].tolist() == pytest.approx([1.5])
+
+
+def _mixed_pairs(rng):
+    """Pairs with repeated and mixed dimensions on either side."""
+    return [
+        (random_state(rng, dim_a, dim_b), random_state(rng, dim_a, dim_b))
+        for dim_a, dim_b in ((2, 3), (3, 3), (2, 5), (4, 3), (2, 3), (3, 4))
+    ]
 
 
 def test_pair_stack_gives_each_pair_its_own_bits():
     rng = np.random.default_rng(37)
-    pairs = [
-        ReducedPair.of(random_state(rng, dim_a, dim_b), random_state(rng, dim_a, dim_b))
-        for dim_a, dim_b in ((2, 3), (3, 3), (2, 5), (4, 3), (2, 3), (3, 4))
-    ]
-    stack = states.PairStack(pairs)
+    pairs = _mixed_pairs(rng)
+    stack = PairStack(pairs)
     rows = np.array([0, 3, 3, 1, 5, 4, 2, 0, 4])
     t = rng.uniform(0.0, 1.0, rows.size)
     s_a, s_b = stack.entropies(rows, t)
-    alone = [pairs[r].entropies(w) for r, w in zip(rows.tolist(), t.tolist())]
+    alone = [stack.entropies(r, w) for r, w in zip(rows.tolist(), t.tolist())]
     assert s_a.tolist() == [a for a, _ in alone]
     assert s_b.tolist() == [b for _, b in alone]
+    # each is the entropy of the mixture of freshly built operators, and a
+    # one-row store gives it again
+    for r, w, (a, b) in zip(rows.tolist(), t.tolist(), alone):
+        psi, phi = pairs[r]
+        assert [a, b] == [
+            qmath.psd_entropy(w * reduced_density(psi, side) + (1.0 - w) * reduced_density(phi, side))
+            for side in "AB"
+        ]
+        assert PairStack([pairs[r]]).entropies(np.array([0]), np.array([w]))[0].tolist() == [a]
     for bad in (1.5, -0.2, math.nan):
         with pytest.raises(DomainError):
             stack.entropies(rows[:3], np.array([0.5, bad, 0.5]))
+
+
+def test_pair_stack_holds_each_operator_once():
+    pairs = _mixed_pairs(np.random.default_rng(41))
+    stack = PairStack(pairs)
+    for k, pair in enumerate(pairs):
+        for side, ops in zip("AB", stack.operators(k)):
+            for rho, s in zip(ops, pair):
+                assert np.array_equal(rho, reduced_density(s, side))
+                assert np.shares_memory(rho, rho.base)
+    # each operator is a view of the one stack of its side and dimension:
+    # rows 0 and 4 are both 2 x 3, and rows 0 and 2 share only dim_a = 2
+    (a0, b0), (a2, b2), (a4, b4) = (stack.operators(k) for k in (0, 2, 4))
+    for x, y in ((a0, a2), (a0, a4), (b0, b4)):
+        assert x[0].base is y[0].base and x[1].base is y[1].base
+    assert not np.shares_memory(b0[0], b2[0].base)
 
 
 # -- joint properties ------------------------------------------------------------
@@ -313,7 +343,7 @@ def test_araki_lieb_and_concavity_sandwich():
         phi = random_state(rng, da, db)
         t = float(rng.uniform(0.05, 0.95))
         s_ab = mixture_entropy(t, abs(inner_product(psi, phi)) ** 2)
-        s_a, s_b = ReducedPair.of(psi, phi).entropies(t)
+        s_a, s_b = PairStack([(psi, phi)]).entropies(0, t)
         assert s_ab - abs(s_a - s_b) >= -1e-9
         excess = s_a - t * entanglement_entropy(psi) - (1.0 - t) * entanglement_entropy(phi)
         assert excess >= -1e-9
@@ -328,7 +358,7 @@ def test_one_sided_pairs_have_larger_b_entropy():
             psi, phi = harness.generate_one_sided_pair(d1, d2, dim_a, seed)
             e_psi, e_phi = entanglement_entropy(psi), entanglement_entropy(phi)
             for t in (0.1, 0.5, 0.9):
-                s_a, s_b = ReducedPair.of(psi, phi).entropies(t)
+                s_a, s_b = PairStack([(psi, phi)]).entropies(0, t)
                 assert s_b >= s_a - 1e-9
                 lemma1 = t * e_psi + (1.0 - t) * e_phi + binary_entropy(t)
                 assert s_b == pytest.approx(lemma1, abs=1e-10), (d1, d2, dim_a, seed, t)
@@ -343,7 +373,7 @@ def test_exact_formula_identity_for_generated_pairs():
         gamma = superpose(alpha, psi, beta, phi)
         lhs = entanglement_entropy(gamma)
         s_ab = mixture_entropy(t, abs(inner_product(psi, phi)) ** 2)
-        s_a, s_b = ReducedPair.of(psi, phi).entropies(t)
+        s_a, s_b = PairStack([(psi, phi)]).entropies(0, t)
         rhs = (
             t * entanglement_entropy(psi)
             + (1.0 - t) * entanglement_entropy(phi)
