@@ -73,8 +73,12 @@ ENTROPY_ROUNDING = 1e-9
 # unconditionally; the bounds on the points between interpolate from them.
 PRUNE_STRIDE = 16
 
-# The one grid of every t-search and h2 on it, read-only.  On the grid the
-# array and float forms of h2 give the same bits (a test checks this).
+# Largest grid_n of subspace_lower: it runs up to grid_n^2 lower-bound
+# searches of about 0.4 ms each (2-core x86 host), so a 1024-point grid takes
+# about 7 minutes.
+MAX_SUBSPACE_GRID = 2**10
+
+# The one grid of every t-search and h2 on it, read-only.
 _T_GRID = np.asarray(optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N))
 _T_GRID.setflags(write=False)
 _H_GRID = binary_entropy(_T_GRID)
@@ -208,8 +212,7 @@ def f_upper_value(
     subtracted inside the bracket (zero for the plain bound).  ``t`` is a
     float or an array of weights, and ``delta_s`` a float or an array of
     the same shape; on an array every entry gets the same bits as the float
-    call at that weight (see ``_T_GRID``).  A sequence of weights is taken
-    as an array.
+    call at that weight.  A sequence of weights is taken as an array.
     """
     t = _check_t(t)
     return _f_value(t, binary_entropy(t), e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s)
@@ -432,16 +435,12 @@ def _pointwise(formula, cols):
     """``formula(t, h2(t), *params, *extra)`` as an objective f(rows, t, *extra)
     of ``optimize.minimize_many``, search r's params being entry r of each
     array in ``cols``.  One search computes in floats, as ``f_upper_value``
-    and ``lower_value`` do; several take h2 one weight at a time, because
-    off the grid np.log2 and math.log2 differ in the last bit on about 0.2 %
-    of weights."""
+    and ``lower_value`` do, and several in arrays, with the same bits."""
     scalars = list(zip(*(c.tolist() for c in cols)))
 
     def f(rows, t, *extra):
-        if isinstance(rows, int):
-            return formula(t, binary_entropy(t), *scalars[rows], *extra)
-        h = np.array([binary_entropy(x) for x in t.tolist()])
-        return formula(t, h, *(c[rows] for c in cols), *extra)
+        params = scalars[rows] if isinstance(rows, int) else (c[rows] for c in cols)
+        return formula(t, binary_entropy(t), *params, *extra)
 
     return f
 
@@ -519,10 +518,11 @@ def subspace_lower(psi: BipartiteState, phi: BipartiteState, grid_n: int) -> flo
     alpha = sqrt(p), beta = e^{i phase} sqrt(1-p), renormalizes each
     superposition, and minimizes the optimized lower bound over the grid.
     The result lower-bounds the minimum exact entanglement over the same
-    grid, up to grid resolution.
+    grid, up to grid resolution.  Raises DomainError unless grid_n is an
+    integer in [2, MAX_SUBSPACE_GRID].
     """
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
+    if not (isinstance(grid_n, numbers.Integral) and 2 <= grid_n <= MAX_SUBSPACE_GRID):
+        raise DomainError(f"grid_n = {grid_n!r} is not an integer in [2, {MAX_SUBSPACE_GRID}]")
     psi_n = psi.normalized()
     phi_n = phi.normalized()
     c = states.inner_product(psi_n, phi_n)

@@ -19,7 +19,7 @@ import cmath
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -64,19 +64,6 @@ AUDIT_BATCH_COEFFS = 2**13
 
 # Largest sweep dimension d: a record peaks at about 40 d bytes (160 MiB).
 MAX_FAMILY_DIM = 2**22 + 1
-
-SWEEP_COLUMNS = (
-    "d",
-    "exact_e",
-    "lps",
-    "t2",
-    "t3",
-    "t3_refined",
-    "lower",
-    "gap_lps",
-    "gap_t3",
-    "gap_lower",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +551,9 @@ class SweepRecord:
     gap_lps: float
     gap_t3: float
     gap_lower: float
+
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 
 def dimension_sweep(d_list, family: str) -> list[SweepRecord]:

@@ -118,22 +118,21 @@ def shannon_entropy(p) -> float:
 def binary_entropy(x):
     """Binary entropy h2(x) = -x log2 x - (1-x) log2(1-x), with h2(0)=h2(1)=0.
 
-    ``x`` is a number, giving a float from ``math.log2``, or an array, giving
-    the elementwise h2 from ``np.log2``.  The two logs may differ in the last
-    bit; on the one t grid of ``bounds`` they agree (a test checks this).
-    Raises DomainError for NaN or for a value outside [0, 1] by more than
-    H2_DOMAIN_SLACK.
+    ``x`` is a number, giving a float, or an array, giving the elementwise
+    h2.  Each entry of an array goes through the float arithmetic of a
+    number, logs from ``math.log2`` included, so a weight gets the same bits
+    either way.  Raises DomainError for NaN or for a value outside [0, 1] by
+    more than H2_DOMAIN_SLACK.
     """
     if isinstance(x, np.ndarray):
         if not np.all((x >= -H2_DOMAIN_SLACK) & (x <= 1.0 + H2_DOMAIN_SLACK)):
             raise DomainError("binary entropy argument outside [0, 1]")
-        x = np.clip(x, 0.0, 1.0)
-        inside = (x > 0.0) & (x < 1.0)
-        y = np.where(inside, x, 0.5)
-        return np.where(inside, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
+        return np.fromiter(map(_h2, x.ravel().tolist()), float, x.size).reshape(x.shape)
     if not -H2_DOMAIN_SLACK <= x <= 1.0 + H2_DOMAIN_SLACK:
         raise DomainError(f"binary entropy argument {x!r} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return _h2(x)
+
+
+def _h2(x: float) -> float:
+    """h2(x), taken as 0 outside (0, 1)."""
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x) if 0.0 < x < 1.0 else 0.0

@@ -9,6 +9,7 @@ entropy of the squared Schmidt coefficients of the normalized state.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,21 +142,34 @@ class PairStack:
     def entropies(self, rows, t):
         """(S_A, S_B) of t |s1><s1| + (1-t) |s2><s2| for the pair in row ``rows``.
 
-        ``rows`` is an int and ``t`` a float, giving two floats from that
-        row's operators, or ``rows`` an int array and ``t`` an array of
-        weights, one per row, giving two arrays from one stacked
-        eigendecomposition per side and distinct dimension; both give each
-        pair the same bits.  Raises DomainError for a weight outside [0, 1]
-        or NaN: the mixture would not be a state.
+        ``rows`` is a row number (an integer, not a bool) and ``t`` a number,
+        giving two floats from that row's operators, or ``rows`` a 1-D integer
+        array of row numbers and ``t`` an array of weights of its shape,
+        giving two arrays from one stacked eigendecomposition per side and
+        distinct dimension; both give each pair the same bits.  Raises
+        DomainError for rows of any other kind or outside the stack, and for
+        a weight outside [0, 1] or NaN: the mixture would not be a state.
         """
-        _check_weights(t)
-        if isinstance(rows, int):
+        n = len(self._views)
+        if isinstance(rows, numbers.Integral) and not isinstance(rows, bool) and 0 <= rows < n:
+            if not (isinstance(t, numbers.Real) and 0.0 <= t <= 1.0):
+                raise DomainError(f"a mixture weight must be a number in [0, 1], got {t!r}")
             (a1, a2), (b1, b2) = self.operators(rows)
             return (
                 qmath.psd_entropy(t * a1 + (1.0 - t) * a2),
                 qmath.psd_entropy(t * b1 + (1.0 - t) * b2),
             )
-        out = np.empty((2, len(rows)))
+        if not (
+            isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.ndim == 1
+            and isinstance(t, np.ndarray) and t.dtype.kind in "iuf" and t.shape == rows.shape
+            and np.all((rows >= 0) & (rows < n))
+        ):
+            raise DomainError(
+                f"rows={rows!r} is no row of the {n}, nor an array of them shaped like t"
+            )
+        if not np.all((t >= 0.0) & (t <= 1.0)):
+            raise DomainError(f"mixture weights must lie in [0, 1], got {t!r}")
+        out = np.empty((2, rows.size))
         for (side, d), (x1, x2) in self._stacks.items():
             sel = np.flatnonzero(self._dims[rows, side] == d)
             if sel.size:
@@ -231,19 +245,13 @@ def mixture_entropy(t, overlap_sq: float):
     of the 2x2 Gram-weighted matrix
     [[t, sqrt(t(1-t)) <s1|s2>], [sqrt(t(1-t)) <s2|s1>, 1-t]],
     namely (1 +- r)/2 with r = sqrt((2t-1)^2 + 4t(1-t)|<s1|s2>|^2).  ``t``
-    is one weight, giving a float, or an array of weights, giving an array,
-    with h2 taken as ``qmath.binary_entropy`` takes it.  A weight outside
+    is one weight, giving a float, or an array of weights, giving an array;
+    each weight gets the same bits either way.  A weight outside
     [0, 1] or an overlap_sq above 1 puts (1 + r)/2 above 1 (unless the
     states are parallel), which h2 rejects beyond its rounding slack.
     """
     r = np.sqrt((2.0 * t - 1.0) ** 2 + 4.0 * t * (1.0 - t) * overlap_sq)
     return qmath.binary_entropy(0.5 * (1.0 + r))
-
-
-def _check_weights(t) -> None:
-    """Reject a mixture weight, or any of an array of them, outside [0, 1] or NaN."""
-    if not (0.0 <= t <= 1.0 if isinstance(t, float) else np.all((t >= 0.0) & (t <= 1.0))):
-        raise DomainError(f"mixture weights must lie in [0, 1], got {t!r}")
 
 
 def _check_dims(s1: BipartiteState, s2: BipartiteState) -> None:

@@ -399,14 +399,18 @@ def test_refined_pruning_matches_exhaustive_grid(monkeypatch):
     alpha_sq=st.floats(1e-6, 1.0 - 1e-6),
     gamma_norm_sq=st.floats(1e-3, 2.0),
     seed=st.integers(0, 2**32 - 1),
+    off_grid=st.lists(st.floats(T_EPS, 1.0 - T_EPS), max_size=32),
 )
-def test_array_bounds_equal_scalar_bounds_on_the_grid(e_psi, e_phi, alpha_sq, gamma_norm_sq, seed):
-    # The searches take their grid values from the array forms and their
-    # golden-section points from the float forms; the two must agree bit for
-    # bit, which needs np.log2 to agree with math.log2 on the grid.
-    ts = optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N)
+def test_array_bounds_equal_scalar_bounds(e_psi, e_phi, alpha_sq, gamma_norm_sq, seed, off_grid):
+    # The searches take their grid values from the array forms, a lone
+    # search its golden-section points from the float forms and a lockstep
+    # step from the array forms, off the grid; the two must agree bit for bit
+    # at every weight, drawn or uniform.
+    rng = np.random.default_rng(seed)
+    uniform = rng.uniform(T_EPS, 1.0 - T_EPS, 64).tolist()
+    ts = optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N) + (*off_grid, *uniform)
     grid = np.asarray(ts)
-    deltas = np.random.default_rng(seed).uniform(-1.0, 1.0, grid.size)
+    deltas = rng.uniform(-1.0, 1.0, grid.size)
     args = (e_psi, e_phi, alpha_sq, gamma_norm_sq)
     assert f_upper_value(grid, *args).tolist() == [f_upper_value(t, *args) for t in ts]
     assert f_upper_value(grid, *args, delta_s=deltas).tolist() == [
@@ -660,6 +664,19 @@ def test_subspace_lower_random_pairs_below_exact_scan():
         grid_n = 6
         value = subspace_lower(psi, phi, grid_n)
         assert value <= _exact_subspace_scan(psi, phi, grid_n) + 1e-6
+
+
+def test_subspace_lower_takes_an_integer_grid_up_to_the_cap(monkeypatch):
+    psi, phi = harness.bell_block_pair()
+    assert subspace_lower(psi, phi, np.int64(3)) == subspace_lower(psi, phi, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"np.linspace called with {args!r}")
+
+    monkeypatch.setattr(bounds.np, "linspace", refuse)
+    for grid_n in (2.5, 8.0, "8", None, True, 1, 0, -4, bounds.MAX_SUBSPACE_GRID + 1, 10**12):
+        with pytest.raises(DomainError, match="grid_n"):
+            subspace_lower(psi, phi, grid_n)
 
 
 def test_subspace_lower_rejects_parallel_states():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from supent import harness
+from supent import bounds, harness
 from supent.cli import cli_main
 from supent.harness import bell_block_pair, serialize_state
 
@@ -271,3 +271,15 @@ def test_oversized_sweep_dimension_is_rejected_before_allocating(tmp_path, monke
         assert code == 1, size
         assert "family dimension" in err and str(size) in err, size
     assert not out_path.exists()
+
+
+def test_oversized_subspace_grid_is_rejected_before_allocating(
+    block_pair_files, monkeypatch, capsys
+):
+    psi_path, phi_path = block_pair_files
+    _refuse(monkeypatch, "linspace")
+    for size in (bounds.MAX_SUBSPACE_GRID + 1, 10**12, 1):
+        code = cli_main(["subspace", "--psi", psi_path, "--phi", phi_path, "--grid", str(size)])
+        err = capsys.readouterr().err
+        assert code == 1, size
+        assert "grid_n" in err and str(size) in err, size

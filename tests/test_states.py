@@ -316,6 +316,66 @@ def test_pair_stack_gives_each_pair_its_own_bits():
             stack.entropies(rows[:3], np.array([0.5, bad, 0.5]))
 
 
+def test_pair_stack_entropies_take_any_integer_row_alone():
+    stack = PairStack(_mixed_pairs(np.random.default_rng(43)))
+    for r in range(6):
+        alone = stack.entropies(r, 0.3)
+        for row in (np.int64(r), np.int32(r), np.uint8(r)):
+            assert stack.entropies(row, 0.3) == alone
+        assert stack.entropies(r, np.float64(0.3)) == alone
+    rows = np.array([4, 0, 5], dtype=np.uint16)
+    s_a, s_b = stack.entropies(rows, np.array([0.3, 0.6, 0.9]))
+    assert list(zip(s_a.tolist(), s_b.tolist())) == [
+        stack.entropies(r, w) for r, w in ((4, 0.3), (0, 0.6), (5, 0.9))
+    ]
+
+
+def test_pair_stack_entropies_reject_a_bool_row():
+    stack = PairStack(_mixed_pairs(np.random.default_rng(43)))
+    for row in (True, False, np.bool_(True), np.array([True, False])):
+        with pytest.raises(DomainError, match="rows="):
+            stack.entropies(row, 0.3 if np.ndim(row) == 0 else np.array([0.3, 0.4]))
+
+
+def test_pair_stack_entropies_reject_rows_outside_the_stack():
+    stack = PairStack(_mixed_pairs(np.random.default_rng(43)))
+    for row in (-1, 6, np.int64(-1), np.int64(6), 10**30):
+        with pytest.raises(DomainError, match="rows="):
+            stack.entropies(row, 0.3)
+    for rows in (np.array([0, -1]), np.array([6, 0])):
+        with pytest.raises(DomainError, match="rows="):
+            stack.entropies(rows, np.array([0.3, 0.4]))
+
+
+def test_pair_stack_entropies_reject_weights_not_shaped_like_the_rows():
+    stack = PairStack(_mixed_pairs(np.random.default_rng(43)))
+    for rows, t in (
+        (np.array([0]), 0.3),
+        (np.array([0, 1]), np.array([0.3])),
+        (np.array([0, 1]), [0.3, 0.4]),
+        (np.array([0, 1]), np.array(["0.3", "0.4"])),
+    ):
+        with pytest.raises(DomainError, match="rows="):
+            stack.entropies(rows, t)
+    for t in (np.array([0.3]), [0.3], "0.3", None):
+        with pytest.raises(DomainError, match="weight must be a number"):
+            stack.entropies(0, t)
+
+
+def test_pair_stack_entropies_reject_rows_of_other_kinds():
+    stack = PairStack(_mixed_pairs(np.random.default_rng(43)))
+    for rows, t in (
+        (0.0, 0.3),
+        ("0", 0.3),
+        (None, 0.3),
+        ([0, 1], np.array([0.3, 0.4])),
+        (np.array([0.0, 1.0]), np.array([0.3, 0.4])),
+        (np.array([[0, 1]]), np.array([[0.3, 0.4]])),
+    ):
+        with pytest.raises(DomainError, match="rows="):
+            stack.entropies(rows, t)
+
+
 def test_pair_stack_holds_each_operator_once():
     pairs = _mixed_pairs(np.random.default_rng(41))
     stack = PairStack(pairs)
