@@ -288,7 +288,6 @@ def minimize_f_with_refinement(
     e_phi: np.ndarray,
     alpha_sq: np.ndarray,
     gamma_norm_sq: np.ndarray,
-    overlap_sq: np.ndarray,
     stack: states.PairStack,
     pinned: tuple[np.ndarray, np.ndarray],
 ) -> list[tuple[tuple[float, float], tuple[float, float]]]:
@@ -302,7 +301,7 @@ def minimize_f_with_refinement(
     The refined f subtracts Delta(t) = |S_A(t) - S_B(t)|, the gap between the
     reduced entropies of t |psi><psi| + (1-t) |phi><phi|.  Row k of ``stack``
     holds the reduced operators of problem k, and ``pinned`` their
-    (S_A, S_B) at t = |alpha|^2.  ``overlap_sq`` is |<psi|phi>|^2.
+    (S_A, S_B) at t = |alpha|^2.
 
     The grid stage eigendecomposes only the points that could be the grid
     minimum:
@@ -314,10 +313,11 @@ def minimize_f_with_refinement(
        below the secants of the two neighbouring knot intervals, extended.
        Concavity also gives S_X >= m = t E(psi) + (1-t) E(phi), and since
        the Holevo quantity does not grow under partial trace,
-       S_X <= m + S_AB, where S_AB is the closed-form entropy of the rank-2
-       mixture.  With L_X and U_X the tightest of these lower and upper
-       bounds, and Araki-Lieb (Delta <= S_AB),
-       cap = clip(min(S_AB, max(U_A - L_B, U_B - L_A)), 0, inf) >= Delta,
+       S_X <= m + S_AB <= m + h2(t), where S_AB is the entropy of the rank-2
+       mixture: its top eigenvalue is at least <psi|rho|psi> >= t, and
+       likewise 1 - t.  With L_X and U_X the tightest of these lower and
+       upper bounds, and Araki-Lieb (Delta <= S_AB <= h2(t)),
+       cap = clip(min(h2(t), max(U_A - L_B, U_B - L_A)), 0, inf) >= Delta,
        and LB = pref (m + h2(t) - cap) / N^2 is at most the refined f.
     3. One more stacked call evaluates the points with
        LB - allowance <= best, where
@@ -344,7 +344,7 @@ def minimize_f_with_refinement(
         s.reshape(n, k)
         for s in stack.entropies(np.repeat(all_rows, k), np.tile(_T_GRID[_KNOTS], n))
     )
-    values, allowance = _refined_f_floor(s_a, s_b, *(c[:, None] for c in cols), overlap_sq[:, None])
+    values, allowance = _refined_f_floor(s_a, s_b, *(c[:, None] for c in cols))
     values[:, _KNOTS] = on_grid(all_rows, _KNOTS, s_a, s_b)
     todo = values - allowance <= values[:, _KNOTS].min(axis=1, keepdims=True)
     todo[:, _KNOTS] = False
@@ -358,7 +358,7 @@ def minimize_f_with_refinement(
     return list(zip(plain, found))
 
 
-def _refined_f_floor(s_a, s_b, e_psi, e_phi, alpha_sq, gamma_norm_sq, overlap_sq):
+def _refined_f_floor(s_a, s_b, e_psi, e_phi, alpha_sq, gamma_norm_sq):
     """Lower bound on the refined f of n problems on the grid, and its rounding
     allowance, each of shape (n, 257).
 
@@ -368,7 +368,7 @@ def _refined_f_floor(s_a, s_b, e_psi, e_phi, alpha_sq, gamma_norm_sq, overlap_sq
     """
     t = _T_GRID
     m = t * e_psi + (1.0 - t) * e_phi
-    cap = _delta_cap(t, t[_KNOTS], s_a, s_b, m, states.mixture_entropy(t, overlap_sq))
+    cap = _delta_cap(t, t[_KNOTS], s_a, s_b, m, _H_GRID)
     floor = _f_value(t, _H_GRID, e_psi, e_phi, alpha_sq, gamma_norm_sq, cap)
     weight = _f_prefactor(t, alpha_sq) / gamma_norm_sq
     return floor, weight * ENTROPY_ROUNDING * (1.0 + np.abs(m + _H_GRID))
@@ -383,7 +383,7 @@ def _delta_cap(
     s_ab: np.ndarray,
 ) -> np.ndarray:
     """Upper bound on |S_A(t) - S_B(t)| from the side entropies at ``knots``,
-    the mean entanglement m(t) and the mixture entropy S_AB(t)."""
+    the mean entanglement m(t) and ``s_ab`` >= the mixture entropy S_AB(t)."""
     lo_a, hi_a = _concave_envelope(t, knots, s_a, m, m + s_ab)
     lo_b, hi_b = _concave_envelope(t, knots, s_b, m, m + s_ab)
     return np.clip(np.minimum(s_ab, np.maximum(hi_a - lo_b, hi_b - lo_a)), 0.0, None)
@@ -559,16 +559,15 @@ def certify_many(problems: Sequence[SuperpositionProblem]) -> list[BoundReport]:
     """``certify`` for each problem, in input order, with the bits it gives
     each alone.  The plain f, refined f, L1 and L2 searches each run for all
     problems in lockstep, and each step of the refined search takes one
-    stacked eigendecomposition per side and distinct dimension."""
+    stacked eigendecomposition per distinct dimension."""
     problems = list(problems)
     stack = states.PairStack((p.psi, p.phi) for p in problems)
     e_psi, e_phi, asq, bsq, n2 = (
         np.array([getattr(p, name) for p in problems], dtype=float)
         for name in ("e_psi", "e_phi", "alpha_sq", "beta_sq", "gamma_norm_sq")
     )
-    overlap_sq = np.array([abs(p.overlap) ** 2 for p in problems])
     pinned = stack.entropies(np.arange(len(problems)), asq)
-    upper = minimize_f_with_refinement(e_psi, e_phi, asq, n2, overlap_sq, stack, pinned)
+    upper = minimize_f_with_refinement(e_psi, e_phi, asq, n2, stack, pinned)
     lower = _maximize_lower(e_psi, e_phi, asq / n2, bsq / n2)
     found = zip(problems, pinned[0].tolist(), pinned[1].tolist(), upper, lower)
     return [_report(stack, row, *args) for row, args in enumerate(found)]
@@ -611,7 +610,7 @@ def _one_sided_value(p: SuperpositionProblem, s_a: float, s_b: float) -> float:
     """
     t = p.alpha_sq
     s_ab = states.mixture_entropy(t, abs(p.overlap) ** 2)
-    return t * p.e_psi + (1.0 - t) * p.e_phi + s_ab - abs(s_a - s_b)
+    return float(t * p.e_psi + (1.0 - t) * p.e_phi + s_ab - abs(s_a - s_b))
 
 
 def _weight(name: str, c: complex) -> float:

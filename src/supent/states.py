@@ -107,8 +107,8 @@ class PairStack:
     """Reduced operators of many pairs (s1, s2) of normalized states.
 
     Each of a pair's four operators rho_X(s) is built once and held only in
-    the stack of its side X and dimension; ``operators`` gives a row's as
-    views of those stacks.
+    the one stack of its dimension, A side and B side alike; ``operators``
+    gives a row's as views of those stacks.
     """
 
     def __init__(self, pairs):
@@ -120,19 +120,19 @@ class PairStack:
             if any(abs(norm_squared(s) - 1.0) > UNIT_NORM_TOL for s in (s1, s2)):
                 raise NotNormalized("a pair stack needs normalized states")
         self._dims = np.array([s1.coeffs.shape for s1, _ in pairs], dtype=int).reshape(-1, 2)
-        self._index = np.empty_like(self._dims)  # each row's place in its stack on each side
-        self._stacks = {}  # (side, dim): (s1 operators, s2 operators) of its members
+        self._index = np.empty_like(self._dims)  # each (row, side)'s place in its stack
+        self._stacks = {}  # dim: (s1 operators, s2 operators) of its (row, side) members
         self._views = [[None, None] for _ in pairs]  # each row's operators on each side
-        for side, name in enumerate("AB"):
-            for d in sorted(set(self._dims[:, side].tolist())):
-                members = np.flatnonzero(self._dims[:, side] == d)
-                self._index[members, side] = np.arange(members.size)
-                x1, x2 = (
-                    np.stack([reduced_density(pairs[k][i], name) for k in members]) for i in (0, 1)
-                )
-                self._stacks[side, d] = x1, x2
-                for j, k in enumerate(members.tolist()):
-                    self._views[k][side] = x1[j], x2[j]
+        for d in sorted(set(self._dims.ravel().tolist())):
+            members = np.argwhere(self._dims == d).tolist()  # [row, side], row by row
+            x1, x2 = (
+                np.stack([reduced_density(pairs[k][i], "AB"[side]) for k, side in members])
+                for i in (0, 1)
+            )
+            self._stacks[d] = x1, x2
+            for j, (k, side) in enumerate(members):
+                self._index[k, side] = j
+                self._views[k][side] = x1[j], x2[j]
 
     def operators(self, row: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Pair ``row``'s [(rho_A(s1), rho_A(s2)), (rho_B(s1), rho_B(s2))], as
@@ -145,20 +145,17 @@ class PairStack:
         ``rows`` is a row number (an integer, not a bool) and ``t`` a number,
         giving two floats from that row's operators, or ``rows`` a 1-D integer
         array of row numbers and ``t`` an array of weights of its shape,
-        giving two arrays from one stacked eigendecomposition per side and
-        distinct dimension; both give each pair the same bits.  Raises
-        DomainError for rows of any other kind or outside the stack, and for
-        a weight outside [0, 1] or NaN: the mixture would not be a state.
+        giving two arrays from one stacked eigendecomposition per distinct
+        dimension among the requested sides (per side for a one-row store);
+        both give each pair the same bits.  Raises DomainError for rows of
+        any other kind or outside the stack, and for a weight outside [0, 1]
+        or NaN: the mixture would not be a state.
         """
         n = len(self._views)
         if isinstance(rows, numbers.Integral) and not isinstance(rows, bool) and 0 <= rows < n:
             if not (isinstance(t, numbers.Real) and 0.0 <= t <= 1.0):
                 raise DomainError(f"a mixture weight must be a number in [0, 1], got {t!r}")
-            (a1, a2), (b1, b2) = self.operators(rows)
-            return (
-                qmath.psd_entropy(t * a1 + (1.0 - t) * a2),
-                qmath.psd_entropy(t * b1 + (1.0 - t) * b2),
-            )
+            return tuple(qmath.psd_entropy(t * x + (1.0 - t) * y) for x, y in self.operators(rows))
         if not (
             isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.ndim == 1
             and isinstance(t, np.ndarray) and t.dtype.kind in "iuf" and t.shape == rows.shape
@@ -169,15 +166,17 @@ class PairStack:
             )
         if not np.all((t >= 0.0) & (t <= 1.0)):
             raise DomainError(f"mixture weights must lie in [0, 1], got {t!r}")
+        if n == 1 and rows.size:  # one pair: broadcast over the weights, not copied per weight
+            w = t[:, None, None]
+            return tuple(qmath.psd_entropy(w * x + (1.0 - w) * y) for x, y in self.operators(0))
         out = np.empty((2, rows.size))
-        for (side, d), (x1, x2) in self._stacks.items():
-            sel = np.flatnonzero(self._dims[rows, side] == d)
-            if sel.size:
-                if len(x1) > 1:  # one pair is broadcast, not copied per weight
-                    at = self._index[rows[sel], side]
-                    x1, x2 = x1[at], x2[at]
-                w = t[sel, None, None]
-                out[side, sel] = qmath.psd_entropy(w * x1 + (1.0 - w) * x2)
+        dims = self._dims[rows]
+        for d, (x1, x2) in self._stacks.items():
+            i, side = np.nonzero(dims == d)
+            if i.size:
+                at = self._index[rows[i], side]
+                w = t[i, None, None]
+                out[side, i] = qmath.psd_entropy(w * x1[at] + (1.0 - w) * x2[at])
         return out[0], out[1]
 
 

@@ -361,11 +361,8 @@ def _refine(problems):
         np.array([getattr(p, name) for p in problems])
         for name in ("e_psi", "e_phi", "alpha_sq", "gamma_norm_sq")
     )
-    overlap_sq = np.array([abs(p.overlap) ** 2 for p in problems])
     pinned = stack.entropies(np.arange(len(problems)), alpha_sq)
-    return minimize_f_with_refinement(
-        e_psi, e_phi, alpha_sq, gamma_norm_sq, overlap_sq, stack, pinned
-    )
+    return minimize_f_with_refinement(e_psi, e_phi, alpha_sq, gamma_norm_sq, stack, pinned)
 
 
 def test_refined_pruning_matches_exhaustive_grid(monkeypatch):
@@ -477,8 +474,22 @@ def test_delta_cap_bounds_entropy_gap(seed, kind, dim, alpha_sq):
     knots = np.arange(0, t.size, bounds.PRUNE_STRIDE)
     m = t * p.e_psi + (1.0 - t) * p.e_phi
     s_ab = states.mixture_entropy(t, abs(p.overlap) ** 2)
-    cap = bounds._delta_cap(t, t[knots], s_a[knots], s_b[knots], m, s_ab)
-    assert np.all(cap >= np.abs(s_a - s_b) - bounds.ENTROPY_ROUNDING)
+    gap = np.abs(s_a - s_b) - bounds.ENTROPY_ROUNDING
+    # the refined search caps the gap with h2(t) >= S_AB in place of S_AB
+    for s_ab_max in (s_ab, bounds._H_GRID):
+        assert np.all(bounds._delta_cap(t, t[knots], s_a[knots], s_b[knots], m, s_ab_max) >= gap)
+
+
+def test_mixture_entropy_is_at_most_binary_entropy():
+    # The top eigenvalue of t |psi><psi| + (1-t) |phi><phi| is at least
+    # <psi|rho|psi> >= t and likewise 1 - t, so S_AB <= h2(t) at any overlap;
+    # the two are equal for orthogonal states.  The closed form rounds
+    # (1 + r)/2 by a few ulps of 1, which h2's slope of at most
+    # log2(1/T_EPS) ~ 30 on the window turns into at most ~1e-14.
+    t = np.asarray(optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N))
+    h = binary_entropy(t)
+    for overlap_sq in (*np.linspace(0.0, 1.0, 101), 5e-324, 1e-17, 1e-9, 1.0 - 1e-9):
+        assert np.all(states.mixture_entropy(t, overlap_sq) <= h + 1e-14), overlap_sq
 
 
 @pytest.mark.parametrize("d", [4, 16, 32])
@@ -831,9 +842,10 @@ def test_certify_eigendecomposes_the_audit_in_few_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     harness.random_audit(64, 6, seed=7)
-    # trial by trial this is 5,632 calls for the same 9,174 matrices
+    # trial by trial this is 5,632 calls for the same 9,174 matrices; in
+    # lockstep each step makes one call per distinct dimension, 220 in all
     assert sum(matrices) == 9174
-    assert len(calls) <= 1000
+    assert len(calls) <= 250
     # a single problem makes the calls it made before the batch search: one
     # per side for t = |alpha|^2, the knots and the unpruned grid points,
     # and one per side at each golden-section point
@@ -891,6 +903,19 @@ def test_certify_propagates_zero_state():
     bell = BipartiteState(np.eye(2) / math.sqrt(2.0))
     with pytest.raises(ZeroState):
         certify(bell, bell, INV_SQRT2, -INV_SQRT2)
+
+
+def test_report_floats_are_python_floats():
+    rng = np.random.default_rng(101)
+    pairs = [(random_state(rng, 3, 4), random_state(rng, 3, 4)), harness.bell_block_pair()]
+    pairs += [harness.generate_one_sided_pair(2, 3, 4, seed) for seed in (1, 2)]
+    for psi, phi in pairs:
+        report = certify(psi, phi, 0.6, 0.8)
+        for field in dataclasses.fields(report):
+            value = getattr(report, field.name)
+            if value is not None and field.name not in ("branch", "sane"):
+                assert type(value) is float, (field.name, type(value))
+    assert report.exact_one_sided is not None and report.simple_lower is not None
 
 
 def test_report_is_serializable():

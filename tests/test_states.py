@@ -294,9 +294,13 @@ def _mixed_pairs(rng):
 
 def test_pair_stack_gives_each_pair_its_own_bits():
     rng = np.random.default_rng(37)
-    pairs = _mixed_pairs(rng)
+    # rows 6 and 7 are 3 x 5 and 5 x 3: each one's A side shares a stack with
+    # the other's B side
+    pairs = _mixed_pairs(rng) + [
+        (random_state(rng, *dims), random_state(rng, *dims)) for dims in ((3, 5), (5, 3))
+    ]
     stack = PairStack(pairs)
-    rows = np.array([0, 3, 3, 1, 5, 4, 2, 0, 4])
+    rows = np.array([0, 3, 6, 3, 1, 7, 5, 4, 2, 0, 7, 4, 6])
     t = rng.uniform(0.0, 1.0, rows.size)
     s_a, s_b = stack.entropies(rows, t)
     alone = [stack.entropies(r, w) for r, w in zip(rows.tolist(), t.tolist())]
@@ -379,17 +383,46 @@ def test_pair_stack_entropies_reject_rows_of_other_kinds():
 def test_pair_stack_holds_each_operator_once():
     pairs = _mixed_pairs(np.random.default_rng(41))
     stack = PairStack(pairs)
+    held = []  # (operator, (dimension, place in the pair))
     for k, pair in enumerate(pairs):
         for side, ops in zip("AB", stack.operators(k)):
-            for rho, s in zip(ops, pair):
+            for i, (rho, s) in enumerate(zip(ops, pair)):
                 assert np.array_equal(rho, reduced_density(s, side))
                 assert np.shares_memory(rho, rho.base)
-    # each operator is a view of the one stack of its side and dimension:
-    # rows 0 and 4 are both 2 x 3, and rows 0 and 2 share only dim_a = 2
-    (a0, b0), (a2, b2), (a4, b4) = (stack.operators(k) for k in (0, 2, 4))
-    for x, y in ((a0, a2), (a0, a4), (b0, b4)):
-        assert x[0].base is y[0].base and x[1].base is y[1].base
-    assert not np.shares_memory(b0[0], b2[0].base)
+                held.append((rho, (rho.shape[0], i)))
+    # each operator is a view of the one stack of its dimension, whichever
+    # side of whichever row it belongs to: the B sides of rows 0 (2 x 3) and
+    # 3 (4 x 3), both sides of row 1 (3 x 3) and the A side of row 5 (3 x 4)
+    # share one stack
+    for x, x_key in held:
+        for y, y_key in held:
+            assert (x.base is y.base) == (x_key == y_key)
+
+
+def test_pair_stack_eigendecomposes_once_per_dimension(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rng = np.random.default_rng(47)
+    stack = PairStack(_mixed_pairs(rng))
+    for rows in ([0], [0, 4], [1], [0, 1], [2, 3, 5], [5, 0, 3, 3], list(range(6)) * 3):
+        rows = np.array(rows)
+        calls.clear()
+        stack.entropies(rows, rng.uniform(0.0, 1.0, rows.size))
+        # one call for each distinct dimension among the requested sides,
+        # together holding each (row, side) once
+        dims = {ops[0].shape[0] for r in rows.tolist() for ops in stack.operators(r)}
+        assert sorted(shape[-1] for shape in calls) == sorted(dims)
+        assert sum(shape[0] for shape in calls) == 2 * rows.size
+    # a one-row store broadcasts its pair over the weights: one call per side
+    calls.clear()
+    PairStack(_mixed_pairs(rng)[1:2]).entropies(np.zeros(5, dtype=int), np.linspace(0, 1, 5))
+    assert calls == [(5, 3, 3), (5, 3, 3)]
 
 
 # -- joint properties ------------------------------------------------------------
