@@ -36,7 +36,7 @@ import numpy as np
 
 from . import optimize, states
 from .errors import DegenerateSubspace, DomainError, ZeroState
-from .qmath import binary_entropy
+from .qmath import H2_DOMAIN_SLACK, binary_entropy, check_numbers
 from .states import BipartiteState
 
 __all__ = [
@@ -184,6 +184,7 @@ class BoundReport:
 
 def lps_upper_value(e_psi: float, e_phi: float, alpha_sq: float, gamma_norm_sq: float) -> float:
     """2 [a E(psi) + (1-a) E(phi) + h2(a)] / N^2."""
+    _check_upper(e_psi, e_phi, alpha_sq, gamma_norm_sq)
     bracket = alpha_sq * e_psi + (1.0 - alpha_sq) * e_phi + binary_entropy(alpha_sq)
     return 2.0 * bracket / gamma_norm_sq
 
@@ -192,29 +193,21 @@ def theorem2_upper_value(
     e_psi: float, e_phi: float, alpha_sq: float, gamma_norm_sq: float, delta_s: float
 ) -> float:
     """LPS bound tightened by the reduced-entropy asymmetry |S_A - S_B|."""
-    return (
-        lps_upper_value(e_psi, e_phi, alpha_sq, gamma_norm_sq)
-        - 2.0 * abs(delta_s) / gamma_norm_sq
-    )
+    check_numbers(-math.inf, delta_s=delta_s)
+    lps = lps_upper_value(e_psi, e_phi, alpha_sq, gamma_norm_sq)
+    return lps - 2.0 * abs(delta_s) / gamma_norm_sq
 
 
 def f_upper_value(
-    t: float | np.ndarray,
-    e_psi: float,
-    e_phi: float,
-    alpha_sq: float,
-    gamma_norm_sq: float,
-    delta_s: float | np.ndarray = 0.0,
-) -> float | np.ndarray:
-    """One-parameter upper bound f(t) / N^2; f(a) equals the LPS bound.
-
-    ``delta_s`` is the refined-variant correction |S_A(t) - S_B(t)|
-    subtracted inside the bracket (zero for the plain bound).  ``t`` is a
-    float or an array of weights, and ``delta_s`` a float or an array of
-    the same shape; on an array every entry gets the same bits as the float
-    call at that weight.  A sequence of weights is taken as an array.
-    """
+    t: float, e_psi: float, e_phi: float, alpha_sq: float, gamma_norm_sq: float,
+    delta_s: float = 0.0,
+) -> float:
+    """One-parameter upper bound f(t) / N^2 at one weight t in the window;
+    f(a) equals the LPS bound.  ``delta_s`` is the refined-variant correction
+    |S_A(t) - S_B(t)| subtracted inside the bracket (zero for the plain
+    bound).  The lockstep searches take the same formula over arrays."""
     t = _check_t(t)
+    _check_upper(e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s)
     return _f_value(t, binary_entropy(t), e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s)
 
 
@@ -230,18 +223,12 @@ def _f_prefactor(t, alpha_sq):
 
 
 def lower_value(
-    t: float | np.ndarray,
-    e_psi: float,
-    e_phi: float,
-    alpha_sq: float,
-    beta_sq: float,
-    branch: str,
-) -> float | np.ndarray:
-    """Lower bound L1(t) or L2(t); assumes the superposition is normalized.
-
-    ``t`` is a float or an array of weights, as for ``f_upper_value``.
-    """
+    t: float, e_psi: float, e_phi: float, alpha_sq: float, beta_sq: float, branch: str
+) -> float:
+    """Lower bound L1(t) or L2(t) at one weight t, as for ``f_upper_value``; ``alpha_sq``
+    and ``beta_sq`` are the rescaled weights a', b' >= 0 (above 1 when N^2 < 1)."""
     t = _check_t(t)
+    check_numbers(0.0, e_psi=e_psi, e_phi=e_phi, alpha_sq=alpha_sq, beta_sq=beta_sq)
     return _l1(t, binary_entropy(t), *_as_l1(branch, e_psi, e_phi, alpha_sq, beta_sq))
 
 
@@ -272,6 +259,7 @@ def minimize_f_scalar(
     Besides the grid + golden-section search the candidate set always
     contains t = |alpha|^2, which pins the result at or below the LPS bound.
     """
+    _check_upper(e_psi, e_phi, alpha_sq, gamma_norm_sq)
     return _minimize_f(*np.array([[e_psi], [e_phi], [alpha_sq], [gamma_norm_sq]]))[0]
 
 
@@ -415,6 +403,7 @@ def maximize_lower_scalar(
     e_psi: float, e_phi: float, alpha_sq: float, beta_sq: float
 ) -> tuple[float, float, str]:
     """Maximize max(L1, L2) over t; returns the unclamped (value, t_star, branch)."""
+    check_numbers(0.0, e_psi=e_psi, e_phi=e_phi, alpha_sq=alpha_sq, beta_sq=beta_sq)
     return _maximize_lower(*np.array([[e_psi], [e_phi], [alpha_sq], [beta_sq]]))[0]
 
 
@@ -472,6 +461,9 @@ def theorem3_stationarity_residual(
 
     a (1-t)^2 / ((1-a) t^2) = (E(psi) - log2 t) / (E(phi) - log2(1-t)).
     """
+    t = _check_t(t)
+    check_numbers(0.0, e_psi=e_psi, e_phi=e_phi)
+    check_numbers(-H2_DOMAIN_SLACK, math.nextafter(1.0, 0.0), alpha_sq=alpha_sq)  # a < 1
     bsq = 1.0 - alpha_sq
     lhs = alpha_sq * (1.0 - t) ** 2 / (bsq * t**2)
     rhs = (e_psi - math.log2(t)) / (e_phi - math.log2(1.0 - t))
@@ -485,6 +477,8 @@ def theorem4_stationarity_residual(
 
     a b t^2 / (1 - (1-a) t)^2 * E(phi) = E(psi) - log2(1-t).
     """
+    t = _check_t(t)
+    check_numbers(0.0, e_psi=e_psi, e_phi=e_phi, alpha_sq=alpha_sq, beta_sq=beta_sq)
     e_psi, e_phi, alpha_sq, beta_sq = _as_l1(branch, e_psi, e_phi, alpha_sq, beta_sq)
     lhs = alpha_sq * beta_sq * t**2 / (1.0 - (1.0 - alpha_sq) * t) ** 2 * e_phi
     rhs = e_psi - math.log2(1.0 - t)
@@ -610,7 +604,7 @@ def _one_sided_value(p: SuperpositionProblem, s_a: float, s_b: float) -> float:
     """
     t = p.alpha_sq
     s_ab = states.mixture_entropy(t, abs(p.overlap) ** 2)
-    return float(t * p.e_psi + (1.0 - t) * p.e_phi + s_ab - abs(s_a - s_b))
+    return t * p.e_psi + (1.0 - t) * p.e_phi + s_ab - abs(s_a - s_b)
 
 
 def _weight(name: str, c: complex) -> float:
@@ -624,21 +618,16 @@ def _weight(name: str, c: complex) -> float:
     return w
 
 
-def _check_t(t):
-    """``t`` as a float, or as a float array for an array or sequence of
-    weights, after checking that every weight lies in the window."""
-    if isinstance(t, numbers.Real):
-        t = float(t)
-    else:
-        try:
-            t = np.asarray(t)
-        except ValueError as exc:  # a ragged sequence
-            raise DomainError(f"t is not an array of weights: {exc}") from None
-        if t.dtype.kind not in "iuf":
-            raise DomainError(f"t={t!r} is not a real weight or an array of them")
-        t = t.astype(float, copy=False)
-    inside = (t >= T_EPS) & (t <= 1.0 - T_EPS)
-    if not np.all(inside):
-        bad = t if isinstance(t, float) else float(t[~inside][0])
-        raise DomainError(f"t={bad!r} outside [{T_EPS:g}, 1 - {T_EPS:g}]")
-    return t
+def _check_t(t) -> float:
+    """``t`` as a float, after checking that it is a number in the window."""
+    check_numbers(T_EPS, 1.0 - T_EPS, t=t)
+    return float(t)
+
+
+def _check_upper(e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=0.0) -> None:
+    """Raise DomainError unless E(psi), E(phi) >= 0, |alpha|^2 in [0, 1] (to h2's
+    slack) and N^2 >= DESTRUCTIVE_NORM_SQ, below which the bounds overflow."""
+    check_numbers(0.0, e_psi=e_psi, e_phi=e_phi)
+    check_numbers(-H2_DOMAIN_SLACK, 1.0 + H2_DOMAIN_SLACK, alpha_sq=alpha_sq)
+    check_numbers(DESTRUCTIVE_NORM_SQ, gamma_norm_sq=gamma_norm_sq)
+    check_numbers(-math.inf, delta_s=delta_s)

@@ -8,6 +8,7 @@ they are expected to have as metadata.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,11 +104,13 @@ def shannon_entropy(p) -> float:
     """Shannon entropy -sum p_i log2 p_i of a probability spectrum, in bits.
 
     Accepts a ``Spectrum`` or any array-like of probabilities; they must sum
-    to 1 within 1e-8.  Zero entries contribute nothing (0 log 0 := 0).
+    to 1 and be >= 0, each within 1e-8.  Zero entries contribute nothing.
     """
     values = p.values if isinstance(p, Spectrum) else np.asarray(p, dtype=float)
+    if not values.min(initial=0.0) >= -1e-8:  # NaN fails too; -inf fails before a sum warns
+        raise DomainError(f"probabilities must be >= -1e-8, found {float(values.min())!r}")
     total = float(values.sum())
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:  # NaN fails too
         raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
     pos = values[values > 0.0]
     if pos.size == 0:
@@ -136,3 +139,12 @@ def binary_entropy(x):
 def _h2(x: float) -> float:
     """h2(x), taken as 0 outside (0, 1)."""
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x) if 0.0 < x < 1.0 else 0.0
+
+
+def check_numbers(lo: float, hi: float = math.inf, **named) -> None:
+    """Raise DomainError unless each named value is a finite real in [lo, hi], not a bool."""
+    for name, x in named.items():
+        # a float skips the ABC check, which takes most of a call's time
+        real = type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
+        if not (real and lo <= x <= hi and math.isfinite(x)):
+            raise DomainError(f"{name}={x!r} is not a finite number in [{lo!r}, {hi!r}]")

@@ -236,20 +236,18 @@ def classify_orthogonality(stack: PairStack, row: int) -> OrthogonalityClass:
     )
 
 
-def mixture_entropy(t, overlap_sq: float):
+def mixture_entropy(t: float, overlap_sq: float) -> float:
     """Entropy of t |s1><s1| + (1-t) |s2><s2| for normalized s1, s2 with
     |<s1|s2>|^2 = overlap_sq.
 
     The mixture has rank at most two, so its nonzero eigenvalues are those
     of the 2x2 Gram-weighted matrix
     [[t, sqrt(t(1-t)) <s1|s2>], [sqrt(t(1-t)) <s2|s1>, 1-t]],
-    namely (1 +- r)/2 with r = sqrt((2t-1)^2 + 4t(1-t)|<s1|s2>|^2).  ``t``
-    is one weight, giving a float, or an array of weights, giving an array;
-    each weight gets the same bits either way.  A weight outside
-    [0, 1] or an overlap_sq above 1 puts (1 + r)/2 above 1 (unless the
-    states are parallel), which h2 rejects beyond its rounding slack.
-    """
-    r = np.sqrt((2.0 * t - 1.0) ** 2 + 4.0 * t * (1.0 - t) * overlap_sq)
+    namely (1 +- r)/2 with r = sqrt((2t-1)^2 + 4t(1-t)|<s1|s2>|^2).  Raises
+    DomainError unless ``t`` and ``overlap_sq`` lie in [0, 1], up to h2's
+    rounding slack above 1."""
+    qmath.check_numbers(0.0, 1.0 + qmath.H2_DOMAIN_SLACK, t=t, overlap_sq=overlap_sq)
+    r = math.sqrt((2.0 * t - 1.0) ** 2 + 4.0 * t * (1.0 - t) * overlap_sq)
     return qmath.binary_entropy(0.5 * (1.0 + r))
 
 

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_state, random_sphere_pair
-from supent import bounds, harness, optimize, states
+from supent import bounds, harness, optimize, qmath, states
 from supent.bounds import (
     T_EPS,
     SuperpositionProblem,
@@ -26,7 +27,7 @@ from supent.bounds import (
     theorem3_stationarity_residual,
     theorem4_stationarity_residual,
 )
-from supent.errors import DegenerateSubspace, DomainError, ZeroState
+from supent.errors import DegenerateSubspace, DomainError, SupentError, ZeroState
 from supent.qmath import binary_entropy
 from supent.states import BipartiteState, entanglement_entropy, superpose
 
@@ -217,6 +218,89 @@ def test_f_domain_error():
         lps_upper_value(1.0, 1.0, math.nan, 1.0)
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (lps_upper_value, (1.0, 1.0, 0.5, 0.0)),
+        (lps_upper_value, (1.0, 1.0, 0.5, -1.0)),
+        (bounds.theorem2_upper_value, (1.0, 1.0, 0.5, 0.0, 0.1)),
+        (bounds.theorem2_upper_value, (1.0, 1.0, 0.5, 1.0, math.nan)),
+        (f_upper_value, (0.5, 1.0, 1.0, 0.5, 0.0)),
+        (f_upper_value, (0.5, 1.0, 1.0, 0.5, 1.0, math.inf)),
+        (f_upper_value, (0.5, -1.0, 1.0, 0.5, 1.0)),
+        (lower_value, (0.5, 1.0, math.nan, 0.5, 0.5, "L1")),
+        (lower_value, (0.5, 1.0, 1.0, -0.5, 0.5, "L2")),
+        (minimize_f_scalar, (1.0, 1.0, 1.5, 1.0)),
+        (minimize_f_scalar, (1.0, 1.0, 0.5, 0.0)),
+        (minimize_f_scalar, (math.nan, 1.0, 0.5, 1.0)),
+        (maximize_lower_scalar, (1.0, 1.0, 0.5, math.nan)),
+        (maximize_lower_scalar, (1.0, math.inf, 0.5, 0.5)),
+        (theorem3_stationarity_residual, (0.0, 1.0, 1.0, 0.5)),
+        (theorem3_stationarity_residual, (0.5, 1.0, 1.0, 1.0)),
+        (theorem4_stationarity_residual, (1.0, 1.0, 1.0, 0.5, 0.5)),
+        (theorem4_stationarity_residual, (0.5, 1.0, 1.0, -0.5, 0.5)),
+    ],
+)
+def test_bad_scalar_arguments_raise_domain_error(fn, args):
+    # entanglements finite and >= 0, N^2 finite and >= 1e-12, |alpha|^2 a
+    # weight, a' and b' finite and >= 0, t inside the window, all checked
+    # before any arithmetic: no ZeroDivisionError, no numpy warning, no
+    # NonFiniteObjective from inside a search
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
+def test_scalar_checks_keep_valid_edge_arguments():
+    # a' and b' exceed 1 when N^2 < 1, and |alpha|^2 may stray past [0, 1]
+    # by h2's rounding slack
+    raw, _, _ = maximize_lower_scalar(1.0, 1.0, 2.0, 0.5)  # N^2 = 0.4
+    assert math.isfinite(raw)
+    for asq in (-1e-13, 1.0 + 1e-13):
+        assert math.isfinite(lps_upper_value(1.0, 1.0, asq, 1.0))
+        assert math.isfinite(minimize_f_scalar(1.0, 1.0, asq, 1.0)[0])
+    assert math.isfinite(theorem3_stationarity_residual(0.5, 1.0, 1.0, 1.0 - 2**-53))
+
+
+# NaN, +-inf, negatives, 0, values above 1, tiny and ordinary numbers.  Every
+# magnitude stays at most 8, where each bound is a representable float; an
+# entanglement near the float maximum would overflow a bound to inf.
+_SCALARS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -1e-300, 0.0, 1e-300, 1.0, 1.5]),
+    st.floats(-8.0, 8.0),
+)
+_CONTRACT = {
+    "lps_upper_value": (lps_upper_value, 4),
+    "theorem2_upper_value": (bounds.theorem2_upper_value, 5),
+    "f_upper_value": (f_upper_value, 6),
+    "lower_value": (lower_value, 5),
+    "minimize_f_scalar": (minimize_f_scalar, 4),
+    "maximize_lower_scalar": (maximize_lower_scalar, 4),
+    "theorem3_stationarity_residual": (theorem3_stationarity_residual, 4),
+    "theorem4_stationarity_residual": (theorem4_stationarity_residual, 5),
+    "mixture_entropy": (states.mixture_entropy, 2),
+    "shannon_entropy": (lambda a, b: qmath.shannon_entropy([a, b, 1.0 - a - b]), 2),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_CONTRACT)),
+    xs=st.lists(_SCALARS, min_size=6, max_size=6),
+    branch=st.sampled_from(["L1", "L2"]),
+)
+def test_scalar_layer_returns_finite_floats_or_raises_supent_errors(name, xs, branch):
+    fn, arity = _CONTRACT[name]
+    args = xs[:arity] + ([branch] if name in ("lower_value", "theorem4_stationarity_residual") else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            out = fn(*args)
+        except SupentError:
+            return
+    for value in out[:2] if isinstance(out, tuple) else (out,):
+        assert isinstance(value, float) and math.isfinite(value), (name, args, out)
+
+
 def test_theorem3_optimal_pure_limit():
     rng = np.random.default_rng(53)
     psi = random_state(rng, 4, 4)
@@ -399,49 +483,40 @@ def test_refined_pruning_matches_exhaustive_grid(monkeypatch):
     off_grid=st.lists(st.floats(T_EPS, 1.0 - T_EPS), max_size=32),
 )
 def test_array_bounds_equal_scalar_bounds(e_psi, e_phi, alpha_sq, gamma_norm_sq, seed, off_grid):
-    # The searches take their grid values from the array forms, a lone
-    # search its golden-section points from the float forms and a lockstep
-    # step from the array forms, off the grid; the two must agree bit for bit
-    # at every weight, drawn or uniform.
+    # The searches take their grid values and each lockstep step from the
+    # private array formulas, and a lone search its golden-section points
+    # from the float arithmetic of the public forms; the two must agree bit
+    # for bit at every weight, drawn or uniform.
     rng = np.random.default_rng(seed)
     uniform = rng.uniform(T_EPS, 1.0 - T_EPS, 64).tolist()
     ts = optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N) + (*off_grid, *uniform)
     grid = np.asarray(ts)
+    h = binary_entropy(grid)
     deltas = rng.uniform(-1.0, 1.0, grid.size)
     args = (e_psi, e_phi, alpha_sq, gamma_norm_sq)
-    assert f_upper_value(grid, *args).tolist() == [f_upper_value(t, *args) for t in ts]
-    assert f_upper_value(grid, *args, delta_s=deltas).tolist() == [
+    assert bounds._f_value(grid, h, *args).tolist() == [f_upper_value(t, *args) for t in ts]
+    assert bounds._f_value(grid, h, *args, deltas).tolist() == [
         f_upper_value(t, *args, delta_s=d) for t, d in zip(ts, deltas.tolist())
     ]
     asq, bsq = alpha_sq / gamma_norm_sq, (1.0 - alpha_sq) / gamma_norm_sq
     for branch in ("L1", "L2"):
-        assert bounds.lower_value(grid, e_psi, e_phi, asq, bsq, branch).tolist() == [
+        l1_args = bounds._as_l1(branch, e_psi, e_phi, asq, bsq)
+        assert bounds._l1(grid, h, *l1_args).tolist() == [
             bounds.lower_value(t, e_psi, e_phi, asq, bsq, branch) for t in ts
         ]
 
 
-def test_array_weights_are_checked_entrywise():
-    with pytest.raises(DomainError, match="t=0.0 "):
-        f_upper_value(np.array([0.5, 0.0, 1.0]), 1.0, 1.0, 0.5, 1.0)
-    with pytest.raises(DomainError, match="t=1.0 "):
-        bounds.lower_value(np.array([0.5, 1.0]), 1.0, 1.0, 0.5, 0.5, "L1")
-
-
 def test_weights_are_coerced_to_a_float_or_a_float_array():
     upper, low = (1.0, 2.0, 0.3, 0.9), (1.0, 2.0, 0.3, 0.7)
-    ts = [0.2, 0.5, 0.7]
-    # a sequence of weights is an array of them, with the same bits
-    assert f_upper_value(ts, *upper).tolist() == f_upper_value(np.array(ts), *upper).tolist()
-    for branch in ("L1", "L2"):
-        as_array = lower_value(np.array(ts), *low, branch)
-        assert lower_value(ts, *low, branch).tolist() == as_array.tolist()
     # any real scalar is a float
     for t in (np.float32(0.5), np.float64(0.5), np.int64(1) / 2, Fraction(1, 2)):
         assert type(f_upper_value(t, *upper)) is float
         assert f_upper_value(t, *upper) == f_upper_value(0.5, *upper)
         assert type(lower_value(t, *low, "L1")) is float
         assert lower_value(t, *low, "L1") == lower_value(0.5, *low, "L1")
-    for t in ("0.5", ["0.5"], None, [0.5, None], 0.5j, [[0.5], [0.5, 0.6]]):
+    # an array or a sequence of weights is not a weight
+    rejected = ("0.5", ["0.5"], None, [0.5, None], 0.5j, [[0.5], [0.5, 0.6]], [0.5], [0.2, 0.5])
+    for t in (*rejected, np.array([0.2, 0.5]), np.array(0.5), True, False, math.nan):
         with pytest.raises(DomainError):
             f_upper_value(t, *upper)
         with pytest.raises(DomainError):
@@ -473,7 +548,7 @@ def test_delta_cap_bounds_entropy_gap(seed, kind, dim, alpha_sq):
     s_a, s_b = _mixture_side_entropies(p, t)
     knots = np.arange(0, t.size, bounds.PRUNE_STRIDE)
     m = t * p.e_psi + (1.0 - t) * p.e_phi
-    s_ab = states.mixture_entropy(t, abs(p.overlap) ** 2)
+    s_ab = np.array([states.mixture_entropy(w, abs(p.overlap) ** 2) for w in t.tolist()])
     gap = np.abs(s_a - s_b) - bounds.ENTROPY_ROUNDING
     # the refined search caps the gap with h2(t) >= S_AB in place of S_AB
     for s_ab_max in (s_ab, bounds._H_GRID):
@@ -486,10 +561,10 @@ def test_mixture_entropy_is_at_most_binary_entropy():
     # the two are equal for orthogonal states.  The closed form rounds
     # (1 + r)/2 by a few ulps of 1, which h2's slope of at most
     # log2(1/T_EPS) ~ 30 on the window turns into at most ~1e-14.
-    t = np.asarray(optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N))
-    h = binary_entropy(t)
-    for overlap_sq in (*np.linspace(0.0, 1.0, 101), 5e-324, 1e-17, 1e-9, 1.0 - 1e-9):
-        assert np.all(states.mixture_entropy(t, overlap_sq) <= h + 1e-14), overlap_sq
+    t = optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N)
+    for overlap_sq in (*np.linspace(0.0, 1.0, 101).tolist(), 5e-324, 1e-17, 1e-9, 1.0 - 1e-9):
+        for w in t:
+            assert states.mixture_entropy(w, overlap_sq) <= binary_entropy(w) + 1e-14, overlap_sq
 
 
 @pytest.mark.parametrize("d", [4, 16, 32])

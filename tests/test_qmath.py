@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supent.errors import DomainError, NoConvergence, NotNormalized
+from supent.errors import DomainError, NoConvergence, NotNormalized, SupentError
 from supent.qmath import (
     H2_DOMAIN_SLACK,
     Spectrum,
@@ -94,6 +94,16 @@ def test_shannon_entropy_reference_values():
 def test_shannon_entropy_requires_normalization():
     with pytest.raises(NotNormalized):
         shannon_entropy(np.array([0.5, 0.4]))
+
+
+def test_shannon_entropy_rejects_nan_and_negative_entries():
+    # NaN and a negative entry are no probabilities, even where the sum
+    # comes out 1
+    for p in ([0.5, 0.5, math.nan], [1.5, -0.5], [1.0, math.inf, -math.inf], [math.nan]):
+        with pytest.raises(SupentError):
+            shannon_entropy(np.array(p))
+    # eigenvalue rounding below 0 is still a probability
+    assert shannon_entropy(np.array([0.5 + 1e-15, 0.5, -1e-15])) == pytest.approx(1.0)
 
 
 def test_shannon_entropy_accepts_spectrum():

@@ -222,7 +222,8 @@ def test_mixture_entropy_half_overlap():
     expected = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
     c2 = abs(inner_product(psi, phi)) ** 2
     assert mixture_entropy(0.5, c2) == pytest.approx(expected, abs=1e-12)
-    assert mixture_entropy(np.array([0.5, 0.5]), c2).tolist() == pytest.approx([expected] * 2)
+    assert type(mixture_entropy(np.float64(0.5), c2)) is float
+    assert mixture_entropy(np.float64(0.5), c2) == mixture_entropy(0.5, c2)
     assert expected == pytest.approx(0.811278, abs=5e-7)
 
 
@@ -237,7 +238,8 @@ def test_mixture_entropy_requires_normalized_inputs():
 
 
 def test_mixture_entropy_rejects_bad_arguments_in_both_forms():
-    for t, c2 in ((0.3, math.nan), (math.nan, 0.5), (1.5, 0.0), (-0.2, 0.5), (0.3, 1.2)):
+    cases = ((0.3, math.nan), (math.nan, 0.5), (1.5, 0.0), (-0.2, 0.5), (0.3, 1.2), (1.5, 1.0))
+    for t, c2 in cases + ((0.5, -1e-13), (math.inf, 1.0)):
         with pytest.raises(DomainError):
             mixture_entropy(t, c2)
         with pytest.raises(DomainError):
