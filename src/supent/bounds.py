@@ -61,6 +61,14 @@ T_EPS = 1e-9
 DESTRUCTIVE_NORM_SQ = 1e-12
 SANITY_SLACK = 1e-8
 
+# Largest entanglement, in ebits, and largest |S_A - S_B| the scalar layer
+# takes.  Its largest caller passes 513 (harness._example4_rows, at
+# log2(d - 1) = 1024).  At the window's edge f reaches about 1e21 E when
+# N^2 = DESTRUCTIVE_NORM_SQ, and L1 and Theorem 4's residual about 1e12 E
+# and 3e20 E when a', b' = 1 / DESTRUCTIVE_NORM_SQ.  So at this cap every
+# value stays below 1e28, while E = 1e300 would overflow.
+MAX_ENTANGLEMENT = 1e6
+
 # Rounding slack, relative to 1 + |bracket|, for the computed entropies when
 # the refined search rules out grid points.  eigvalsh leaves an absolute
 # error of a few u = 2^-53 on each eigenvalue of a unit-trace operator, which
@@ -193,7 +201,7 @@ def theorem2_upper_value(
     e_psi: float, e_phi: float, alpha_sq: float, gamma_norm_sq: float, delta_s: float
 ) -> float:
     """LPS bound tightened by the reduced-entropy asymmetry |S_A - S_B|."""
-    check_numbers(-math.inf, delta_s=delta_s)
+    check_numbers(-MAX_ENTANGLEMENT, MAX_ENTANGLEMENT, delta_s=delta_s)
     lps = lps_upper_value(e_psi, e_phi, alpha_sq, gamma_norm_sq)
     return lps - 2.0 * abs(delta_s) / gamma_norm_sq
 
@@ -228,7 +236,7 @@ def lower_value(
     """Lower bound L1(t) or L2(t) at one weight t, as for ``f_upper_value``; ``alpha_sq``
     and ``beta_sq`` are the rescaled weights a', b' >= 0 (above 1 when N^2 < 1)."""
     t = _check_t(t)
-    check_numbers(0.0, e_psi=e_psi, e_phi=e_phi, alpha_sq=alpha_sq, beta_sq=beta_sq)
+    _check_lower(e_psi, e_phi, alpha_sq, beta_sq)
     return _l1(t, binary_entropy(t), *_as_l1(branch, e_psi, e_phi, alpha_sq, beta_sq))
 
 
@@ -248,7 +256,7 @@ def _as_l1(branch, e_psi, e_phi, alpha_sq, beta_sq):
         return e_psi, e_phi, alpha_sq, beta_sq
     if branch == "L2":
         return e_phi, e_psi, beta_sq, alpha_sq
-    raise ValueError(f"branch must be 'L1' or 'L2', got {branch!r}")
+    raise DomainError(f"branch must be 'L1' or 'L2', got {branch!r}")
 
 
 def minimize_f_scalar(
@@ -403,7 +411,7 @@ def maximize_lower_scalar(
     e_psi: float, e_phi: float, alpha_sq: float, beta_sq: float
 ) -> tuple[float, float, str]:
     """Maximize max(L1, L2) over t; returns the unclamped (value, t_star, branch)."""
-    check_numbers(0.0, e_psi=e_psi, e_phi=e_phi, alpha_sq=alpha_sq, beta_sq=beta_sq)
+    _check_lower(e_psi, e_phi, alpha_sq, beta_sq)
     return _maximize_lower(*np.array([[e_psi], [e_phi], [alpha_sq], [beta_sq]]))[0]
 
 
@@ -462,7 +470,7 @@ def theorem3_stationarity_residual(
     a (1-t)^2 / ((1-a) t^2) = (E(psi) - log2 t) / (E(phi) - log2(1-t)).
     """
     t = _check_t(t)
-    check_numbers(0.0, e_psi=e_psi, e_phi=e_phi)
+    check_numbers(0.0, MAX_ENTANGLEMENT, e_psi=e_psi, e_phi=e_phi)
     check_numbers(-H2_DOMAIN_SLACK, math.nextafter(1.0, 0.0), alpha_sq=alpha_sq)  # a < 1
     bsq = 1.0 - alpha_sq
     lhs = alpha_sq * (1.0 - t) ** 2 / (bsq * t**2)
@@ -478,7 +486,7 @@ def theorem4_stationarity_residual(
     a b t^2 / (1 - (1-a) t)^2 * E(phi) = E(psi) - log2(1-t).
     """
     t = _check_t(t)
-    check_numbers(0.0, e_psi=e_psi, e_phi=e_phi, alpha_sq=alpha_sq, beta_sq=beta_sq)
+    _check_lower(e_psi, e_phi, alpha_sq, beta_sq)
     e_psi, e_phi, alpha_sq, beta_sq = _as_l1(branch, e_psi, e_phi, alpha_sq, beta_sq)
     lhs = alpha_sq * beta_sq * t**2 / (1.0 - (1.0 - alpha_sq) * t) ** 2 * e_phi
     rhs = e_psi - math.log2(1.0 - t)
@@ -625,9 +633,18 @@ def _check_t(t) -> float:
 
 
 def _check_upper(e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=0.0) -> None:
-    """Raise DomainError unless E(psi), E(phi) >= 0, |alpha|^2 in [0, 1] (to h2's
-    slack) and N^2 >= DESTRUCTIVE_NORM_SQ, below which the bounds overflow."""
-    check_numbers(0.0, e_psi=e_psi, e_phi=e_phi)
+    """Raise DomainError unless E(psi), E(phi) lie in [0, MAX_ENTANGLEMENT],
+    |alpha|^2 in [0, 1] (to h2's slack), N^2 >= DESTRUCTIVE_NORM_SQ, below
+    which the bounds overflow, and |delta_s| <= MAX_ENTANGLEMENT."""
+    check_numbers(0.0, MAX_ENTANGLEMENT, e_psi=e_psi, e_phi=e_phi)
     check_numbers(-H2_DOMAIN_SLACK, 1.0 + H2_DOMAIN_SLACK, alpha_sq=alpha_sq)
     check_numbers(DESTRUCTIVE_NORM_SQ, gamma_norm_sq=gamma_norm_sq)
-    check_numbers(-math.inf, delta_s=delta_s)
+    check_numbers(-MAX_ENTANGLEMENT, MAX_ENTANGLEMENT, delta_s=delta_s)
+
+
+def _check_lower(e_psi, e_phi, alpha_sq, beta_sq) -> None:
+    """Raise DomainError unless E(psi), E(phi) lie in [0, MAX_ENTANGLEMENT] and
+    the rescaled weights a' = |alpha|^2 / N^2, b' = |beta|^2 / N^2 in
+    [0, 1 / DESTRUCTIVE_NORM_SQ], the most a problem can give them."""
+    check_numbers(0.0, MAX_ENTANGLEMENT, e_psi=e_psi, e_phi=e_phi)
+    check_numbers(0.0, 1.0 / DESTRUCTIVE_NORM_SQ, alpha_sq=alpha_sq, beta_sq=beta_sq)

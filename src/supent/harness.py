@@ -265,6 +265,20 @@ def family_gamma_probs(d: int, alpha: float, beta: float) -> tuple[np.ndarray, f
     return gp, float(gp.sum())
 
 
+def _family_entropies(d: int, alpha: float, beta: float) -> tuple[float, float, float]:
+    """(E(psi), exact E(gamma), N^2) of the family with coefficients (alpha, beta)
+    at size d; E(phi) = E(psi).
+
+    gamma's squared amplitudes are divided by N^2 in place, which has the
+    bits of ``gp / n2``, and each d-length array is dropped once its entropy
+    is taken, so at most two are alive at a time.
+    """
+    e_state = qmath.shannon_entropy(family_state_probs(d))
+    gp, n2 = family_gamma_probs(d, alpha, beta)
+    gp /= n2
+    return e_state, qmath.shannon_entropy(gp), n2
+
+
 def diagonal_family_states(d: int, family: str) -> tuple[BipartiteState, BipartiteState]:
     """Dense d x d realization of the sweep family (small d only)."""
     amps = np.sqrt(family_state_probs(d)).astype(complex)
@@ -397,9 +411,7 @@ def _example3_rows(d: int = 2**16 + 1) -> list[ExampleRow]:
     alpha, beta = family_coefficients("example3")
     asq = alpha * alpha
     log_d1 = math.log2(d - 1)
-    e_state = qmath.shannon_entropy(family_state_probs(d))
-    gp, n2 = family_gamma_probs(d, alpha, beta)
-    exact = qmath.shannon_entropy(gp / n2)
+    e_state, exact, n2 = _family_entropies(d, alpha, beta)
     t3, t3_star = bounds.minimize_f_scalar(e_state, e_state, asq, n2)
     f37 = bounds.f_upper_value(3.0 / 7.0, e_state, e_state, asq, n2)
     f37_direct = (49.0 / 25.0) * (e_state + binary_entropy(3.0 / 7.0)) / n2
@@ -467,9 +479,7 @@ def _example4_rows(d: int = 2**16 + 1) -> list[ExampleRow]:
     alpha, beta = family_coefficients("example4")
     asq, bsq = alpha * alpha, beta * beta
     log_d1 = math.log2(d - 1)
-    e_state = qmath.shannon_entropy(family_state_probs(d))
-    gp, n2 = family_gamma_probs(d, alpha, beta)
-    exact = qmath.shannon_entropy(gp / n2)
+    e_state, exact, n2 = _family_entropies(d, alpha, beta)
     t_ref = 25.0 / 28.0
     l1_ref = bounds.lower_value(t_ref, e_state, e_state, asq / n2, bsq / n2, "L1")
     l1_closed = (
@@ -564,10 +574,7 @@ def dimension_sweep(d_list, family: str) -> list[SweepRecord]:
 
 
 def _sweep_record(d: int, alpha: float, beta: float) -> SweepRecord:
-    probs = family_state_probs(d)
-    e_state = qmath.shannon_entropy(probs)
-    gp, n2 = family_gamma_probs(d, alpha, beta)
-    exact = qmath.shannon_entropy(gp / n2)
+    e_state, exact, n2 = _family_entropies(d, alpha, beta)
     asq = alpha * alpha
     bsq = beta * beta
 

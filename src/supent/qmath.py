@@ -81,8 +81,7 @@ def psd_entropy(rho):
         w = np.linalg.eigvalsh(rho)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    w = np.where(w > 0.0, w, 1.0)
-    s = np.maximum(-(w * np.log2(w)).sum(axis=-1), 0.0)
+    s = np.maximum(_entropy_sum(np.where(w > 0.0, w, 1.0)), 0.0)
     return float(s) if s.ndim == 0 else s
 
 
@@ -104,18 +103,34 @@ def shannon_entropy(p) -> float:
     """Shannon entropy -sum p_i log2 p_i of a probability spectrum, in bits.
 
     Accepts a ``Spectrum`` or any array-like of probabilities; they must sum
-    to 1 and be >= 0, each within 1e-8.  Zero entries contribute nothing.
+    to 1 and be >= 0, each within 1e-8.  Entries at or below zero contribute
+    nothing: only when there are some are the positive entries compressed
+    into a copy; an all-positive input is summed as it is, with one
+    temporary its size.  The input is never written to.
     """
     values = p.values if isinstance(p, Spectrum) else np.asarray(p, dtype=float)
-    if not values.min(initial=0.0) >= -1e-8:  # NaN fails too; -inf fails before a sum warns
-        raise DomainError(f"probabilities must be >= -1e-8, found {float(values.min())!r}")
+    values = values.reshape(-1)
+    low = float(values.min(initial=math.inf))
+    if not low >= -1e-8:  # NaN fails too; -inf fails before a sum warns
+        raise DomainError(f"probabilities must be >= -1e-8, found {low!r}")
     total = float(values.sum())
     if not abs(total - 1.0) <= 1e-8:  # NaN fails too
         raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
-    pos = values[values > 0.0]
-    if pos.size == 0:
-        return 0.0
-    return max(0.0, float(-(pos * np.log2(pos)).sum()))
+    if not low > 0.0:
+        values = values[values > 0.0]
+    return max(0.0, float(_entropy_sum(values)))
+
+
+def _entropy_sum(p: np.ndarray):
+    """-sum p log2 p over the last axis of an array of positive entries.
+
+    Allocates one temporary the size of ``p`` and leaves ``p`` unwritten;
+    the sum runs over a fresh contiguous array, so its bits are those of
+    ``-(p * np.log2(p)).sum(axis=-1)``.
+    """
+    terms = np.log2(p)
+    terms *= p
+    return -terms.sum(axis=-1)
 
 
 def binary_entropy(x):

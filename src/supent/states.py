@@ -207,7 +207,7 @@ def reduced_density(s: BipartiteState, side: str) -> np.ndarray:
         return c @ c.conj().T
     if side == "B":
         return c.T @ c.conj()
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    raise DomainError(f"side must be 'A' or 'B', got {side!r}")
 
 
 def entanglement_entropy(s: BipartiteState) -> float:

@@ -261,12 +261,19 @@ def test_scalar_checks_keep_valid_edge_arguments():
     assert math.isfinite(theorem3_stationarity_residual(0.5, 1.0, 1.0, 1.0 - 2**-53))
 
 
-# NaN, +-inf, negatives, 0, values above 1, tiny and ordinary numbers.  Every
-# magnitude stays at most 8, where each bound is a representable float; an
-# entanglement near the float maximum would overflow a bound to inf.
+# NaN, +-inf, negatives, 0, values above 1, tiny, ordinary and huge numbers:
+# magnitudes run to just past bounds.MAX_ENTANGLEMENT and the cap
+# 1 / DESTRUCTIVE_NORM_SQ on a' and b', and on to 1e300, where an unchecked
+# bound would overflow to inf.
+_CAPS = (bounds.MAX_ENTANGLEMENT, 1.0 / bounds.DESTRUCTIVE_NORM_SQ)
 _SCALARS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -1e-300, 0.0, 1e-300, 1.0, 1.5]),
+    st.sampled_from(
+        [s * x for c in _CAPS for x in (c, math.nextafter(c, math.inf)) for s in (1.0, -1.0)]
+        + [1e300, -1e300]
+    ),
     st.floats(-8.0, 8.0),
+    st.floats(-1.1 * _CAPS[1], 1.1 * _CAPS[1]),
 )
 _CONTRACT = {
     "lps_upper_value": (lps_upper_value, 4),
@@ -664,9 +671,9 @@ def test_theorem4_interior_maximizer_in_high_entanglement_regime():
 
 @pytest.mark.parametrize("branch", ["l1", "L3", ""])
 def test_unknown_lower_branch_is_rejected(branch):
-    with pytest.raises(ValueError, match="branch"):
+    with pytest.raises(DomainError, match="branch"):
         theorem4_stationarity_residual(0.5, 1.0, 2.0, 0.3, 0.7, branch)
-    with pytest.raises(ValueError, match="branch"):
+    with pytest.raises(DomainError, match="branch"):
         lower_value(0.5, 1.0, 2.0, 0.3, 0.7, branch)
 
 

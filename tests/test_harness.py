@@ -1,11 +1,12 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from supent import bounds, harness, states
+from supent import bounds, harness, qmath, states
 from supent.errors import DimError, ParseError
 from supent.harness import (
     AuditSummary,
@@ -260,6 +261,35 @@ def test_sweep_rejects_non_integral_dimensions_before_allocating(monkeypatch):
             dimension_sweep([5, bad], "example3")
     with pytest.raises(AssertionError, match="d = 5$"):
         dimension_sweep([np.int64(5)], "example3")
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes traced by ``tracemalloc`` while fn(*args) runs, above what
+    was allocated before the call."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", ["example3", "example4"])
+def test_large_d_entropy_and_sweep_record_hold_few_d_length_arrays(family):
+    # an all-positive spectrum's entropy takes one d-length temporary, and a
+    # sweep record keeps at most three d-length arrays alive at once
+    d = 2**18 + 1
+    alpha, beta = harness.family_coefficients(family)
+    gp, n2 = family_gamma_probs(d, alpha, beta)
+    for p in (family_state_probs(d), gp / n2):
+        assert _traced_peak(qmath.shannon_entropy, p) <= 1.1 * 8 * d
+    dimension_sweep([d], family)
+    assert _traced_peak(dimension_sweep, [d], family) <= 3.1 * 8 * d
 
 
 def test_sweep_csv_format():

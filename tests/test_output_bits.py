@@ -1,7 +1,7 @@
 """Bit-identity guard for the ``examples`` and ``sweep`` outputs.
 
 Every computed value of ``run_examples()`` and every float of
-``dimension_sweep([257, 4097, 65537], family)`` for both families, written
+``dimension_sweep([257, 4097, 65537, 2**18 + 1], family)`` for both families, written
 as ``float.hex`` and recorded before a change, with numpy 2.4 on OpenBLAS
 0.3.  A refactor that moves any bit fails here.  As for
 ``test_report_bits.py``, a different LAPACK build may move the last bits of
@@ -25,7 +25,7 @@ def test_examples_bits():
 def test_sweep_bits(family):
     got = [
         tuple(v if isinstance(v, int) else v.hex() for v in dataclasses.astuple(r))
-        for r in harness.dimension_sweep([257, 4097, 65537], family)
+        for r in harness.dimension_sweep([257, 4097, 65537, 2**18 + 1], family)
     ]
     assert got == SWEEPS[family]
 
@@ -109,7 +109,17 @@ SWEEPS = {'example3': [(257,
                '0x0.0p+0',
                '0x1.04175c63b6d92p+2',
                '0x1.dfaa3aab41914p+1',
-               '0x1.fa493dad3a6b9p+3')],
+               '0x1.fa493dad3a6b9p+3'),
+              (262145,
+               '0x1.1c80c7cc5fc4fp+4',
+               '0x1.5e2a75ef8aec1p+4',
+               '0x1.5e2a75ef8aec1p+4',
+               '0x1.5876f1aed719fp+4',
+               '0x1.5876f1aed719fp+4',
+               '0x0.0p+0',
+               '0x1.06a6b88cac9c8p+2',
+               '0x1.dfb14f13baa80p+1',
+               '0x1.1c80c7cc5fc4fp+4')],
  'example4': [(257,
                '0x1.34acd45f9f5aep-2',
                '0x1.7c54ebdf15d7fp+3',
@@ -139,4 +149,14 @@ SWEEPS = {'example3': [(257,
                '0x0.0p+0',
                '0x1.36c8667516ac8p+4',
                '0x1.31b7d6b191286p+4',
-               '0x1.d883de9d0ffd3p-2')]}
+               '0x1.d883de9d0ffd3p-2'),
+              (262145,
+               '0x1.00bcd09636133p-1',
+               '0x1.5e2a75ef8aec6p+4',
+               '0x1.5e2a75ef8aec6p+4',
+               '0x1.5876f1aed71a4p+4',
+               '0x1.5876f1aed71a4p+4',
+               '0x0.0p+0',
+               '0x1.56248f6ad93bcp+4',
+               '0x1.50710b2a2569ap+4',
+               '0x1.00bcd09636133p-1')]}

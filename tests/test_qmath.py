@@ -111,6 +111,66 @@ def test_shannon_entropy_accepts_spectrum():
     assert shannon_entropy(spec) == pytest.approx(1.0)
 
 
+def _read_only(a):
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+def _shannon_spectra(n, rng):
+    """Probability vectors of size n: all positive, then (for n >= 3) with
+    interior and trailing zeros, then with tiny negative entries."""
+    p = rng.random(n) + 0.01
+    yield p / p.sum()
+    if n < 3:
+        return
+    z = rng.random(n) + 0.01
+    z[1:-1:3] = 0.0
+    z[-1] = 0.0
+    yield z / z.sum()
+    neg = p / p.sum()
+    neg[2::5] = -1e-12 * rng.random(neg[2::5].size)
+    neg[0] += 1.0 - neg.sum()
+    yield neg
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000, 2**16 + 1])
+def test_shannon_entropy_has_the_bits_of_the_masked_sum(n):
+    # the formula the kernel replaced: drop entries <= 0, then sum
+    # -p log2 p over the copy; inputs are read-only, so a kernel that
+    # writes into the caller's array fails here
+    rng = np.random.default_rng(n)
+    for p in _shannon_spectra(n, rng):
+        p = _read_only(p)
+        pos = p[p > 0.0]
+        expected = max(0.0, float(-(pos * np.log2(pos)).sum()))
+        assert shannon_entropy(p).hex() == expected.hex()
+
+
+def test_psd_entropy_has_the_bits_of_the_masked_sum():
+    # single matrices and stacks whose spectra hold exact zeros, tiny
+    # negative eigenvalues and round-off from rank deficiency, all read-only
+    rng = np.random.default_rng(3)
+    diagonal = [
+        np.diag([0.5, 0.25, 0.25, 0.0]),
+        np.diag([0.5, 0.5 + 1e-17, -1e-17, 0.0]),
+        np.diag([1.0, 0.0, 0.0, 0.0]),
+        np.diag([1.0 + 2e-16, -1e-16, -1e-16, 0.0]),
+    ]
+    low_rank = []
+    for r in (1, 2, 4):
+        g = rng.standard_normal((4, r)) + 1j * rng.standard_normal((4, r))
+        rho = g @ g.conj().T
+        low_rank.append(rho / np.trace(rho).real)
+    for rho in [*diagonal, *low_rank, np.array(diagonal), np.array(low_rank)]:
+        rho = _read_only(rho)
+        w = np.linalg.eigvalsh(rho)
+        w = np.where(w > 0.0, w, 1.0)
+        expected = np.maximum(-(w * np.log2(w)).sum(axis=-1), 0.0)
+        got = psd_entropy(rho)
+        assert [float(x).hex() for x in np.ravel(got)] == [float(x).hex() for x in np.ravel(expected)]
+
+
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_binary_entropy_symmetric(x):
     assert binary_entropy(x) == pytest.approx(binary_entropy(1.0 - x), abs=1e-12)

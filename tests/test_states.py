@@ -112,6 +112,12 @@ def test_reduced_density_trace_is_norm():
         assert np.allclose(rho, rho.conj().T, atol=1e-12)
 
 
+@pytest.mark.parametrize("side", ["a", "C", "AB", ""])
+def test_unknown_reduced_density_side_is_rejected(side):
+    with pytest.raises(DomainError, match="side"):
+        reduced_density(bell_state(), side)
+
+
 # -- entanglement_entropy ----------------------------------------------------
 
 
