@@ -164,7 +164,10 @@ class BoundReport:
     optimum for stationarity diagnostics.  ``simple_lower`` is present only
     for orthogonal pairs; ``exact_one_sided`` only when the pair is
     one-sided orthogonal.  ``sane`` records
-    lower_l - 1e-8 <= exact_e <= min(upper bounds) + 1e-8.
+    lower_l - 1e-8 <= exact_e <= min(upper bounds) + 1e-8.  ``s_a`` and
+    ``s_b`` are the side entropies S_A, S_B of |alpha|^2 |psi><psi| +
+    |beta|^2 |phi><phi|: Theorem 2's asymmetry is |s_a - s_b|, and they are
+    Lemma 1's inputs.
     """
 
     exact_e: float
@@ -180,6 +183,8 @@ class BoundReport:
     simple_lower: Optional[float]
     exact_one_sided: Optional[float]
     sane: bool
+    s_a: float
+    s_b: float
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +310,18 @@ def minimize_f_with_refinement(
     1. S_A and S_B are computed at every PRUNE_STRIDE-th grid point (the
        knots); ``best`` is the least refined f among them.
     2. Each S_X is concave in t, because entropy is concave and rho_X(t) is
-       affine in t.  So between two knots S_X lies above their chord and
-       below the secants of the two neighbouring knot intervals, extended.
-       Concavity also gives S_X >= m = t E(psi) + (1-t) E(phi), and since
-       the Holevo quantity does not grow under partial trace,
-       S_X <= m + S_AB <= m + h2(t), where S_AB is the entropy of the rank-2
+       affine in t.  So between two knots S_X lies above their chord L_X
+       and below the secants of the two neighbouring knot intervals,
+       extended.  And since the Holevo quantity does not grow under partial
+       trace, S_X <= m + S_AB <= m + h2(t), the ceiling, where
+       m = t E(psi) + (1-t) E(phi) and S_AB is the entropy of the rank-2
        mixture: its top eigenvalue is at least <psi|rho|psi> >= t, and
-       likewise 1 - t.  With L_X and U_X the tightest of these lower and
-       upper bounds, and Araki-Lieb (Delta <= S_AB <= h2(t)),
-       cap = clip(min(h2(t), max(U_A - L_B, U_B - L_A)), 0, inf) >= Delta,
-       and LB = pref (m + h2(t) - cap) / N^2 is at most the refined f.
+       likewise 1 - t.  With U_X the lower of the two secants and the
+       ceiling, cap = clip(max(U_A - L_B, U_B - L_A), 0, inf) >= Delta, and
+       LB = pref (m + h2(t) - cap) / N^2 is at most the refined f.
+       S_X >= m and Araki-Lieb's Delta <= h2(t) would rule out no more
+       points: the chord lies above the affine m, which S_X exceeds at the
+       knots, so U_A - L_B <= (m + h2(t)) - m already.
     3. One more stacked call evaluates the points with
        LB - allowance <= best, where
        allowance = pref ENTROPY_ROUNDING (1 + |m + h2(t)|) / N^2 absorbs
@@ -340,7 +347,11 @@ def minimize_f_with_refinement(
         s.reshape(n, k)
         for s in stack.entropies(np.repeat(all_rows, k), np.tile(_T_GRID[_KNOTS], n))
     )
-    values, allowance = _refined_f_floor(s_a, s_b, *(c[:, None] for c in cols))
+    t, (e1, e2, a, n2) = _T_GRID, (c[:, None] for c in cols)
+    ceiling = t * e1 + (1.0 - t) * e2 + _H_GRID
+    cap = _delta_cap(t, t[_KNOTS], s_a, s_b, ceiling)
+    values = _f_value(t, _H_GRID, e1, e2, a, n2, cap)
+    allowance = _f_prefactor(t, a) / n2 * ENTROPY_ROUNDING * (1.0 + np.abs(ceiling))
     values[:, _KNOTS] = on_grid(all_rows, _KNOTS, s_a, s_b)
     todo = values - allowance <= values[:, _KNOTS].min(axis=1, keepdims=True)
     todo[:, _KNOTS] = False
@@ -354,57 +365,24 @@ def minimize_f_with_refinement(
     return list(zip(plain, found))
 
 
-def _refined_f_floor(s_a, s_b, e_psi, e_phi, alpha_sq, gamma_norm_sq):
-    """Lower bound on the refined f of n problems on the grid, and its rounding
-    allowance, each of shape (n, 257).
-
-    Row k of ``s_a``, ``s_b`` holds problem k's exact side entropies at the
-    knots, and the other arguments are columns of shape (n, 1); see
-    ``minimize_f_with_refinement`` for why the bound holds.
-    """
-    t = _T_GRID
-    m = t * e_psi + (1.0 - t) * e_phi
-    cap = _delta_cap(t, t[_KNOTS], s_a, s_b, m, _H_GRID)
-    floor = _f_value(t, _H_GRID, e_psi, e_phi, alpha_sq, gamma_norm_sq, cap)
-    weight = _f_prefactor(t, alpha_sq) / gamma_norm_sq
-    return floor, weight * ENTROPY_ROUNDING * (1.0 + np.abs(m + _H_GRID))
-
-
 def _delta_cap(
-    t: np.ndarray,
-    knots: np.ndarray,
-    s_a: np.ndarray,
-    s_b: np.ndarray,
-    m: np.ndarray,
-    s_ab: np.ndarray,
+    t: np.ndarray, knots: np.ndarray, s_a: np.ndarray, s_b: np.ndarray, ceiling: np.ndarray
 ) -> np.ndarray:
-    """Upper bound on |S_A(t) - S_B(t)| from the side entropies at ``knots``,
-    the mean entanglement m(t) and ``s_ab`` >= the mixture entropy S_AB(t)."""
-    lo_a, hi_a = _concave_envelope(t, knots, s_a, m, m + s_ab)
-    lo_b, hi_b = _concave_envelope(t, knots, s_b, m, m + s_ab)
-    return np.clip(np.minimum(s_ab, np.maximum(hi_a - lo_b, hi_b - lo_a)), 0.0, None)
-
-
-def _concave_envelope(
-    t: np.ndarray, knots: np.ndarray, s: np.ndarray, floor: np.ndarray, ceiling: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds (lo, hi) on a concave function known exactly at ``knots``.
-
-    lo is the chord of the knot interval holding t, raised to ``floor``; hi
-    is the lower of the secants of the two neighbouring intervals, extended
-    into this one, and ``ceiling``.
-    """
+    """Upper bound on |S_A(t) - S_B(t)| from the side entropies, concave in t,
+    at ``knots`` and a ``ceiling`` >= each: each side lies above the chord of
+    t's knot interval and below the ceiling and the secants of the two
+    neighbouring intervals, extended into this one."""
     last = knots.size - 2
     j = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, last)
-    slope = np.diff(s) / np.diff(knots)
-    chord = s[..., j] + slope[..., j] * (t - knots[j])
-    left = np.where(j > 0, s[..., j] + slope[..., j - 1] * (t - knots[j]), np.inf)
-    right = np.where(
-        j < last,
-        s[..., j + 1] + slope[..., np.minimum(j + 1, last)] * (t - knots[j + 1]),
-        np.inf,
-    )
-    return np.maximum(chord, floor), np.minimum(np.minimum(left, right), ceiling)
+    here, there, nxt = t - knots[j], t - knots[j + 1], np.minimum(j + 1, last)
+    lo, hi = [], []
+    for s in (s_a, s_b):
+        slope = np.diff(s) / np.diff(knots)
+        lo.append(s[..., j] + slope[..., j] * here)
+        left = np.where(j > 0, s[..., j] + slope[..., j - 1] * here, np.inf)
+        right = np.where(j < last, s[..., j + 1] + slope[..., nxt] * there, np.inf)
+        hi.append(np.minimum(np.minimum(left, right), ceiling))
+    return np.clip(np.maximum(hi[0] - lo[1], hi[1] - lo[0]), 0.0, None)
 
 
 def maximize_lower_scalar(
@@ -599,6 +577,8 @@ def _report(stack, row, p, s_a, s_b, upper, lower) -> BoundReport:
         simple_lower=simple_lower(p),
         exact_one_sided=_one_sided_value(p, s_a, s_b) if one_sided else None,
         sane=(low - SANITY_SLACK <= exact) and (exact <= upper_min + SANITY_SLACK),
+        s_a=s_a,
+        s_b=s_b,
     )
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bounds, qmath, states
+from . import bounds, qmath
 from .bounds import SuperpositionProblem
 from .errors import DimError, ParseError, ZeroState
 from .qmath import binary_entropy
@@ -64,6 +64,9 @@ AUDIT_BATCH_COEFFS = 2**13
 
 # Largest sweep dimension d: a record peaks at about 40 d bytes (160 MiB).
 MAX_FAMILY_DIM = 2**22 + 1
+
+# The dimension d = 2^16 + 1 of the diagonal family in Examples 3 and 4.
+EXAMPLE_DIM = 2**16 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +348,14 @@ def _example1_rows() -> list[ExampleRow]:
         case = f"E1[alpha={alpha:.4g}]"
         prob = SuperpositionProblem.from_states(psi, phi, alpha, beta)
         (report,) = bounds.certify_many([prob])
-        s_a, s_b = states.PairStack([(prob.psi, prob.phi)]).entropies(0, prob.alpha_sq)
         rows.append(_check_row(case, "E(psi)", prob.e_psi, 1.0, 1e-9))
         rows.append(_check_row(case, "E(phi)", prob.e_phi, 1.0, 1e-9))
         rows.append(_check_row(case, "exact_e", report.exact_e, 1.0, 1e-9))
         rows.append(_check_row(case, "one_sided_formula", report.exact_one_sided, 1.0, 1e-9))
-        rows.append(_check_row(case, "S_A(t=|alpha|^2)", s_a, 1.0, 1e-9))
+        rows.append(_check_row(case, "S_A(t=|alpha|^2)", report.s_a, 1.0, 1e-9))
         rows.append(
             _check_row(
-                case, "S_B(t=|alpha|^2)", s_b, 1.0 + binary_entropy(alpha * alpha), 1e-9
+                case, "S_B(t=|alpha|^2)", report.s_b, 1.0 + binary_entropy(alpha * alpha), 1e-9
             )
         )
     return rows
@@ -366,14 +368,13 @@ def _example2_rows() -> list[ExampleRow]:
     prob = SuperpositionProblem.from_states(psi, phi, s, s)
     (report,) = bounds.certify_many([prob])
     exact, lps, t2 = report.exact_e, report.lps_upper, report.theorem2_upper
-    s_a, s_b = states.PairStack([(prob.psi, prob.phi)]).entropies(0, prob.alpha_sq)
     rows = [
         _check_row(case, "E(psi)", prob.e_psi, 1.5, 1e-9),
         _check_row(case, "E(phi)", prob.e_phi, 1.5, 1e-9),
         _check_row(case, "norm_sq(gamma)", prob.gamma_norm_sq, 1.5, 1e-9),
         _check_row(case, "exact_e", exact, math.log2(3.0), 1e-9),
-        _check_row(case, "S_A(t=1/2)", s_a, 1.5, 1e-9),
-        _check_row(case, "S_B(t=1/2)", s_b, 2.0, 1e-9),
+        _check_row(case, "S_A(t=1/2)", report.s_a, 1.5, 1e-9),
+        _check_row(case, "S_B(t=1/2)", report.s_b, 2.0, 1e-9),
         _check_row(case, "lps_upper", lps, 10.0 / 3.0, 1e-9),
         _check_row(case, "theorem2_upper", t2, 8.0 / 3.0, 1e-9),
         ExampleRow(case, "lps_upper - exact_e", lps - exact, passed=lps - exact >= -1e-12),
@@ -406,12 +407,12 @@ def _example2_rows() -> list[ExampleRow]:
     return rows
 
 
-def _example3_rows(d: int = 2**16 + 1) -> list[ExampleRow]:
+def _example3_rows() -> list[ExampleRow]:
     case = "E3[d=2^16+1]"
     alpha, beta = family_coefficients("example3")
     asq = alpha * alpha
-    log_d1 = math.log2(d - 1)
-    e_state, exact, n2 = _family_entropies(d, alpha, beta)
+    log_d1 = math.log2(EXAMPLE_DIM - 1)
+    e_state, exact, n2 = _family_entropies(EXAMPLE_DIM, alpha, beta)
     t3, t3_star = bounds.minimize_f_scalar(e_state, e_state, asq, n2)
     f37 = bounds.f_upper_value(3.0 / 7.0, e_state, e_state, asq, n2)
     f37_direct = (49.0 / 25.0) * (e_state + binary_entropy(3.0 / 7.0)) / n2
@@ -450,7 +451,7 @@ def _example3_rows(d: int = 2**16 + 1) -> list[ExampleRow]:
         ),
         ExampleRow(case, "f(t_star) - exact_e", t3 - exact, passed=t3 - exact >= -1e-12),
     ]
-    sweep = dimension_sweep([2**8 + 1, 2**12 + 1, 2**16 + 1], "example3")
+    sweep = dimension_sweep([2**8 + 1, 2**12 + 1, EXAMPLE_DIM], "example3")
     diffs = [b.gap_lps - a.gap_lps for a, b in zip(sweep, sweep[1:])]
     spread = max(r.gap_t3 for r in sweep) - min(r.gap_t3 for r in sweep)
     rows.append(
@@ -474,12 +475,12 @@ def _example3_rows(d: int = 2**16 + 1) -> list[ExampleRow]:
     return rows
 
 
-def _example4_rows(d: int = 2**16 + 1) -> list[ExampleRow]:
+def _example4_rows() -> list[ExampleRow]:
     case = "E4[d=2^16+1]"
     alpha, beta = family_coefficients("example4")
     asq, bsq = alpha * alpha, beta * beta
-    log_d1 = math.log2(d - 1)
-    e_state, exact, n2 = _family_entropies(d, alpha, beta)
+    log_d1 = math.log2(EXAMPLE_DIM - 1)
+    e_state, exact, n2 = _family_entropies(EXAMPLE_DIM, alpha, beta)
     t_ref = 25.0 / 28.0
     l1_ref = bounds.lower_value(t_ref, e_state, e_state, asq / n2, bsq / n2, "L1")
     l1_closed = (

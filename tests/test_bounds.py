@@ -557,9 +557,9 @@ def test_delta_cap_bounds_entropy_gap(seed, kind, dim, alpha_sq):
     m = t * p.e_psi + (1.0 - t) * p.e_phi
     s_ab = np.array([states.mixture_entropy(w, abs(p.overlap) ** 2) for w in t.tolist()])
     gap = np.abs(s_a - s_b) - bounds.ENTROPY_ROUNDING
-    # the refined search caps the gap with h2(t) >= S_AB in place of S_AB
+    # the refined search's ceiling is m + h2(t), above m + S_AB
     for s_ab_max in (s_ab, bounds._H_GRID):
-        assert np.all(bounds._delta_cap(t, t[knots], s_a[knots], s_b[knots], m, s_ab_max) >= gap)
+        assert np.all(bounds._delta_cap(t, t[knots], s_a[knots], s_b[knots], m + s_ab_max) >= gap)
 
 
 def test_mixture_entropy_is_at_most_binary_entropy():
@@ -934,6 +934,18 @@ def test_certify_eigendecomposes_the_audit_in_few_calls(monkeypatch):
     calls.clear()
     certify(harness.haar_random_state(4, 4, 1), harness.haar_random_state(4, 4, 2), 0.6, 0.8)
     assert len(calls) <= 88
+    # dense pairs, whose refined grid the certified floor mostly prunes; the
+    # one-sided ones need the ceiling m + h2(t) to prune this much
+    for kind, recorded in (("one_sided", 546), ("haar", 556)):
+        matrices.clear()
+        for seed in range(4):
+            if kind == "one_sided":
+                psi, phi = harness.generate_one_sided_pair(16, 16, 32, seed)
+            else:
+                psi = harness.haar_random_state(32, 32, seed)
+                phi = harness.haar_random_state(32, 32, seed + 100)
+            certify(psi, phi, 0.6, 0.8)
+        assert sum(matrices) == recorded, kind
 
 
 def test_certify_haar_random():

@@ -194,6 +194,21 @@ def test_run_examples_documents_normalization_discrepancy():
     assert all(r.passed for r in noted)
 
 
+def test_examples_1_and_2_take_side_entropies_from_the_report(monkeypatch):
+    calls = []
+    reduced_density = states.reduced_density
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return reduced_density(*args, **kwargs)
+
+    monkeypatch.setattr(states, "reduced_density", counting)
+    harness._example1_rows()
+    harness._example2_rows()
+    # four problems, each with the 4 reduced operators of its one store row
+    assert len(calls) == 16
+
+
 # -- family spectra ----------------------------------------------------------------
 
 

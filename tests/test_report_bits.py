@@ -92,7 +92,9 @@ REPORTS = [{'exact_e': '0x1.8188569868649p-1',
   'lower_raw': '-0x1.0b9fceac4693fp-25',
   'simple_lower': None,
   'exact_one_sided': None,
-  'sane': True},
+  'sane': True,
+  's_a': '0x1.38fa805feebacp+0',
+  's_b': '0x1.bbfa540f47c3ep-1'},
  {'exact_e': '0x1.940317481bbc3p+0',
   'lps_upper': '0x1.4b6cefa40b4dbp+2',
   'theorem2_upper': '0x1.3a32eeb1a08d5p+2',
@@ -105,7 +107,9 @@ REPORTS = [{'exact_e': '0x1.8188569868649p-1',
   'lower_raw': '-0x1.fa905d2098b27p-26',
   'simple_lower': None,
   'exact_one_sided': None,
-  'sane': True},
+  'sane': True,
+  's_a': '0x1.dfdda9050ab58p+0',
+  's_b': '0x1.bffb20272ce81p+0'},
  {'exact_e': '0x1.31328e3c17e68p+1',
   'lps_upper': '0x1.31294699aee85p+2',
   'theorem2_upper': '0x1.312945028df66p+2',
@@ -118,7 +122,9 @@ REPORTS = [{'exact_e': '0x1.8188569868649p-1',
   'lower_raw': '0x1.2fa0b5c5eec60p+1',
   'simple_lower': None,
   'exact_one_sided': None,
-  'sane': True},
+  'sane': True,
+  's_a': '0x1.313ab7b21f0d6p+1',
+  's_b': '0x1.313ab94958226p+1'},
  {'exact_e': '0x1.5872ee07e5664p+0',
   'lps_upper': '0x1.e614cc5b7ebdap+1',
   'theorem2_upper': '0x1.5872ee07e5662p+1',
@@ -131,7 +137,9 @@ REPORTS = [{'exact_e': '0x1.8188569868649p-1',
   'lower_raw': '-0x1.f16a080044d6ep-26',
   'simple_lower': '-0x1.1d0efebc03f2fp+0',
   'exact_one_sided': '0x1.5872ee07e5663p+0',
-  'sane': True},
+  'sane': True,
+  's_a': '0x1.5872ee07e5664p+0',
+  's_b': '0x1.e614cc5b7ebddp+0'},
  {'exact_e': '0x1.51563c3e841a4p+0',
   'lps_upper': '0x1.8f7f3760670ebp+1',
   'theorem2_upper': '0x1.51563c3e841a4p+1',
@@ -144,7 +152,9 @@ REPORTS = [{'exact_e': '0x1.8188569868649p-1',
   'lower_raw': '-0x1.08ae126408e38p-25',
   'simple_lower': '-0x1.ffffffffffffep+0',
   'exact_one_sided': '0x1.51563c3e841a6p+0',
-  'sane': True},
+  'sane': True,
+  's_a': '0x1.51563c3e841a9p+0',
+  's_b': '0x1.8f7f3760670f0p+0'},
  {'exact_e': '0x1.22db712c0b384p+0',
   'lps_upper': '0x1.b33117414b0e8p+1',
   'theorem2_upper': '0x1.22db712c0b382p+1',
@@ -157,4 +167,6 @@ REPORTS = [{'exact_e': '0x1.8188569868649p-1',
   'lower_raw': '-0x1.e270c977bd671p-26',
   'simple_lower': '-0x1.bb6344b163c17p-1',
   'exact_one_sided': '0x1.22db712c0b383p+0',
-  'sane': True}]
+  'sane': True,
+  's_a': '0x1.22db712c0b383p+0',
+  's_b': '0x1.b33117414b0eap+0'}]
