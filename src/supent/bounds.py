@@ -77,6 +77,14 @@ MAX_ENTANGLEMENT = 1e6
 # spare at any dimension a dense eigendecomposition can reach.
 ENTROPY_ROUNDING = 1e-9
 
+# Rounding allowance, relative to the size of L1's and L2's terms at the
+# window's right edge, when ``_maximize_lower`` rules a branch out: each
+# computed value is off by a few u = 2^-53 times the sum of its terms'
+# magnitudes.  A branch held below -h2(t)/t comes within that of its
+# ceiling only within a few T_EPS of the edge, where its terms are those at
+# the edge within a small factor.  1e-12 (about 9000 u) covers both.
+LOWER_EDGE_ROUNDING = 1e-12
+
 # Every PRUNE_STRIDE-th grid point of the refined search is eigendecomposed
 # unconditionally; the bounds on the points between interpolate from them.
 PRUNE_STRIDE = 16
@@ -129,31 +137,43 @@ class SuperpositionProblem:
         coefficient, and ZeroState when the superposition is fully
         destructive (squared norm below 1e-12).
         """
-        psi_n = psi.normalized()
-        phi_n = phi.normalized()
-        sphere = _weight("alpha", alpha) + _weight("beta", beta)
-        if abs(sphere - 1.0) > 1e-8:
-            raise DomainError(
-                f"|alpha|^2 + |beta|^2 = {sphere!r}, expected 1 within 1e-8"
-            )
-        scale = 1.0 / math.sqrt(sphere)
-        alpha = complex(alpha) * scale
-        beta = complex(beta) * scale
-        gamma = states.superpose(alpha, psi_n, beta, phi_n)
-        n2 = states.norm_squared(gamma)
-        if n2 <= DESTRUCTIVE_NORM_SQ:
+        (problem,) = cls.from_states_many([(psi, phi, alpha, beta)])
+        if problem is None:
             raise ZeroState("superposition is fully destructive")
-        return cls(
-            psi=psi_n,
-            phi=phi_n,
-            alpha=alpha,
-            beta=beta,
-            gamma=gamma,
-            gamma_norm_sq=n2,
-            overlap=states.inner_product(psi_n, phi_n),
-            e_psi=states.entanglement_entropy(psi_n),
-            e_phi=states.entanglement_entropy(phi_n),
-        )
+        return problem
+
+    @classmethod
+    def from_states_many(cls, quads) -> list[Optional["SuperpositionProblem"]]:
+        """``from_states`` for each (psi, phi, alpha, beta) of ``quads``, in
+        order, with None in place of a fully destructive problem.
+
+        The entanglements of all the normalized states come from one stacked
+        SVD per coefficient shape (``states.entanglement_entropies``), with
+        the bits each gets alone.  Raises as ``from_states`` does, for the
+        first bad quadruple.
+        """
+        held = []  # (psi, phi, alpha, beta, gamma, gamma_norm_sq) or None
+        for psi, phi, alpha, beta in quads:
+            psi_n = psi.normalized()
+            phi_n = phi.normalized()
+            sphere = _weight("alpha", alpha) + _weight("beta", beta)
+            if abs(sphere - 1.0) > 1e-8:
+                raise DomainError(
+                    f"|alpha|^2 + |beta|^2 = {sphere!r}, expected 1 within 1e-8"
+                )
+            scale = 1.0 / math.sqrt(sphere)
+            alpha = complex(alpha) * scale
+            beta = complex(beta) * scale
+            gamma = states.superpose(alpha, psi_n, beta, phi_n)
+            n2 = states.norm_squared(gamma)
+            held.append(None if n2 <= DESTRUCTIVE_NORM_SQ else (psi_n, phi_n, alpha, beta, gamma, n2))
+        kept = [h for h in held if h is not None]
+        e = iter(states.entanglement_entropies(s for h in kept for s in h[:2]))
+        # fields in order: the held six, then overlap, e_psi and e_phi
+        return [
+            None if h is None else cls(*h, states.inner_product(*h[:2]), next(e), next(e))
+            for h in held
+        ]
 
 
 @dataclass(frozen=True)
@@ -393,17 +413,66 @@ def maximize_lower_scalar(
     return _maximize_lower(*np.array([[e_psi], [e_phi], [alpha_sq], [beta_sq]]))[0]
 
 
-def _maximize_lower(*cols: np.ndarray) -> list[tuple[float, float, str]]:
+def _maximize_lower(
+    e_psi: np.ndarray, e_phi: np.ndarray, alpha_sq: np.ndarray, beta_sq: np.ndarray
+) -> list[tuple[float, float, str]]:
     """``maximize_lower_scalar`` in lockstep for the problems of the arrays
-    cols = (e_psi, e_phi, alpha_sq, beta_sq): one search per branch, L1
-    winning ties."""
-    found = []
-    for branch in ("L1", "L2"):
-        l1_cols = _as_l1(branch, *cols)
-        grid = _l1(_T_GRID, _H_GRID, *(c[:, None] for c in l1_cols))
-        negated = _pointwise(lambda *args: -_l1(*args), l1_cols)
-        found.append([(-v, t, branch) for v, t in _golden(negated, -grid)])
-    return [l2 if l2[0] > l1[0] else l1 for l1, l2 in zip(*found)]
+    (e_psi, e_phi, alpha_sq, beta_sq): one golden-section call, whose rows
+    search each problem's winning branch, found in closed form, and both
+    branches of a problem it cannot call, L1 winning ties.
+
+    Why one branch suffices.  Write a', b' for the weights and
+    L1(t) = (1-t)/t [t b' E(phi) / (1 - t(1-a')) - E(psi)] - h2(t)/t.
+
+    1. The bracket is at most 0 where t (b' E(phi) + (1-a') E(psi)) <= E(psi).
+       That is linear in t and holds at t = 0; it holds on all of [0, 1]
+       when it holds at t = 1, that is when b' E(phi) <= a' E(psi).  Then
+       L1(t) <= -h2(t)/t on the whole window.  L2 mirrors this: it is at
+       most -h2(t)/t when a' E(psi) <= b' E(phi).
+    2. -h2(t)/t rises in t, since d/dt [h2(t)/t] = log2(1-t)/t^2 < 0.  So a
+       branch held below it stays below -h2(b)/b, at the window's right edge
+       b = 1 - T_EPS, which is the last grid point.
+    3. A branch whose value at b exceeds -h2(b)/b therefore beats the other
+       one: its bracket is positive at b, so by 1 the other branch is below
+       -h2(t)/t everywhere, and the search returns at least its grid
+       maximum.  At b the bracket of L1 is
+       [(1-T_EPS)(b' E(phi) - a' E(psi)) - T_EPS E(psi)] / (T_EPS + (1-T_EPS) a'),
+       so L1 alone is searched when b' E(phi) > a' E(psi) by more than
+       about T_EPS E(psi), and L2 alone in the mirror case.
+    4. Otherwise both brackets are at most 0 at b and both branches are
+       vacuous near the edge; which one is larger there depends on the
+       rounding and on terms of order T_EPS, not on the sign of
+       b' E(phi) - a' E(psi).  Both are searched, as extra rows, and L1 wins
+       ties.  This takes in every exact tie b' E(phi) = a' E(psi).  A
+       problem whose mirrored columns are identical (equal entanglements and
+       equal weights) has identical branches and searches L1 alone.
+
+    A branch's value at b exceeds -h2(b)/b by A - B, its first two terms.
+    That margin must exceed LOWER_EDGE_ROUNDING times the size of the terms
+    of both branches at b, which covers the rounding of the computed L1 and
+    L2, so each problem gets the result, bits included, of searching both
+    branches and keeping the larger.
+    """
+    n = len(e_psi)
+    # (branch, column, problem): the columns of the L1 formula for L1 and L2
+    table = np.array([(e_psi, e_phi, alpha_sq, beta_sq), (e_phi, e_psi, beta_sq, alpha_sq)])
+    e1, e2, w1, w2 = table.transpose(1, 0, 2)
+    t, h = float(_T_GRID[-1]), float(_H_GRID[-1])
+    first = (1.0 - t) * w2 / (1.0 - t * (1.0 - w1)) * e2
+    second = (1.0 - t) / t * e1
+    size = h / t + first.sum(axis=0) + second.sum(axis=0)
+    clear = first - second > LOWER_EDGE_ROUNDING * size
+    mirrored = (e_psi == e_phi) & (alpha_sq == beta_sq)
+    keep = np.concatenate([~clear[1], ~clear[0] & ~mirrored])  # L1 rows, then L2 rows
+    branch, rows = np.divmod(np.flatnonzero(keep), n)
+    cols = tuple(table[branch, :, rows].T)
+    grid = _l1(_T_GRID, _H_GRID, *(c[:, None] for c in cols))
+    negated = _pointwise(lambda *args: -_l1(*args), cols)
+    best: list = [None] * n
+    for r, b, (v, t_star) in zip(rows.tolist(), branch.tolist(), _golden(negated, -grid)):
+        if best[r] is None or -v > best[r][0]:  # an L2 row comes second: L1 wins ties
+            best[r] = (-v, t_star, ("L1", "L2")[b])
+    return best
 
 
 def _pointwise(formula, cols):
@@ -510,8 +579,7 @@ def subspace_lower(psi: BipartiteState, phi: BipartiteState, grid_n: int) -> flo
         raise DegenerateSubspace(
             f"states are parallel within tolerance (|<psi|phi>| = {abs(c):.12f})"
         )
-    e_psi = states.entanglement_entropy(psi_n)
-    e_phi = states.entanglement_entropy(phi_n)
+    e_psi, e_phi = states.entanglement_entropies([psi_n, phi_n])
     best = math.inf
     for prob in np.linspace(0.0, 1.0, grid_n):
         alpha = math.sqrt(prob)
@@ -537,9 +605,10 @@ def certify(
 
 def certify_many(problems: Sequence[SuperpositionProblem]) -> list[BoundReport]:
     """``certify`` for each problem, in input order, with the bits it gives
-    each alone.  The plain f, refined f, L1 and L2 searches each run for all
-    problems in lockstep, and each step of the refined search takes one
-    stacked eigendecomposition per distinct dimension."""
+    each alone.  The plain f, refined f and lower searches each run for all
+    problems in lockstep, each step of the refined search takes one stacked
+    eigendecomposition per distinct dimension, and the exact entanglements
+    take one stacked SVD per coefficient shape."""
     problems = list(problems)
     stack = states.PairStack((p.psi, p.phi) for p in problems)
     e_psi, e_phi, asq, bsq, n2 = (
@@ -549,15 +618,15 @@ def certify_many(problems: Sequence[SuperpositionProblem]) -> list[BoundReport]:
     pinned = stack.entropies(np.arange(len(problems)), asq)
     upper = minimize_f_with_refinement(e_psi, e_phi, asq, n2, stack, pinned)
     lower = _maximize_lower(e_psi, e_phi, asq / n2, bsq / n2)
-    found = zip(problems, pinned[0].tolist(), pinned[1].tolist(), upper, lower)
+    exact = states.entanglement_entropies(p.gamma for p in problems)
+    found = zip(problems, exact, pinned[0].tolist(), pinned[1].tolist(), upper, lower)
     return [_report(stack, row, *args) for row, args in enumerate(found)]
 
 
-def _report(stack, row, p, s_a, s_b, upper, lower) -> BoundReport:
+def _report(stack, row, p, exact, s_a, s_b, upper, lower) -> BoundReport:
     """Problem ``p``'s report, given what ``certify_many`` computed for it as
-    row ``row`` of ``stack``."""
+    row ``row`` of ``stack``, its exact entanglement ``exact`` among them."""
     ((t3, t3_star), (t3r, _)), (raw, low_t, branch) = upper, lower
-    exact = states.entanglement_entropy(p.gamma)
     lps = lps_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
     t2 = theorem2_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=s_a - s_b)
     low = max(0.0, raw)

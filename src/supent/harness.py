@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bounds, qmath
 from .bounds import SuperpositionProblem
-from .errors import DimError, ParseError, ZeroState
+from .errors import DimError, DomainError, ParseError
 from .qmath import binary_entropy
 from .rng import Xoshiro256StarStar
 from .states import BipartiteState
@@ -154,10 +154,22 @@ def _required_dim(doc: dict, name: str) -> int:
 
 
 def haar_random_state(dim_a: int, dim_b: int, seed: int) -> BipartiteState:
-    """Normalized state with i.i.d. complex Gaussian amplitudes."""
-    if dim_a < 1 or dim_b < 1:
-        raise DimError(f"dimensions must be positive, got {dim_a}x{dim_b}")
+    """Normalized state with i.i.d. complex Gaussian amplitudes.
+
+    Raises DimError unless both dimensions are positive integers, and
+    DomainError unless the seed is an integer.
+    """
+    for name, dim in (("dim_a", dim_a), ("dim_b", dim_b)):
+        _integer(name, dim, 1, error=DimError)
+    _integer("seed", seed)
     return _haar_state(Xoshiro256StarStar(seed), dim_a, dim_b)
+
+
+def _integer(name: str, value, lo=-math.inf, hi=math.inf, error=DomainError) -> None:
+    """Raise ``error`` unless ``value`` is an integer, not a bool, in [lo, hi]."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and lo <= value <= hi):
+        span = f" in [{lo}, {hi}]" if (lo, hi) != (-math.inf, math.inf) else ""
+        raise error(f"{name} = {value!r} is not an integer{span}")
 
 
 def _haar_state(rng: Xoshiro256StarStar, dim_a: int, dim_b: int) -> BipartiteState:
@@ -645,15 +657,10 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
     reproduced from the summary alone.  Trials are certified in batches
     (``bounds.certify_many``) and summarized in trial order.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    if max_dim < 2:
-        raise ValueError("max_dim must be at least 2")
-    if max_dim > MAX_STATE_DIM:
-        raise ValueError(
-            f"max_dim = {max_dim} exceeds {MAX_STATE_DIM}: certifying "
-            "eigendecomposes reduced densities of that size"
-        )
+    _integer("n_trials", n_trials, 1)
+    # certifying eigendecomposes reduced densities of up to max_dim x max_dim
+    _integer("max_dim", max_dim, 2, MAX_STATE_DIM)
+    _integer("seed", seed)
     violations = 0
     t2_violations = 0
     t3_violations = 0
@@ -663,7 +670,7 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
     worst: dict = {}
     worst_margin = math.inf
     draws = _audit_draws(n_trials, max_dim, seed)
-    for (trial, psi, phi, alpha, beta, _), report in _certified(draws):
+    for (trial, psi, phi, alpha, beta), report in _certified(draws):
         if report is None:
             skipped += 1
             continue
@@ -717,8 +724,8 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
 
 
 def _audit_draws(n_trials: int, max_dim: int, seed: int):
-    """(trial, psi, phi, alpha, beta, problem) of each trial, from its own
-    stream; the problem is None for a fully destructive draw."""
+    """(trial, psi, phi, alpha, beta) of each trial, from its own stream;
+    alpha and beta are None when both coefficient draws are 0."""
     base = Xoshiro256StarStar(seed)
     for trial in range(n_trials):
         rng = base.spawn(trial)
@@ -730,29 +737,34 @@ def _audit_draws(n_trials: int, max_dim: int, seed: int):
         z2 = complex(rng.gaussian(), rng.gaussian())
         norm = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2)
         if norm == 0.0:
-            yield trial, psi, phi, None, None, None
-            continue
-        alpha, beta = z1 / norm, z2 / norm
-        try:
-            problem = SuperpositionProblem.from_states(psi, phi, alpha, beta)
-        except ZeroState:
-            problem = None
-        yield trial, psi, phi, alpha, beta, problem
+            yield trial, psi, phi, None, None
+        else:
+            yield trial, psi, phi, z1 / norm, z2 / norm
 
 
 def _certified(draws):
-    """(draw, report) for each audit draw, its problem certified in a batch of
-    at most AUDIT_BATCH_COEFFS state coefficients (or alone, if larger); a
-    draw without a problem is passed on at once, with report None."""
+    """(draw, report) for each audit draw, in order, in batches of at most
+    AUDIT_BATCH_COEFFS state coefficients (or one draw, if larger).  A
+    batch's problems are built together
+    (``SuperpositionProblem.from_states_many``) and certified together; a
+    draw without a problem, fully destructive or with no coefficients, gets
+    report None."""
     batch, held = [], 0
     for draw in draws:
-        if draw[-1] is None:
-            yield draw, None
-            continue
         size = 2 * draw[1].coeffs.size
         if batch and held + size > AUDIT_BATCH_COEFFS:
-            yield from zip(batch, bounds.certify_many([d[-1] for d in batch]))
+            yield from _certified_batch(batch)
             batch, held = [], 0
         batch.append(draw)
         held += size
-    yield from zip(batch, bounds.certify_many([d[-1] for d in batch]))
+    yield from _certified_batch(batch)
+
+
+def _certified_batch(batch):
+    """(draw, report) for each draw of one batch of ``_certified``."""
+    built = iter(SuperpositionProblem.from_states_many(d[1:] for d in batch if d[3] is not None))
+    problems = [None if d[3] is None else next(built) for d in batch]
+    kept = [p for p in problems if p is not None]
+    reports = iter(bounds.certify_many(kept) if kept else ())
+    for draw, problem in zip(batch, problems):
+        yield draw, None if problem is None else next(reports)

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra and entropy kernel.
 
 All entropies are in bits (base-2 logarithms), so entanglement values come
-out in ebits.  Matrices are plain complex numpy arrays; spectra carry the sum
-they are expected to have as metadata.
+out in ebits.  Matrices are plain complex numpy arrays, and spectra plain
+float arrays or a ``Spectrum``, which carries the sum it should have.
 """
 
 from __future__ import annotations
@@ -85,40 +85,63 @@ def psd_entropy(rho):
     return float(s) if s.ndim == 0 else s
 
 
-def singular_values(matrix) -> Spectrum:
-    """Descending singular values of an arbitrary complex matrix.
+def singular_values(matrix) -> np.ndarray:
+    """Descending singular values of a complex matrix, or of each matrix in a
+    stack of shape (..., rows, cols).
 
-    Returns min(rows, cols) values; their squares sum to the squared
-    Frobenius norm of the input.
+    Returns min(rows, cols) values per matrix; their squares sum to the
+    squared Frobenius norm of that matrix.  A stack takes one LAPACK call,
+    and each of its matrices gets the bits it gets alone.  Raises ValueError
+    for fewer than two axes or a non-finite entry, and NoConvergence if the
+    iteration fails.
     """
-    m = as_complex_matrix(matrix)
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of them, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
     try:
-        s = np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"singular value iteration failed: {exc}") from exc
-    return Spectrum(values=s, trace=float(s.sum()))
 
 
-def shannon_entropy(p) -> float:
-    """Shannon entropy -sum p_i log2 p_i of a probability spectrum, in bits.
+def shannon_entropy(p):
+    """Shannon entropy -sum p_i log2 p_i of a probability spectrum, in bits,
+    or of each spectrum in a stack.
 
-    Accepts a ``Spectrum`` or any array-like of probabilities; they must sum
-    to 1 and be >= 0, each within 1e-8.  Entries at or below zero contribute
-    nothing: only when there are some are the positive entries compressed
-    into a copy; an all-positive input is summed as it is, with one
-    temporary its size.  The input is never written to.
+    ``p`` is a ``Spectrum`` or a 1-D array-like of probabilities, giving a
+    float, or an array of shape (..., n) of spectra, giving an array of
+    shape (...).  Each spectrum must sum to 1 and be >= 0, each within 1e-8;
+    the first that fails raises.  Entries at or below zero contribute
+    nothing: only a spectrum with some has its positive entries compressed
+    into a copy, so that the sum over them runs as it would alone.
+    All-positive spectra are summed as they are, with one temporary their
+    size.  Each spectrum of a stack gets the bits it gets alone, and the
+    input is never written to.
     """
     values = p.values if isinstance(p, Spectrum) else np.asarray(p, dtype=float)
-    values = values.reshape(-1)
-    low = float(values.min(initial=math.inf))
-    if not low >= -1e-8:  # NaN fails too; -inf fails before a sum warns
-        raise DomainError(f"probabilities must be >= -1e-8, found {low!r}")
-    total = float(values.sum())
-    if not abs(total - 1.0) <= 1e-8:  # NaN fails too
-        raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
-    if not low > 0.0:
-        values = values[values > 0.0]
-    return max(0.0, float(_entropy_sum(values)))
+    one = values.ndim <= 1
+    rows = values.reshape(1, -1) if one else values.reshape(math.prod(values.shape[:-1]), values.shape[-1])
+    low = rows.min(axis=1, initial=math.inf).tolist()
+    with np.errstate(invalid="ignore", over="ignore"):  # such a row fails below
+        total = rows.sum(axis=1).tolist()
+    for lo, sum_ in zip(low, total):
+        if not lo >= -1e-8:  # NaN fails too
+            raise DomainError(f"probabilities must be >= -1e-8, found {lo!r}")
+        if not abs(sum_ - 1.0) <= 1e-8:
+            raise NotNormalized(f"probabilities sum to {sum_!r}, expected 1")
+    positive = [lo > 0.0 for lo in low]
+    if all(positive):
+        s = _entropy_sum(rows)
+    else:
+        s = np.empty(len(rows))
+        s[positive] = _entropy_sum(rows[positive])
+        for k in (k for k, pos in enumerate(positive) if not pos):
+            s[k] = _entropy_sum(rows[k][rows[k] > 0.0])
+    if one:
+        return max(0.0, float(s[0]))
+    return np.where(s > 0.0, s, 0.0).reshape(values.shape[:-1])
 
 
 def _entropy_sum(p: np.ndarray):

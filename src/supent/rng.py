@@ -18,6 +18,8 @@ import numpy as np
 __all__ = ["Xoshiro256StarStar"]
 
 _MASK64 = (1 << 64) - 1
+# Most Gaussians a matrix draw holds as Python floats at once (32 B each).
+GAUSSIAN_CHUNK = 2**12
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -75,26 +77,67 @@ class Xoshiro256StarStar:
 
     def gaussian(self) -> float:
         """Standard normal variate (Marsaglia polar method)."""
-        if self._spare_gaussian is not None:
-            z = self._spare_gaussian
-            self._spare_gaussian = None
-            return z
-        while True:
-            u = 2.0 * self.random() - 1.0
-            v = 2.0 * self.random() - 1.0
+        return self.gaussians(1)[0]
+
+    def gaussians(self, n: int) -> list[float]:
+        """The next ``n`` standard normal variates (Marsaglia polar method).
+
+        Each accepted pair of uniforms gives two variates; one that ``n``
+        leaves over is kept and comes first in the next call.  The stream
+        is that of the polar method drawn one variate at a time; the loop
+        keeps the state in locals and steps the generator inline, which
+        halves its cost per variate.
+        """
+        out = []
+        spare = self._spare_gaussian
+        if spare is not None and n > 0:
+            out.append(spare)
+            spare = None
+        s0, s1, s2, s3 = self._s
+        mask, scale, log, sqrt = _MASK64, 2.0**-53, math.log, math.sqrt
+        while len(out) < n:
+            # two steps of next_u64(), inlined, give the uniforms u and v
+            x = (s1 * 5) & mask
+            u = ((((x << 7) | (x >> 57)) & mask) * 9) & mask
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & mask
+            x = (s1 * 5) & mask
+            v = ((((x << 7) | (x >> 57)) & mask) * 9) & mask
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & mask
+            u = 2.0 * ((u >> 11) * scale) - 1.0
+            v = 2.0 * ((v >> 11) * scale) - 1.0
             r2 = u * u + v * v
             if 0.0 < r2 < 1.0:
-                factor = math.sqrt(-2.0 * math.log(r2) / r2)
-                self._spare_gaussian = v * factor
-                return u * factor
+                factor = sqrt(-2.0 * log(r2) / r2)
+                out.append(u * factor)
+                if len(out) < n:
+                    out.append(v * factor)
+                else:
+                    spare = v * factor
+        self._s = [s0, s1, s2, s3]
+        self._spare_gaussian = spare
+        return out
 
     def complex_gaussian_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """Matrix of i.i.d. standard complex Gaussians (row-major draw order)."""
-        out = np.empty((rows, cols), dtype=complex)
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = complex(self.gaussian(), self.gaussian())
-        return out
+        """Matrix of i.i.d. standard complex Gaussians (row-major draw order,
+        real part first), drawn GAUSSIAN_CHUNK at a time, so the Python
+        floats in flight stay few at any size."""
+        g = np.empty(2 * rows * cols)
+        for lo in range(0, g.size, GAUSSIAN_CHUNK):
+            hi = min(lo + GAUSSIAN_CHUNK, g.size)
+            g[lo:hi] = self.gaussians(hi - lo)
+        return g.view(complex).reshape(rows, cols)
 
     def spawn(self, index: int) -> "Xoshiro256StarStar":
         """Independent child stream derived from the base seed and an index.

@@ -26,6 +26,7 @@ __all__ = [
     "superpose",
     "reduced_density",
     "entanglement_entropy",
+    "entanglement_entropies",
     "classify_orthogonality",
     "mixture_entropy",
 ]
@@ -212,12 +213,36 @@ def reduced_density(s: BipartiteState, side: str) -> np.ndarray:
 
 def entanglement_entropy(s: BipartiteState) -> float:
     """Entropy of entanglement of the normalized state, in ebits."""
-    n2 = norm_squared(s)
-    if n2 <= ZERO_NORM_SQ:
-        raise ZeroState("entanglement of a vanishing state is undefined")
-    sigma = qmath.singular_values(s.coeffs)
-    probs = sigma.values**2 / n2
-    return qmath.shannon_entropy(probs)
+    return entanglement_entropies([s])[0]
+
+
+def entanglement_entropies(states) -> list[float]:
+    """Entropy of entanglement of each normalized state, in ebits.
+
+    The states may be unnormalized and of any shapes: one stacked SVD per
+    coefficient shape serves them all, and each state gets the bits it gets
+    alone.  Before any SVD, raises ZeroState for a vanishing state and
+    DomainError for one whose squared norm overflows a float, for the first
+    such state in order; otherwise the error ``shannon_entropy`` raises for
+    the first state of the first failing shape.
+    """
+    states = list(states)
+    n2 = [norm_squared(s) for s in states]
+    for v in n2:
+        if v <= ZERO_NORM_SQ:
+            raise ZeroState("entanglement of a vanishing state is undefined")
+        if v == math.inf:
+            raise DomainError("squared norm of the state overflows a float")
+    by_shape = {}
+    for k, s in enumerate(states):
+        by_shape.setdefault(s.coeffs.shape, []).append(k)
+    out = [0.0] * len(states)
+    for ks in by_shape.values():
+        sigma = qmath.singular_values(np.stack([states[k].coeffs for k in ks]))
+        probs = sigma**2 / np.array([n2[k] for k in ks])[:, None]
+        for k, e in zip(ks, qmath.shannon_entropy(probs).tolist()):
+            out[k] = e
+    return out
 
 
 def classify_orthogonality(stack: PairStack, row: int) -> OrthogonalityClass:

@@ -5,6 +5,8 @@ values are literal closed forms derived from the examples' definitions, not
 values read back from ``harness``.
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -194,6 +196,11 @@ def test_criterion_05_ordering_audit_1000_trials():
         f"min margins (upper {summary.min_upper_margin:.3e}, lower {summary.min_lower_margin:.3e})",
     )
     assert ok
+    # the summary's bits, recorded before the audit's draws and searches
+    # were batched (numpy 2.4, OpenBLAS 0.3); JSON writes each float as its
+    # repr, which keeps every bit
+    digest = hashlib.sha256(json.dumps(summary.to_dict()).encode()).hexdigest()
+    assert digest == "5d7c1aaaf9ce2690064a61a8f1a2b39afaf6d511261c0c6fb33fed2c6a637e29"
 
 
 def test_criterion_06_one_sided_exactness_100_draws():

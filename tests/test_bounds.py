@@ -101,6 +101,23 @@ def test_problem_rejects_destructive_superposition():
         SuperpositionProblem.from_states(bell, bell, INV_SQRT2, -INV_SQRT2)
 
 
+def test_problems_built_together_equal_problems_built_alone():
+    bell = BipartiteState(np.eye(2) / math.sqrt(2.0))
+    draws = list(_mixed_draws())
+    draws.insert(3, (bell, bell, INV_SQRT2, -INV_SQRT2))  # fully destructive
+    together = SuperpositionProblem.from_states_many(draws)
+    assert together[3] is None
+    del together[3], draws[3]
+    alone = [SuperpositionProblem.from_states(*draw) for draw in draws]
+    for p, q in zip(together, alone, strict=True):
+        for f in dataclasses.fields(p):
+            x, y = getattr(p, f.name), getattr(q, f.name)
+            same = np.array_equal(x.coeffs, y.coeffs) if isinstance(x, BipartiteState) else x == y
+            assert same and repr(x) == repr(y), f.name
+    with pytest.raises(DomainError):
+        SuperpositionProblem.from_states_many([draws[0], (bell, bell, 1.0, 1.0)])
+
+
 # -- exact_one_sided -----------------------------------------------------------
 
 
@@ -683,6 +700,84 @@ def test_l2_is_l1_with_states_and_weights_exchanged():
         assert l2 == theorem4_stationarity_residual(t, e_phi, e_psi, bsq, asq, "L1")
         l2 = lower_value(t, e_psi, e_phi, asq, bsq, "L2")
         assert l2 == lower_value(t, e_phi, e_psi, bsq, asq, "L1")
+
+
+def _lower_columns():
+    """(e_psi, e_phi, a', b') of seeded audit problems, edge weights and
+    near-ties, as four arrays."""
+    cols = [
+        (p.e_psi, p.e_phi, p.alpha_sq / p.gamma_norm_sq, p.beta_sq / p.gamma_norm_sq)
+        for p in SuperpositionProblem.from_states_many(
+            draw[1:] for draw in harness._audit_draws(120, 6, 7)
+        )
+    ]
+    for e in (0.0, 1e-30, 0.7, 30.0):
+        for a in (1e-9, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-9, 3e11):
+            for b in (T_EPS, 0.25, 1.0 - 1e-9, 1e12):
+                cols += [(e, 2.0 * e, a, b), (2.0 * e, e, a, b), (e, e, a, a)]
+    cols += [
+        # b' E(phi) - a' E(psi) within about T_EPS E of 0, on either side
+        (1.0, 0.01 * (1 + 1e-12), 0.01, 1.0),
+        (1.0, 0.01 * (1 + 1e-10), 0.01, 1.0),
+        (2.0, 1.0 + 1e-11, 0.5, 1.0),
+        (1.5, 1.5000000000000002, 0.5, 0.5),
+        (3.0, 3.0, 0.5000000000000001, 0.5),
+        (2.0, 1.0, 0.25, 0.5),  # an exact tie
+    ]
+    return tuple(np.array(c) for c in zip(*cols))
+
+
+def test_a_ruled_out_lower_branch_stays_below_its_ceiling():
+    # where b' E(phi) <= a' E(psi), L1 <= -h2(t)/t on the whole window, and
+    # L2 in the mirror case: no search of the ruled-out branch can win
+    e_psi, e_phi, asq, bsq = _lower_columns()
+    d = bsq * e_phi - asq * e_psi
+    ceiling = -bounds._H_GRID / bounds._T_GRID
+    for branch, ruled_out in (("L1", d <= 0.0), ("L2", d >= 0.0)):
+        cols = bounds._as_l1(branch, e_psi, e_phi, asq, bsq)
+        values = bounds._l1(bounds._T_GRID, bounds._H_GRID, *(c[ruled_out, None] for c in cols))
+        assert ruled_out.sum() > 100
+        assert np.all(values <= ceiling)
+
+
+def test_one_lower_search_per_problem_keeps_the_bits_of_two():
+    # the former rule: search both branches, keep the larger, L1 on ties
+    cols = _lower_columns()
+    both = []
+    for branch in ("L1", "L2"):
+        l1_cols = bounds._as_l1(branch, *cols)
+        grid = bounds._l1(bounds._T_GRID, bounds._H_GRID, *(c[:, None] for c in l1_cols))
+        negated = bounds._pointwise(lambda *args: -bounds._l1(*args), l1_cols)
+        both.append([(-v, t, branch) for v, t in bounds._golden(negated, -grid)])
+    expected = [l2 if l2[0] > l1[0] else l1 for l1, l2 in zip(*both)]
+    assert bounds._maximize_lower(*cols) == expected
+    # the sign of b' E(phi) - a' E(psi) alone would pick the other branch
+    # on some near-ties
+    d = cols[1] * cols[3] - cols[0] * cols[2]
+    assert any(("L1" if x > 0 else "L2") != r[2] for x, r in zip(d.tolist(), expected))
+
+
+def test_lower_search_rows_and_ties(monkeypatch):
+    searched = []
+    golden = bounds._golden
+
+    def spy(f, grid_values):
+        searched.append(len(grid_values))
+        return golden(f, grid_values)
+
+    monkeypatch.setattr(bounds, "_golden", spy)
+    # problems: a clear L1, a clear L2, an exact tie (b' E(phi) = a' E(psi)
+    # = 0.5) and identical mirrored columns
+    e_psi, e_phi = np.array([1.0, 5.0, 2.0, 1.0]), np.array([5.0, 1.0, 1.0, 1.0])
+    asq, bsq = np.array([0.5, 0.5, 0.25, 0.5]), np.array([0.5, 0.5, 0.5, 0.5])
+    cols = e_psi, e_phi, asq, bsq
+    found = bounds._maximize_lower(*cols)
+    assert searched == [5]  # one call: one row each, two for the tie
+    assert [f[2] for f in found[:2]] == ["L1", "L2"]
+    assert found[3][2] == "L1"
+    # on equal values the L1 row wins
+    monkeypatch.setattr(bounds, "_golden", lambda f, grid_values: [(-1.0, 0.5)] * len(grid_values))
+    assert bounds._maximize_lower(*(np.array([c[2]]) for c in cols)) == [(1.0, 0.5, "L1")]
 
 
 def test_theorem4_bound_is_valid_lower_bound():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from supent import bounds, harness, qmath, states
-from supent.errors import DimError, ParseError
+from supent.errors import DimError, DomainError, ParseError
 from supent.harness import (
     AuditSummary,
     bell_block_pair,
@@ -399,11 +399,31 @@ def test_audit_summary_does_not_depend_on_its_batches(monkeypatch):
     assert json.dumps(one_by_one.to_dict()) == json.dumps(together.to_dict())
 
 
-def test_audit_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        random_audit(0, 5)
-    with pytest.raises(ValueError):
-        random_audit(5, 1)
+def test_audit_rejects_bad_arguments(monkeypatch):
+    # each is refused before any draw
+    monkeypatch.setattr(harness, "_audit_draws", None)
+    for args, kwargs in (
+        ((0, 5), {}),
+        ((5, 1), {}),
+        ((5, harness.MAX_STATE_DIM + 1), {}),
+        ((2.5, 6), {}),
+        ((True, 6), {}),
+        ((4, 6.0), {}),
+        ((4, True), {}),
+        ((4, 6), {"seed": 1.5}),
+        ((4, 6), {"seed": True}),
+        ((4, 6), {"seed": "7"}),
+    ):
+        with pytest.raises(DomainError):
+            random_audit(*args, **kwargs)
+
+
+def test_haar_state_rejects_non_integer_dimensions():
+    for dims in ((2.5, 2), (2, 2.0), (True, 2), (0, 2), (2, -1)):
+        with pytest.raises(DimError):
+            haar_random_state(*dims, 1)
+    with pytest.raises(DomainError):
+        haar_random_state(2, 2, 1.5)
 
 
 def test_audit_counts_destructive_trials_separately(monkeypatch):

@@ -1,0 +1,120 @@
+"""Bit guard for the seeded generator.
+
+Audits reproduce from a seed alone, so the Gaussians behind every Haar state
+must keep their bits.  The literals are ``float.hex`` strings (and, for the
+larger shapes, the sha256 of those strings joined by spaces) of
+``haar_random_state`` coefficients, and the generator's next ``next_u64()``
+after an odd number of Gaussians, which covers the spare Gaussian a polar
+draw carries to the next call.  They were recorded before the Gaussian loop
+was rewritten; pure integer and float arithmetic makes them
+platform-independent.
+"""
+
+import hashlib
+import math
+
+import pytest
+
+from supent import harness
+from supent.rng import Xoshiro256StarStar
+
+
+def _hexes(state):
+    return [x.hex() for x in state.coeffs.view(float).ravel()]
+
+
+@pytest.mark.parametrize(
+    "shape, seed, recorded",
+    [
+        ((2, 2), 1, [
+            "0x1.2de52e275d000p-1", "0x1.e678746dd29afp-5", "0x1.a135dded207fap-2",
+            "-0x1.31e814383deb7p-1", "0x1.18e3d5b53ff42p-3", "-0x1.fbbf9d11b1dd1p-3",
+            "-0x1.a5370e00ea891p-3", "-0x1.d2afdc0d9ece7p-5",
+        ]),
+        ((2, 3), 2, [
+            "-0x1.59a966d009f60p-3", "0x1.87e600fdf7ba2p-4", "-0x1.e9c2b9bff7edap-3",
+            "0x1.80182d5d3a8dbp-3", "0x1.fa7861e758085p-3", "-0x1.6728c952d33dap-2",
+            "0x1.a0415eb23bf69p-3", "-0x1.8d6fdd00f1c3cp-2", "0x1.9fddd2b8e8c70p-3",
+            "0x1.db7e09c0264acp-2", "0x1.ada4cb4a6dd6dp-2", "-0x1.f9b874a950534p-3",
+        ]),
+        ((3, 2), 3, [
+            "0x1.757821e10090cp-2", "0x1.13679b7860878p-2", "-0x1.91233ec88519dp-2",
+            "0x1.82d60f0aa2a4ep-5", "-0x1.7aad8e277daa8p-2", "-0x1.f8aabc7788929p-2",
+            "-0x1.eb40880f7cac3p-3", "0x1.6d63895ddf505p-3", "0x1.1d64e46ddb874p-3",
+            "0x1.e50757f83101fp-5", "0x1.84859f30f46bfp-3", "0x1.55376739971f1p-2",
+        ]),
+    ],
+)
+def test_haar_state_bits(shape, seed, recorded):
+    assert _hexes(harness.haar_random_state(*shape, seed)) == recorded
+
+
+@pytest.mark.parametrize(
+    "shape, seed, digest",
+    [
+        ((4, 4), 5, "db49be041df9485f21d6048676e41f9675d1e58ca5380bb41b77397c306222d7"),
+        ((5, 6), 6, "b4a8961f62b6bb4adbfdec8d86bde77e0d9e7c7f5100da8afa7904729d679f35"),
+        ((6, 5), 7, "ef3843148864ba6081d1c8242e8700f1d4f69c02f117b9d8de8d920be62b744f"),
+        ((64, 64), 3, "524834e3c938cb968ca26baafa3f9315915d829e9a1ee48172f43345d589ece0"),
+    ],
+)
+def test_haar_state_digests(shape, seed, digest):
+    text = " ".join(_hexes(harness.haar_random_state(*shape, seed)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "seed, n, last, next_u64, spare",
+    [
+        (9, 1, "-0x1.42d94640c8e9dp-1", 16981796229282007397, "0x1.98cd5576e6b53p-2"),
+        (9, 3, "0x1.2592aae28fccap-2", 12596827927452161363, "0x1.55332b58fde5bp-3"),
+        (9, 5, "0x1.00a66d1197cffp+1", 2756707221161059333, "0x1.66ae1fe330756p-5"),
+        (2**64 - 1, 7, "-0x1.41bb8c540701dp-1", 11558284878126271842, "0x1.4c13d68882120p+0"),
+    ],
+)
+def test_odd_gaussian_draws_carry_the_spare(seed, n, last, next_u64, spare):
+    # the spare is the pair's second variate: the uniforms after it are
+    # untouched, and the next Gaussian returns it without drawing
+    rng = Xoshiro256StarStar(seed)
+    assert [rng.gaussian() for _ in range(n)][-1].hex() == last
+    assert rng.next_u64() == next_u64
+    assert rng.gaussian().hex() == spare
+
+
+def test_a_matrix_draw_starts_with_the_spare():
+    rng = Xoshiro256StarStar(9)
+    rng.gaussian()
+    first = rng.complex_gaussian_matrix(1, 2)[0, 0]
+    assert first.real.hex() == "0x1.98cd5576e6b53p-2"
+    # four Gaussians from the matrix leave the fifth as the spare
+    assert rng.gaussian().hex() == "0x1.66ae1fe330756p-5"
+    assert rng.next_u64() == 2756707221161059333
+
+
+def _polar_gaussians(rng, n, spare):
+    """The polar method one variate at a time, on the generator's
+    ``random()``: the reference the Gaussian loop must match."""
+    out = []
+    while len(out) < n:
+        if spare is not None:
+            out.append(spare)
+            spare = None
+            continue
+        u = 2.0 * rng.random() - 1.0
+        v = 2.0 * rng.random() - 1.0
+        r2 = u * u + v * v
+        if 0.0 < r2 < 1.0:
+            factor = math.sqrt(-2.0 * math.log(r2) / r2)
+            out.append(u * factor)
+            spare = v * factor
+    return out, spare
+
+
+def test_gaussian_loop_matches_the_one_at_a_time_polar_method():
+    for seed in range(40):
+        fast, slow = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+        spare = None
+        for n in (1, 4, 3, 0, 7, 2, 5, 1):
+            expected, spare = _polar_gaussians(slow, n, spare)
+            assert [x.hex() for x in fast.gaussians(n)] == [x.hex() for x in expected]
+            assert fast.next_u64() == slow.next_u64()

@@ -141,6 +141,76 @@ def test_entanglement_zero_state_rejected():
         entanglement_entropy(BipartiteState(np.zeros((2, 2))))
 
 
+def _masked_entropy(s):
+    """Entanglement by the one-state formula: one SVD, then -sum p log2 p
+    over the positive p = sigma^2 / ||s||^2, dropping the rest."""
+    n2 = float(np.vdot(s.coeffs, s.coeffs).real)
+    p = np.linalg.svd(s.coeffs, compute_uv=False) ** 2 / n2
+    pos = p[p > 0.0]
+    return max(0.0, float(-(pos * np.log2(pos)).sum()))
+
+
+def _mixed_states(rng):
+    """Normalized, unnormalized, low-rank and diagonal rank-deficient states,
+    their shapes interleaved."""
+    shapes = [(2, 2), (3, 5), (5, 3), (16, 16), (1, 4), (12, 9)]
+    for k in range(72):
+        dim_a, dim_b = shapes[k % len(shapes)]
+        g = rng.standard_normal((dim_a, dim_b)) + 1j * rng.standard_normal((dim_a, dim_b))
+        kind = k // len(shapes) % 4
+        if kind == 1:
+            g *= 10.0 ** rng.uniform(-5.0, 5.0)
+        elif kind == 2:  # rank r: singular values beyond r round to ~1e-16
+            r = 1 + k % min(dim_a, dim_b)
+            g = g[:, :r] @ rng.standard_normal((r, dim_b))
+        elif kind == 3:  # exact zeros among the singular values
+            m = min(dim_a, dim_b)
+            diag = rng.random(m) + 0.1
+            diag[1::3] = 0.0
+            g = np.zeros((dim_a, dim_b), dtype=complex)
+            g[range(m), range(m)] = diag
+        yield BipartiteState(g)
+
+
+def test_stacked_entanglement_has_each_states_bits():
+    # zeros in a spectrum must leave its sum as the masked copy's; padding
+    # them with 1.0 would reorder numpy's pairwise sum past 8 entries
+    batch = list(_mixed_states(np.random.default_rng(41)))
+    expected = [_masked_entropy(s).hex() for s in batch]
+    assert [e.hex() for e in states.entanglement_entropies(batch)] == expected
+    assert [entanglement_entropy(s).hex() for s in batch] == expected
+    zeros = [s for s in batch if np.any(np.linalg.svd(s.coeffs, compute_uv=False) == 0.0)]
+    assert any(min(s.coeffs.shape) > 8 for s in zeros)
+    assert states.entanglement_entropies([]) == []
+
+
+def test_stacked_entanglement_raises_as_one_state():
+    good = [bell_state(), basis_state(2, 3, 0, 1), bell_state()]
+    for bad, error in (
+        (BipartiteState(np.zeros((2, 2))), ZeroState),
+        (BipartiteState(np.full((2, 3), 1e200)), DomainError),
+    ):
+        with pytest.raises(error) as alone:
+            entanglement_entropy(bad)
+        with pytest.raises(error) as stacked:
+            states.entanglement_entropies([good[0], bad, *good[1:]])
+        assert str(stacked.value) == str(alone.value)
+
+
+def test_stacked_shannon_entropy_raises_for_the_first_bad_row():
+    rows = np.array([[0.5, 0.5], [0.5, 0.4], [1.5, -0.5], [0.25, 0.75]])
+    with pytest.raises(NotNormalized) as stacked:
+        qmath.shannon_entropy(rows)
+    with pytest.raises(NotNormalized) as alone:
+        qmath.shannon_entropy(rows[1])
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(DomainError):
+        qmath.shannon_entropy(rows[[0, 2, 1]])
+    got = qmath.shannon_entropy(rows[[0, 3]].reshape(2, 1, 2))
+    assert got.shape == (2, 1)
+    assert got.ravel().tolist() == [qmath.shannon_entropy(rows[0]), qmath.shannon_entropy(rows[3])]
+
+
 def test_normalized_scales_tiny_amplitudes_first():
     unit = BipartiteState(np.array([[1.0, -0.5j], [0.0, 2.0]]))
     for scale in (1e-7, 1e-200, 2.0**-1060):
