@@ -28,7 +28,6 @@ drops below max over t of these, and also never below zero.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import optimize, states
 from .errors import DegenerateSubspace, DomainError, ZeroState
-from .qmath import H2_DOMAIN_SLACK, binary_entropy, check_numbers
+from .qmath import H2_DOMAIN_SLACK, binary_entropy, check_integer, check_numbers
 from .states import BipartiteState
 
 __all__ = [
@@ -570,8 +569,7 @@ def subspace_lower(psi: BipartiteState, phi: BipartiteState, grid_n: int) -> flo
     grid, up to grid resolution.  Raises DomainError unless grid_n is an
     integer in [2, MAX_SUBSPACE_GRID].
     """
-    if not (isinstance(grid_n, numbers.Integral) and 2 <= grid_n <= MAX_SUBSPACE_GRID):
-        raise DomainError(f"grid_n = {grid_n!r} is not an integer in [2, {MAX_SUBSPACE_GRID}]")
+    check_integer(2, MAX_SUBSPACE_GRID, grid_n=grid_n)
     psi_n = psi.normalized()
     phi_n = phi.normalized()
     c = states.inner_product(psi_n, phi_n)

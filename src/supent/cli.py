@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: analyze, examples, sweep, audit, subspace.  Exit codes: 0 on
-success, 1 on validation failure (including usage errors, which also print
-help), 2 on internal error.  The SUPENT_SEED environment variable supplies
-the audit seed when --seed is absent.
+success; 1 on a usage error (which also prints help), a SupentError (bad
+input) or an OSError (a file that cannot be read or written); 2 on any
+other exception, an internal error.  The SUPENT_SEED environment variable
+supplies the audit seed when --seed is absent.
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
 from . import bounds, harness
-from .errors import SupentError
+from .errors import DomainError, ParseError, SupentError
 from .harness import DEFAULT_SEED
 from .states import BipartiteState
 
@@ -42,9 +42,7 @@ def _parse_complex(text: str) -> complex:
         im = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad complex number {text!r}") from exc
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise argparse.ArgumentTypeError(f"complex number {text!r} is not finite")
-    return complex(re, im)
+    return complex(re, im)  # certify rejects a non-finite one, naming it
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -59,7 +57,11 @@ def _parse_dims(text: str) -> list[int]:
 
 def _load_state(path: str) -> BipartiteState:
     with open(path, "r", encoding="utf-8") as handle:
-        return harness.parse_state_file(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    return harness.parse_state_file(text)
 
 
 def _build_parser() -> _Parser:
@@ -165,8 +167,7 @@ def _cmd_audit(args) -> int:
         try:
             seed = int(env) if env is not None else DEFAULT_SEED
         except ValueError:
-            print(f"error: SUPENT_SEED={env!r} is not an integer", file=sys.stderr)
-            return 1
+            raise DomainError(f"SUPENT_SEED={env!r} is not an integer") from None
     summary = harness.random_audit(args.trials, args.max_dim, seed)
     print(json.dumps(summary.to_dict(), indent=2))
     return 0 if summary.violations == 0 else 1
@@ -191,7 +192,7 @@ def cli_main(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SupentError, OSError, ValueError, IndexError) as exc:
+    except (SupentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - last-resort guard for exit code 2

@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -27,7 +26,7 @@ import numpy as np
 from . import bounds, qmath
 from .bounds import SuperpositionProblem
 from .errors import DimError, DomainError, ParseError
-from .qmath import binary_entropy
+from .qmath import binary_entropy, check_integer
 from .rng import Xoshiro256StarStar
 from .states import BipartiteState
 
@@ -52,7 +51,7 @@ __all__ = [
 
 DEFAULT_SEED = 0x5EED
 
-# Largest dim_a or dim_b of a state file or an audit draw: certifying
+# Largest dim_a or dim_b of a state file or a drawn state: certifying
 # eigendecomposes reduced densities of that size, and a 4096 x 4096 complex
 # matrix takes 256 MiB.
 MAX_STATE_DIM = 4096
@@ -77,19 +76,20 @@ EXAMPLE_DIM = 2**16 + 1
 def parse_state_file(text: str) -> BipartiteState:
     """Parse a JSON state document; unnormalized amplitudes are accepted.
 
-    Raises ParseError with line/field context for malformed documents and
-    IndexError for amplitude indices outside the declared dimensions.
+    Raises ParseError, with line, field or entry context, for any document
+    that is not one: bad JSON, JSON nested too deeply or with an integer too
+    long to read, a bad field, or an amplitude index outside the grid.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # a > 4300-digit integer, deep nesting
+        raise ParseError(f"unreadable JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
-    dim_a = _required_dim(doc, "dim_a")
-    dim_b = _required_dim(doc, "dim_b")
+    dim_a, dim_b = doc.get("dim_a"), doc.get("dim_b")
+    check_integer(1, MAX_STATE_DIM, ParseError, **{"field 'dim_a'": dim_a, "field 'dim_b'": dim_b})
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise ParseError("field 'entries' must be a list")
@@ -107,9 +107,7 @@ def parse_state_file(text: str) -> BipartiteState:
         if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
             raise ParseError(f"entry {k}: amplitudes must be real numbers")
         if not (0 <= i < dim_a and 0 <= j < dim_b):
-            raise IndexError(
-                f"entry {k}: index ({i}, {j}) outside the {dim_a}x{dim_b} grid"
-            )
+            raise ParseError(f"entry {k}: index ({i}, {j}) outside the {dim_a}x{dim_b} grid")
         if (i, j) in seen:
             raise ParseError(f"entry {k}: duplicate index ({i}, {j})")
         seen.add((i, j))
@@ -141,13 +139,6 @@ def serialize_state(state: BipartiteState, label: Optional[str] = None) -> str:
     return json.dumps(state_document(state, label), indent=2) + "\n"
 
 
-def _required_dim(doc: dict, name: str) -> int:
-    value = doc.get(name)
-    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= MAX_STATE_DIM:
-        raise ParseError(f"field {name!r} = {value!r} is not an integer in [1, {MAX_STATE_DIM}]")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Random ensembles.
 # ---------------------------------------------------------------------------
@@ -156,20 +147,12 @@ def _required_dim(doc: dict, name: str) -> int:
 def haar_random_state(dim_a: int, dim_b: int, seed: int) -> BipartiteState:
     """Normalized state with i.i.d. complex Gaussian amplitudes.
 
-    Raises DimError unless both dimensions are positive integers, and
-    DomainError unless the seed is an integer.
+    Raises DimError unless both dimensions are integers in [1, MAX_STATE_DIM],
+    and DomainError unless the seed is an integer.
     """
-    for name, dim in (("dim_a", dim_a), ("dim_b", dim_b)):
-        _integer(name, dim, 1, error=DimError)
-    _integer("seed", seed)
+    check_integer(1, MAX_STATE_DIM, DimError, dim_a=dim_a, dim_b=dim_b)
+    check_integer(-math.inf, seed=seed)
     return _haar_state(Xoshiro256StarStar(seed), dim_a, dim_b)
-
-
-def _integer(name: str, value, lo=-math.inf, hi=math.inf, error=DomainError) -> None:
-    """Raise ``error`` unless ``value`` is an integer, not a bool, in [lo, hi]."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and lo <= value <= hi):
-        span = f" in [{lo}, {hi}]" if (lo, hi) != (-math.inf, math.inf) else ""
-        raise error(f"{name} = {value!r} is not an integer{span}")
 
 
 def _haar_state(rng: Xoshiro256StarStar, dim_a: int, dim_b: int) -> BipartiteState:
@@ -187,11 +170,16 @@ def generate_one_sided_pair(
     computational-basis blocks of sizes d1 and d2.  The output always
     satisfies the B-side orthogonality condition; the two A-side frames are
     independent, so the pair is generally not biorthogonal.
+
+    Before any draw, raises DimError unless d1, d2, d1 + d2 and dim_a are
+    integers in [1, MAX_STATE_DIM] with dim_a >= max(d1, d2), and
+    DomainError unless the seed is an integer.
     """
-    if d1 < 1 or d2 < 1:
-        raise DimError("block sizes d1, d2 must be positive")
+    check_integer(1, MAX_STATE_DIM, DimError, d1=d1, d2=d2, dim_a=dim_a)
+    check_integer(1, MAX_STATE_DIM, DimError, **{"d1 + d2": d1 + d2})
     if dim_a < max(d1, d2):
         raise DimError(f"dim_a={dim_a} cannot carry {max(d1, d2)} Schmidt vectors")
+    check_integer(-math.inf, seed=seed)
     rng = Xoshiro256StarStar(seed)
     p = _random_simplex(rng, d1)
     q = _random_simplex(rng, d2)
@@ -250,7 +238,7 @@ def family_coefficients(family: str) -> tuple[float, float]:
         return 0.6, -0.8
     if family == "example4":
         return 0.6, 0.8
-    raise ValueError(f"unknown family {family!r} (expected 'example3' or 'example4')")
+    raise DomainError(f"unknown family {family!r} (expected 'example3' or 'example4')")
 
 
 def family_state_probs(d: int) -> np.ndarray:
@@ -264,15 +252,13 @@ def family_state_probs(d: int) -> np.ndarray:
 def _family_dim(d) -> int:
     """``d`` as an int, checked to be an integer in the family's range before
     any allocation."""
-    if not isinstance(d, numbers.Integral) or isinstance(d, bool):
-        raise ValueError(f"family dimension d = {d!r} is not an integer")
-    if not 2 <= d <= MAX_FAMILY_DIM:
-        raise ValueError(f"family dimension d = {d} outside [2, {MAX_FAMILY_DIM}]")
+    check_integer(2, MAX_FAMILY_DIM, **{"family dimension d": d})
     return int(d)
 
 
 def family_gamma_probs(d: int, alpha: float, beta: float) -> tuple[np.ndarray, float]:
     """Unnormalized squared amplitudes of the superposed family state."""
+    d = _family_dim(d)
     head = (alpha + beta) ** 2 / 2.0
     tail = (alpha - beta) ** 2 / (2.0 * (d - 1))
     gp = np.full(d, tail)
@@ -657,10 +643,10 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
     reproduced from the summary alone.  Trials are certified in batches
     (``bounds.certify_many``) and summarized in trial order.
     """
-    _integer("n_trials", n_trials, 1)
+    check_integer(1, n_trials=n_trials)
     # certifying eigendecomposes reduced densities of up to max_dim x max_dim
-    _integer("max_dim", max_dim, 2, MAX_STATE_DIM)
-    _integer("seed", seed)
+    check_integer(2, MAX_STATE_DIM, max_dim=max_dim)
+    check_integer(-math.inf, seed=seed)
     violations = 0
     t2_violations = 0
     t3_violations = 0

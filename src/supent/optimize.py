@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteObjective
+from .errors import DomainError, NonFiniteObjective
 
 __all__ = [
     "OptimizerResult",
@@ -155,7 +155,7 @@ def minimize_scalar(f: Callable[[float], float], a: float, b: float) -> Optimize
     any grid sample.
     """
     if not a < b:
-        raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
+        raise DomainError(f"need a < b, got [{a!r}, {b!r}]")
     vals = np.asarray([[f(x) for x in grid_points(a, b, DEFAULT_GRID_N)]], dtype=float)
     return minimize_many(lambda _, x: f(x), a, b, vals)[0]
 

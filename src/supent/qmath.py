@@ -42,14 +42,14 @@ class Spectrum:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
-            raise ValueError("spectrum values must be one-dimensional")
+            raise DomainError("spectrum values must be one-dimensional")
         if not np.all(np.isfinite(v)):
-            raise ValueError("spectrum values must be finite")
+            raise DomainError("spectrum values must be finite")
         if v.size > 1 and np.any(np.diff(v) > 0.0):
-            raise ValueError("spectrum values must be sorted descending")
+            raise DomainError("spectrum values must be sorted descending")
         tol = 1e-9 * max(1.0, abs(self.trace), float(np.abs(v).sum()))
         if abs(float(v.sum()) - self.trace) > tol:
-            raise ValueError("spectrum values do not sum to the stated trace")
+            raise DomainError("spectrum values do not sum to the stated trace")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -61,9 +61,9 @@ def as_complex_matrix(matrix) -> np.ndarray:
     """Validate and coerce input to a finite 2-D complex array."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+        raise DomainError(f"expected a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise DomainError("matrix entries must be finite")
     return m
 
 
@@ -75,13 +75,17 @@ def psd_entropy(rho):
     contribute nothing.  Each matrix of a stack gets the same bits as it
     would alone, so a value never depends on how the calls were batched.
 
-    Raises ``NoConvergence`` if the diagonalization fails.
+    Raises ``NoConvergence`` if the diagonalization fails, and DomainError
+    if an eigenvalue is NaN (a matrix with a non-finite entry).
     """
     try:
         w = np.linalg.eigvalsh(rho)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    s = np.maximum(_entropy_sum(np.where(w > 0.0, w, 1.0)), 0.0)
+    s = _entropy_sum(np.where(w <= 0.0, 1.0, w))  # a NaN eigenvalue makes its sum NaN
+    if np.isnan(s).any():
+        raise DomainError("a matrix has a NaN eigenvalue: its entries are not all finite")
+    s = np.maximum(s, 0.0)
     return float(s) if s.ndim == 0 else s
 
 
@@ -91,15 +95,15 @@ def singular_values(matrix) -> np.ndarray:
 
     Returns min(rows, cols) values per matrix; their squares sum to the
     squared Frobenius norm of that matrix.  A stack takes one LAPACK call,
-    and each of its matrices gets the bits it gets alone.  Raises ValueError
+    and each of its matrices gets the bits it gets alone.  Raises DomainError
     for fewer than two axes or a non-finite entry, and NoConvergence if the
     iteration fails.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2:
-        raise ValueError(f"expected a matrix or a stack of them, got shape {m.shape}")
+        raise DomainError(f"expected a matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise DomainError("matrix entries must be finite")
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -186,3 +190,10 @@ def check_numbers(lo: float, hi: float = math.inf, **named) -> None:
         real = type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
         if not (real and lo <= x <= hi and math.isfinite(x)):
             raise DomainError(f"{name}={x!r} is not a finite number in [{lo!r}, {hi!r}]")
+
+
+def check_integer(lo: float, hi: float = math.inf, error=DomainError, **named) -> None:
+    """Raise ``error`` unless each named value is an integer in [lo, hi], not a bool."""
+    for name, x in named.items():
+        if not (isinstance(x, numbers.Integral) and not isinstance(x, bool) and lo <= x <= hi):
+            raise error(f"{name} = {x!r} is not an integer in [{lo}, {hi}]")

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["Xoshiro256StarStar"]
 
 _MASK64 = (1 << 64) - 1
@@ -71,7 +73,7 @@ class Xoshiro256StarStar:
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
         if hi < lo:
-            raise ValueError(f"empty range [{lo}, {hi}]")
+            raise DomainError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
         return lo + int(self.random() * span) % span
 

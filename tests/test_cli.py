@@ -80,11 +80,16 @@ def test_analyze_rejects_off_sphere(block_pair_files, capsys):
 
 
 def test_analyze_missing_file(tmp_path, capsys):
-    code = cli_main(
-        ["analyze", "--psi", str(tmp_path / "nope.json"), "--phi", str(tmp_path / "nope.json"),
-         "--alpha", "1", "--beta", "0"]
-    )
-    assert code == 1
+    # a missing file, then files that are no JSON document: nested past the
+    # decoder's recursion limit, and not UTF-8
+    (tmp_path / "deep.json").write_text("[" * 3000)
+    (tmp_path / "latin1.json").write_bytes('{"label": "\xe9"}'.encode("latin-1"))
+    for name, word in (("nope.json", "nope.json"), ("deep.json", "recursion"), ("latin1.json", "UTF-8")):
+        path = str(tmp_path / name)
+        code = cli_main(["analyze", "--psi", path, "--phi", path, "--alpha", "1", "--beta", "0"])
+        err = capsys.readouterr().err
+        assert code == 1, name
+        assert err.startswith("error:") and word in err, name
 
 
 def test_usage_error_prints_help(capsys):
@@ -144,6 +149,17 @@ def test_audit_bad_environment_seed(monkeypatch, capsys):
     monkeypatch.setenv("SUPENT_SEED", "not-a-number")
     code = cli_main(["audit", "--trials", "5", "--max-dim", "3"])
     assert code == 1
+    assert capsys.readouterr().err.startswith("error: SUPENT_SEED=")
+
+
+def test_exceptions_other_than_bad_input_exit_2(monkeypatch, capsys):
+    for exc in (ValueError("bug"), IndexError("bug"), TypeError("bug")):
+        def fail():
+            raise exc
+
+        monkeypatch.setattr(harness, "run_examples", fail)
+        assert cli_main(["examples"]) == 2, exc
+        assert capsys.readouterr().err.startswith("internal error:"), exc
 
 
 def test_oversized_audit_dimension_is_rejected_before_drawing(monkeypatch, capsys):
@@ -247,17 +263,21 @@ def test_oversized_state_file_is_rejected_before_allocating(
 ):
     _, phi_path = block_pair_files
     _refuse(monkeypatch, "zeros")
+    # 5,001 digits: more than the JSON decoder reads as an integer
     for field in ("dim_a", "dim_b"):
-        for size in (harness.MAX_STATE_DIM + 1, 10**12):
+        for size in (str(harness.MAX_STATE_DIM + 1), str(10**12), "1" + "0" * 5000):
             doc = {"dim_a": 2, "dim_b": 2, "entries": [[0, 0, 1, 0]]}
-            doc[field] = size
+            doc[field] = 0
             path = tmp_path / "big.json"
-            path.write_text(json.dumps(doc))
+            path.write_text(json.dumps(doc).replace(f'"{field}": 0', f'"{field}": {size}'))
             argv = ["analyze", "--psi", str(path), "--phi", phi_path]
             code = cli_main(argv + ["--alpha", "0.6", "--beta", "0.8"])
             err = capsys.readouterr().err
-            assert code == 1, (field, size)
-            assert repr(field) in err and str(size) in err, (field, size)
+            assert code == 1, (field, size[:20])
+            if len(size) > 4300:
+                assert err.startswith("error:") and "4300 digits" in err, field
+            else:
+                assert repr(field) in err and size in err, (field, size)
 
 
 def test_oversized_sweep_dimension_is_rejected_before_allocating(tmp_path, monkeypatch, capsys):

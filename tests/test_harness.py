@@ -66,7 +66,7 @@ def test_parse_rejects_duplicates():
 
 def test_parse_rejects_out_of_range_indices():
     text = json.dumps({"dim_a": 2, "dim_b": 2, "entries": [[0, 5, 1.0, 0.0]]})
-    with pytest.raises(IndexError, match="outside"):
+    with pytest.raises(ParseError, match="outside"):
         parse_state_file(text)
 
 
@@ -156,6 +156,20 @@ def test_one_sided_generator_block_structure():
 def test_one_sided_generator_rejects_small_a_side():
     with pytest.raises(DimError):
         generate_one_sided_pair(3, 2, 2, seed=1)
+
+
+def test_one_sided_generator_rejects_bad_arguments_before_drawing(monkeypatch):
+    def refuse(seed):
+        raise AssertionError(f"generator seeded with {seed!r}")
+
+    monkeypatch.setattr(harness, "Xoshiro256StarStar", refuse)
+    big = harness.MAX_STATE_DIM // 2
+    for args in ((2.5, 2, 5, 1), (2, 2, 4.0, 1), (1, 1, 10**30, 1), (0, 2, 2, 1), (True, 1, 2, 1),
+                 (big, big + 1, big + 1, 1)):  # d1 + d2 one past MAX_STATE_DIM
+        with pytest.raises(DimError):
+            generate_one_sided_pair(*args)
+    with pytest.raises(DomainError, match="seed"):
+        generate_one_sided_pair(2, 2, 5, 1.5)
 
 
 def test_one_sided_generator_exactness_identity():
@@ -262,8 +276,16 @@ def test_sweep_degenerate_dimension_two():
 
 
 def test_sweep_rejects_unknown_family():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         dimension_sweep([5], "example5")
+
+
+def test_family_gamma_probs_checks_d_as_family_state_probs_does():
+    # d = 1 would divide by d - 1 = 0
+    for bad in (1, 0, 2.0, True, harness.MAX_FAMILY_DIM + 1):
+        for probs in (family_state_probs, lambda d: family_gamma_probs(d, 0.6, 0.8)):
+            with pytest.raises(DomainError, match=f"family dimension d = {re.escape(repr(bad))}"):
+                probs(bad)
 
 
 def test_sweep_rejects_non_integral_dimensions_before_allocating(monkeypatch):
@@ -272,7 +294,7 @@ def test_sweep_rejects_non_integral_dimensions_before_allocating(monkeypatch):
 
     monkeypatch.setattr(harness, "family_state_probs", allocates)
     for bad in (257.9, 257.0, "257", math.inf, math.nan, True, np.float64(257.0)):
-        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
             dimension_sweep([5, bad], "example3")
     with pytest.raises(AssertionError, match="d = 5$"):
         dimension_sweep([np.int64(5)], "example3")
@@ -419,7 +441,7 @@ def test_audit_rejects_bad_arguments(monkeypatch):
 
 
 def test_haar_state_rejects_non_integer_dimensions():
-    for dims in ((2.5, 2), (2, 2.0), (True, 2), (0, 2), (2, -1)):
+    for dims in ((2.5, 2), (2, 2.0), (True, 2), (0, 2), (2, -1), (10**30, 2), (2, harness.MAX_STATE_DIM + 1)):
         with pytest.raises(DimError):
             haar_random_state(*dims, 1)
     with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from supent.qmath import (
     H2_DOMAIN_SLACK,
     Spectrum,
     binary_entropy,
+    check_integer,
     psd_entropy,
     shannon_entropy,
     singular_values,
@@ -51,6 +53,24 @@ def test_psd_entropy_diagonalization_failure_is_no_convergence(monkeypatch):
         psd_entropy(np.eye(2) / 2)
     with pytest.raises(NoConvergence):
         psd_entropy(np.array([np.eye(2) / 2] * 3))
+
+
+
+def test_psd_entropy_of_a_non_finite_matrix_is_a_domain_error():
+    # a NaN eigenvalue masked to 1.0 would give an entropy of 0.0
+    nan = np.full((2, 2), np.nan)
+    for rho in (nan, np.array([np.eye(2) / 2, nan]), np.array([[0.5, np.inf], [np.inf, 0.5]])):
+        with pytest.raises(DomainError, match="NaN eigenvalue"):
+            psd_entropy(rho)
+
+
+def test_check_integer_takes_integers_in_range_only():
+    check_integer(0, 3, a=0, b=np.int64(3), c=3)
+    for bad in (4, -1, 2.0, True, np.float64(1.0), "1", None):
+        with pytest.raises(DomainError, match=f"x = {re.escape(repr(bad))} is not an integer"):
+            check_integer(0, 3, x=bad)
+    with pytest.raises(NotNormalized):
+        check_integer(0, 3, NotNormalized, x=4)
 
 
 def test_singular_values_bell_coefficients():
@@ -233,7 +253,7 @@ def test_shannon_entropy_permutation_invariant_and_bounded(weights):
 
 
 def test_spectrum_validates_ordering_and_trace():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Spectrum(values=np.array([0.1, 0.9]), trace=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Spectrum(values=np.array([0.9, 0.1]), trace=2.0)
