@@ -61,7 +61,7 @@ MAX_STATE_DIM = 4096
 # (trials x 257) grid arrays take 0.5 MiB each; 2^16 was only 4 % faster.
 AUDIT_BATCH_COEFFS = 2**13
 
-# Largest sweep dimension d: a record peaks at about 40 d bytes (160 MiB).
+# Largest sweep dimension d: a record peaks at about 8 d bytes (32 MiB).
 MAX_FAMILY_DIM = 2**22 + 1
 
 # The dimension d = 2^16 + 1 of the diagonal family in Examples 3 and 4.
@@ -243,10 +243,7 @@ def family_coefficients(family: str) -> tuple[float, float]:
 
 def family_state_probs(d: int) -> np.ndarray:
     """Squared Schmidt coefficients of the diagonal family state at size d."""
-    d = _family_dim(d)
-    probs = np.full(d, 1.0 / (2.0 * (d - 1)))
-    probs[0] = 0.5
-    return probs
+    return np.repeat(*_family_runs(d, 1.0, 0.0))
 
 
 def _family_dim(d) -> int:
@@ -258,26 +255,36 @@ def _family_dim(d) -> int:
 
 def family_gamma_probs(d: int, alpha: float, beta: float) -> tuple[np.ndarray, float]:
     """Unnormalized squared amplitudes of the superposed family state."""
+    gp = np.repeat(*_family_runs(d, alpha, beta))
+    return gp, float(gp.sum())
+
+
+def _family_runs(d, alpha: float, beta: float) -> tuple[np.ndarray, tuple[int, int]]:
+    """Run form (values, counts) of the squared diagonal amplitudes of
+    alpha psi + beta phi at size d: (alpha + beta)^2 / 2 once, then
+    (alpha - beta)^2 / (2 (d - 1)) d - 1 times.  (1, 0) gives psi's squared
+    Schmidt coefficients, 1/2 and 1 / (2 (d - 1)), with the same bits."""
     d = _family_dim(d)
     head = (alpha + beta) ** 2 / 2.0
     tail = (alpha - beta) ** 2 / (2.0 * (d - 1))
-    gp = np.full(d, tail)
-    gp[0] = head
-    return gp, float(gp.sum())
+    return np.array([head, tail]), (1, d - 1)
 
 
 def _family_entropies(d: int, alpha: float, beta: float) -> tuple[float, float, float]:
     """(E(psi), exact E(gamma), N^2) of the family with coefficients (alpha, beta)
     at size d; E(phi) = E(psi).
 
-    gamma's squared amplitudes are divided by N^2 in place, which has the
-    bits of ``gp / n2``, and each d-length array is dropped once its entropy
-    is taken, so at most two are alive at a time.
+    Each comes from the two distinct values of its spectrum: two logs per
+    entropy, and three d-length sums (each entropy's repeated terms and
+    gamma's repeated squared amplitudes), one array alive at a time.  The
+    sums run over the dense order, so every value has the bits of
+    ``shannon_entropy`` and ``sum`` on ``family_state_probs`` and
+    ``family_gamma_probs`` (divided by N^2).
     """
-    e_state = qmath.shannon_entropy(family_state_probs(d))
-    gp, n2 = family_gamma_probs(d, alpha, beta)
-    gp /= n2
-    return e_state, qmath.shannon_entropy(gp), n2
+    state, counts = _family_runs(d, 1.0, 0.0)
+    gamma, _ = _family_runs(d, alpha, beta)
+    n2 = float(np.repeat(gamma, counts).sum())
+    return qmath._run_entropy(state, counts), qmath._run_entropy(gamma / n2, counts), n2
 
 
 def diagonal_family_states(d: int, family: str) -> tuple[BipartiteState, BipartiteState]:

@@ -28,6 +28,12 @@ __all__ = [
 # and still be clipped into the interval rather than rejected.
 H2_DOMAIN_SLACK = 1e-12
 
+# How far a probability may fall below 0, and a spectrum's sum stray from 1,
+# and still be taken as a probability spectrum: squared Schmidt coefficients
+# and eigenvalues of a unit-trace density carry round-off of order 1e-15 per
+# entry, so 1e-8 passes any computed spectrum and rejects a mis-normalized one.
+PROB_SLACK = 1e-8
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -116,10 +122,10 @@ def shannon_entropy(p):
 
     ``p`` is a ``Spectrum`` or a 1-D array-like of probabilities, giving a
     float, or an array of shape (..., n) of spectra, giving an array of
-    shape (...).  Each spectrum must sum to 1 and be >= 0, each within 1e-8;
-    the first that fails raises.  Entries at or below zero contribute
-    nothing: only a spectrum with some has its positive entries compressed
-    into a copy, so that the sum over them runs as it would alone.
+    shape (...).  Each spectrum must sum to 1 and be >= 0, each within
+    PROB_SLACK; the first that fails raises.  Entries at or below zero
+    contribute nothing: only a spectrum with some has its positive entries
+    compressed into a copy, so that the sum over them runs as it would alone.
     All-positive spectra are summed as they are, with one temporary their
     size.  Each spectrum of a stack gets the bits it gets alone, and the
     input is never written to.
@@ -131,10 +137,7 @@ def shannon_entropy(p):
     with np.errstate(invalid="ignore", over="ignore"):  # such a row fails below
         total = rows.sum(axis=1).tolist()
     for lo, sum_ in zip(low, total):
-        if not lo >= -1e-8:  # NaN fails too
-            raise DomainError(f"probabilities must be >= -1e-8, found {lo!r}")
-        if not abs(sum_ - 1.0) <= 1e-8:
-            raise NotNormalized(f"probabilities sum to {sum_!r}, expected 1")
+        _check_probabilities(lo, sum_)
     positive = [lo > 0.0 for lo in low]
     if all(positive):
         s = _entropy_sum(rows)
@@ -146,6 +149,35 @@ def shannon_entropy(p):
     if one:
         return max(0.0, float(s[0]))
     return np.where(s > 0.0, s, 0.0).reshape(values.shape[:-1])
+
+
+def _run_entropy(values: np.ndarray, counts) -> float:
+    """``shannon_entropy(np.repeat(values, counts))``, with its bits and checks,
+    taking logs of the distinct ``values`` only.
+
+    ``counts`` are positive run lengths.  The checks run on the runs: the
+    least value against -PROB_SLACK and ``values @ counts`` against 1.  The
+    terms p log2 p of the positive values are repeated in the dense order
+    into one array the size of the spectrum, so numpy's pairwise sum runs as
+    it does over the dense terms.
+    """
+    counts = np.asarray(counts)
+    with np.errstate(invalid="ignore", over="ignore"):  # such a spectrum fails below
+        _check_probabilities(float(values.min()), float(values @ counts))
+    positive = values > 0.0
+    p = values[positive]
+    terms = np.log2(p)
+    terms *= p
+    return max(0.0, float(-np.repeat(terms, counts[positive]).sum()))
+
+
+def _check_probabilities(low: float, total: float) -> None:
+    """Raise unless a spectrum with least entry ``low`` and sum ``total`` is a
+    probability spectrum to PROB_SLACK."""
+    if not low >= -PROB_SLACK:  # NaN fails too
+        raise DomainError(f"probabilities must be >= {-PROB_SLACK!r}, found {low!r}")
+    if not abs(total - 1.0) <= PROB_SLACK:
+        raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
 
 
 def _entropy_sum(p: np.ndarray):

@@ -292,7 +292,8 @@ def test_sweep_rejects_non_integral_dimensions_before_allocating(monkeypatch):
     def allocates(d):
         raise AssertionError(f"allocated a record for d = {d!r}")
 
-    monkeypatch.setattr(harness, "family_state_probs", allocates)
+    # a record's first d-length array is a repeat of the family's runs
+    monkeypatch.setattr(np, "repeat", lambda values, counts: allocates(sum(counts)))
     for bad in (257.9, 257.0, "257", math.inf, math.nan, True, np.float64(257.0)):
         with pytest.raises(DomainError, match=re.escape(repr(bad))):
             dimension_sweep([5, bad], "example3")
@@ -319,14 +320,42 @@ def _traced_peak(fn, *args) -> int:
 @pytest.mark.parametrize("family", ["example3", "example4"])
 def test_large_d_entropy_and_sweep_record_hold_few_d_length_arrays(family):
     # an all-positive spectrum's entropy takes one d-length temporary, and a
-    # sweep record keeps at most three d-length arrays alive at once
+    # sweep record keeps one d-length array alive at a time (measured peak
+    # 1.001 x 8d bytes at d = 2^18 + 1)
     d = 2**18 + 1
     alpha, beta = harness.family_coefficients(family)
     gp, n2 = family_gamma_probs(d, alpha, beta)
     for p in (family_state_probs(d), gp / n2):
         assert _traced_peak(qmath.shannon_entropy, p) <= 1.1 * 8 * d
     dimension_sweep([d], family)
-    assert _traced_peak(dimension_sweep, [d], family) <= 3.1 * 8 * d
+    assert _traced_peak(dimension_sweep, [d], family) <= 1.1 * 8 * d
+
+
+@pytest.mark.parametrize("d", [257, 4097, 2**16 + 1, 2**18 + 1])
+@pytest.mark.parametrize("family", ["example3", "example4"])
+def test_family_entropies_have_the_bits_of_the_dense_spectra(d, family):
+    alpha, beta = harness.family_coefficients(family)
+    gp, n2 = family_gamma_probs(d, alpha, beta)
+    gp /= n2
+    dense = (qmath.shannon_entropy(family_state_probs(d)), qmath.shannon_entropy(gp), n2)
+    got = harness._family_entropies(d, alpha, beta)
+    assert [x.hex() for x in got] == [x.hex() for x in dense]
+
+
+@pytest.mark.parametrize("family", ["example3", "example4"])
+def test_sweep_takes_logs_of_distinct_values_only(monkeypatch, family):
+    # each spectrum of the family has two distinct values, so no log2 call
+    # of a record sees more than two entries
+    sizes = []
+    log2 = np.log2
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return log2(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "log2", counted)
+    dimension_sweep([2**18 + 1], family)
+    assert sizes and max(sizes) <= 2
 
 
 def test_sweep_csv_format():

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supent import qmath
 from supent.errors import DomainError, NoConvergence, NotNormalized, SupentError
 from supent.qmath import (
     H2_DOMAIN_SLACK,
+    PROB_SLACK,
     Spectrum,
     binary_entropy,
     check_integer,
@@ -167,6 +169,55 @@ def test_shannon_entropy_has_the_bits_of_the_masked_sum(n):
         pos = p[p > 0.0]
         expected = max(0.0, float(-(pos * np.log2(pos)).sum()))
         assert shannon_entropy(p).hex() == expected.hex()
+
+
+def _run_spectra(levels, rng):
+    """Seeded run-form spectra (values, counts) with ``levels`` distinct
+    values summing to 1: all positive, then with a zero and a tiny negative
+    run where there are three levels."""
+    for _ in range(20):
+        counts = rng.integers(1, 5000, levels)
+        w = rng.random(levels) + 0.01
+        yield w / (w @ counts), counts
+    if levels == 3:
+        for low in (0.0, -1e-12):
+            counts = rng.integers(1, 5000, 3)
+            w = rng.random(3) + 0.01
+            w[1] = 0.0
+            w /= w @ counts
+            w[1] = low
+            yield w, counts
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_run_entropy_has_the_bits_of_the_dense_spectrum(levels):
+    rng = np.random.default_rng(levels)
+    for values, counts in _run_spectra(levels, rng):
+        dense = shannon_entropy(np.repeat(values, counts))
+        assert qmath._run_entropy(values, counts).hex() == dense.hex()
+
+
+def test_run_entropy_rejects_what_the_dense_path_rejects():
+    # a run below -PROB_SLACK, a sum off 1 by 1e-7 (in one entry and spread
+    # over a long run), NaN and inf
+    cases = [
+        (DomainError, [0.5, 0.5 + 2 * PROB_SLACK, -2 * PROB_SLACK], [1, 1, 1]),
+        (NotNormalized, [0.5, 0.5 + 1e-7], [1, 1]),
+        (NotNormalized, [0.5, (0.5 + 1e-7) / 4096], [1, 4096]),
+        (DomainError, [0.5, math.nan], [1, 2]),
+        (NotNormalized, [1.0, math.inf], [1, 3]),
+    ]
+    for error, values, counts in cases:
+        values = np.array(values)
+        with pytest.raises(error):
+            shannon_entropy(np.repeat(values, counts))
+        with pytest.raises(error):
+            qmath._run_entropy(values, counts)
+    # rounding inside the slack passes both
+    values = np.array([0.5, (0.5 + 0.5 * PROB_SLACK) / 4096, -0.5 * PROB_SLACK])
+    counts = [1, 4096, 1]
+    dense = shannon_entropy(np.repeat(values, counts))
+    assert qmath._run_entropy(values, counts).hex() == dense.hex()
 
 
 def test_psd_entropy_has_the_bits_of_the_masked_sum():
