@@ -35,8 +35,8 @@ import numpy as np
 
 from . import optimize, states
 from .errors import DegenerateSubspace, DomainError, ZeroState
-from .qmath import H2_DOMAIN_SLACK, binary_entropy, check_integer, check_numbers
-from .states import BipartiteState
+from .qmath import H2_DOMAIN_SLACK, PROB_SLACK, binary_entropy, check_integer, check_numbers
+from .states import ZERO_NORM_SQ, BipartiteState
 
 __all__ = [
     "SuperpositionProblem",
@@ -56,16 +56,32 @@ __all__ = [
     "theorem4_stationarity_residual",
 ]
 
+# Every t-search and scalar bound takes t in the window [T_EPS, 1 - T_EPS]:
+# f divides by t (1 - t) and L1, L2 by t, and the window keeps them finite
+# (MAX_ENTANGLEMENT).  The cost is at the ends: at |alpha|^2 = 1, f tends to
+# E(psi) as t -> 1, but at the edge it is about h2(T_EPS) = 3e-8 above it.
 T_EPS = 1e-9
-DESTRUCTIVE_NORM_SQ = 1e-12
+
+# Slack of BoundReport.sane, in ebits.  A bound may come within rounding of
+# exact_e (the clamped lower bound equals it when gamma is a product state),
+# and the entropies carry about 6e-15 d of rounding (see ENTROPY_ROUNDING),
+# under 3e-11 at d = 4096.  1e-8 covers that, and a bound wrong in its
+# formula misses by far more.  It shares PROB_SLACK's value, not its reason.
 SANITY_SLACK = 1e-8
+
+# Largest |<psi|phi>|, as 1 - PARALLEL_TOL, at which subspace_lower takes
+# span{psi, phi} to be two-dimensional: the computed overlap of parallel
+# normalized states is 1 within a few u = 2^-53, which this catches with a
+# wide margin, while the span's second direction phi - <psi|phi> psi keeps a
+# norm above 4e-5.
+PARALLEL_TOL = 1e-9
 
 # Largest entanglement, in ebits, and largest |S_A - S_B| the scalar layer
 # takes.  Its largest caller passes 513 (harness._example4_rows, at
 # log2(d - 1) = 1024).  At the window's edge f reaches about 1e21 E when
-# N^2 = DESTRUCTIVE_NORM_SQ, and L1 and Theorem 4's residual about 1e12 E
-# and 3e20 E when a', b' = 1 / DESTRUCTIVE_NORM_SQ.  So at this cap every
-# value stays below 1e28, while E = 1e300 would overflow.
+# N^2 = ZERO_NORM_SQ, and L1 and Theorem 4's residual about 1e12 E and
+# 3e20 E when a', b' = 1 / ZERO_NORM_SQ.  So at this cap every value stays
+# below 1e28, while E = 1e300 would overflow.
 MAX_ENTANGLEMENT = 1e6
 
 # Rounding slack, relative to 1 + |bracket|, for the computed entropies when
@@ -93,8 +109,10 @@ PRUNE_STRIDE = 16
 # about 7 minutes.
 MAX_SUBSPACE_GRID = 2**10
 
-# The one grid of every t-search and h2 on it, read-only.
-_T_GRID = np.asarray(optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N))
+# The one grid of every t-search, as the floats the searches step from and
+# as a read-only array, and h2 on it.
+_T_POINTS = optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N)
+_T_GRID = np.asarray(_T_POINTS)
 _T_GRID.setflags(write=False)
 _H_GRID = binary_entropy(_T_GRID)
 _H_GRID.setflags(write=False)
@@ -130,11 +148,11 @@ class SuperpositionProblem:
     ) -> "SuperpositionProblem":
         """Build a problem, normalizing the states and (alpha, beta).
 
-        The coefficient pair must lie on the unit sphere within 1e-8; it is
-        rescaled onto it exactly so downstream identities hold to machine
-        precision.  Raises DomainError for a non-finite or overflowing
-        coefficient, and ZeroState when the superposition is fully
-        destructive (squared norm below 1e-12).
+        The coefficient pair must lie on the unit sphere within PROB_SLACK;
+        it is rescaled onto it exactly so downstream identities hold to
+        machine precision.  Raises DomainError for a non-finite or
+        overflowing coefficient, and ZeroState when the superposition is
+        fully destructive (squared norm at most ZERO_NORM_SQ).
         """
         (problem,) = cls.from_states_many([(psi, phi, alpha, beta)])
         if problem is None:
@@ -156,16 +174,16 @@ class SuperpositionProblem:
             psi_n = psi.normalized()
             phi_n = phi.normalized()
             sphere = _weight("alpha", alpha) + _weight("beta", beta)
-            if abs(sphere - 1.0) > 1e-8:
+            if abs(sphere - 1.0) > PROB_SLACK:
                 raise DomainError(
-                    f"|alpha|^2 + |beta|^2 = {sphere!r}, expected 1 within 1e-8"
+                    f"|alpha|^2 + |beta|^2 = {sphere!r}, expected 1 within {PROB_SLACK!r}"
                 )
             scale = 1.0 / math.sqrt(sphere)
             alpha = complex(alpha) * scale
             beta = complex(beta) * scale
             gamma = states.superpose(alpha, psi_n, beta, phi_n)
             n2 = states.norm_squared(gamma)
-            held.append(None if n2 <= DESTRUCTIVE_NORM_SQ else (psi_n, phi_n, alpha, beta, gamma, n2))
+            held.append(None if n2 <= ZERO_NORM_SQ else (psi_n, phi_n, alpha, beta, gamma, n2))
         kept = [h for h in held if h is not None]
         e = iter(states.entanglement_entropies(s for h in kept for s in h[:2]))
         # fields in order: the held six, then overlap, e_psi and e_phi
@@ -183,10 +201,10 @@ class BoundReport:
     optimum for stationarity diagnostics.  ``simple_lower`` is present only
     for orthogonal pairs; ``exact_one_sided`` only when the pair is
     one-sided orthogonal.  ``sane`` records
-    lower_l - 1e-8 <= exact_e <= min(upper bounds) + 1e-8.  ``s_a`` and
-    ``s_b`` are the side entropies S_A, S_B of |alpha|^2 |psi><psi| +
-    |beta|^2 |phi><phi|: Theorem 2's asymmetry is |s_a - s_b|, and they are
-    Lemma 1's inputs.
+    lower_l - SANITY_SLACK <= exact_e <= min(upper bounds) + SANITY_SLACK.
+    ``s_a`` and ``s_b`` are the side entropies S_A, S_B of
+    |alpha|^2 |psi><psi| + |beta|^2 |phi><phi|: Theorem 2's asymmetry is
+    |s_a - s_b|, and they are Lemma 1's inputs.
     """
 
     exact_e: float
@@ -490,7 +508,7 @@ def _pointwise(formula, cols):
 
 def _golden(f, grid_values: np.ndarray) -> list[tuple[float, float]]:
     """(value, t_star) of each row's grid + golden-section search on the window."""
-    results = optimize.minimize_many(f, T_EPS, 1.0 - T_EPS, grid_values)
+    results = optimize.minimize_many(f, _T_POINTS, grid_values)
     return [(r.value, r.x_star) for r in results]
 
 
@@ -573,7 +591,7 @@ def subspace_lower(psi: BipartiteState, phi: BipartiteState, grid_n: int) -> flo
     psi_n = psi.normalized()
     phi_n = phi.normalized()
     c = states.inner_product(psi_n, phi_n)
-    if abs(c) > 1.0 - 1e-9:
+    if abs(c) > 1.0 - PARALLEL_TOL:
         raise DegenerateSubspace(
             f"states are parallel within tolerance (|<psi|phi>| = {abs(c):.12f})"
         )
@@ -585,7 +603,7 @@ def subspace_lower(psi: BipartiteState, phi: BipartiteState, grid_n: int) -> flo
         for phase in np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False):
             beta = amp * complex(math.cos(phase), math.sin(phase))
             n2 = 1.0 + 2.0 * (alpha * beta * c).real
-            if n2 <= DESTRUCTIVE_NORM_SQ:
+            if n2 <= ZERO_NORM_SQ:
                 continue
             raw, _, _ = maximize_lower_scalar(e_psi, e_phi, prob / n2, (1.0 - prob) / n2)
             best = min(best, max(0.0, raw))
@@ -681,17 +699,17 @@ def _check_t(t) -> float:
 
 def _check_upper(e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=0.0) -> None:
     """Raise DomainError unless E(psi), E(phi) lie in [0, MAX_ENTANGLEMENT],
-    |alpha|^2 in [0, 1] (to h2's slack), N^2 >= DESTRUCTIVE_NORM_SQ, below
-    which the bounds overflow, and |delta_s| <= MAX_ENTANGLEMENT."""
+    |alpha|^2 in [0, 1] (to h2's slack), N^2 >= ZERO_NORM_SQ, at or below
+    which a problem is fully destructive, and |delta_s| <= MAX_ENTANGLEMENT."""
     check_numbers(0.0, MAX_ENTANGLEMENT, e_psi=e_psi, e_phi=e_phi)
     check_numbers(-H2_DOMAIN_SLACK, 1.0 + H2_DOMAIN_SLACK, alpha_sq=alpha_sq)
-    check_numbers(DESTRUCTIVE_NORM_SQ, gamma_norm_sq=gamma_norm_sq)
+    check_numbers(ZERO_NORM_SQ, gamma_norm_sq=gamma_norm_sq)
     check_numbers(-MAX_ENTANGLEMENT, MAX_ENTANGLEMENT, delta_s=delta_s)
 
 
 def _check_lower(e_psi, e_phi, alpha_sq, beta_sq) -> None:
     """Raise DomainError unless E(psi), E(phi) lie in [0, MAX_ENTANGLEMENT] and
     the rescaled weights a' = |alpha|^2 / N^2, b' = |beta|^2 / N^2 in
-    [0, 1 / DESTRUCTIVE_NORM_SQ], the most a problem can give them."""
+    [0, 1 / ZERO_NORM_SQ], the most a problem can give them."""
     check_numbers(0.0, MAX_ENTANGLEMENT, e_psi=e_psi, e_phi=e_phi)
-    check_numbers(0.0, 1.0 / DESTRUCTIVE_NORM_SQ, alpha_sq=alpha_sq, beta_sq=beta_sq)
+    check_numbers(0.0, 1.0 / ZERO_NORM_SQ, alpha_sq=alpha_sq, beta_sq=beta_sq)

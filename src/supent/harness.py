@@ -67,6 +67,42 @@ MAX_FAMILY_DIM = 2**22 + 1
 # The dimension d = 2^16 + 1 of the diagonal family in Examples 3 and 4.
 EXAMPLE_DIM = 2**16 + 1
 
+# Least unnormalized weight of a drawn simplex point: -log(1 - r) is 0 for a
+# draw r = 0, and the floor keeps every Schmidt coefficient of a one-sided
+# pair positive, so its states have Schmidt ranks d1 and d2.
+SIMPLEX_FLOOR = 1e-12
+
+# Tolerance, in ebits, of an example row's computed value against its closed
+# form, and slack of E4's check that the optimized lower bound is at least
+# L1(25/28).  Each compares two float evaluations of one number below 20
+# ebits, which differ by rounding: at most 3.6e-15 in any row.
+EXAMPLE_TOL = 1e-9
+
+# Tolerance of the three rows that check a derived quantity: the
+# stationarity residual at E3's searched t*, and E3's and E4's gaps, which
+# are independent of d.  The search places a minimum only to about sqrt(u)
+# (u = 2^-53), where f is flat to rounding, and the residual it leaves
+# measured 4.4e-8; the gaps, differences of two values that grow with
+# log2(d - 1), measured 2.7e-15 and 1.4e-15 off.
+EXAMPLE_DERIVED_TOL = 1e-6
+
+# How far below exact_e an upper bound may fall in an example's order row:
+# rounding of values below 20 ebits, a few times 4e-15.  The rows' margins
+# are at least 1.08 ebits.
+EXAMPLE_ORDER_SLACK = 1e-12
+
+# Tolerance of a searched t* against the value it tends to as E grows, 3/7
+# for E3's f and 25/28 for E4's L1: it measured 5.5e-3 off at E3's
+# d = 2^16 + 1, and 4.8e-3 and 1.2e-3 at E4's log2(d - 1) = 256 and 1024.
+T_STAR_TOL = 1e-2
+
+# How far Theorem 2's and f's optimized bound may exceed the LPS bound in an
+# audit's order counts, in ebits.  Theorem 2 subtracts a non-negative term
+# from it, and f's candidates include t = |alpha|^2, where f equals it in
+# exact arithmetic; the two formulas round differently, by a few ulps of the
+# bound, which 1e-9 covers for bounds up to about 1e5 ebits.
+AUDIT_ORDER_SLACK = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # State files.
@@ -102,9 +138,9 @@ def parse_state_file(text: str) -> BipartiteState:
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
             raise ParseError(f"entry {k}: expected [i, j, re, im]")
         i, j, re, im = entry
-        if not isinstance(i, int) or not isinstance(j, int) or isinstance(i, bool) or isinstance(j, bool):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)):
             raise ParseError(f"entry {k}: indices must be integers")
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
             raise ParseError(f"entry {k}: amplitudes must be real numbers")
         if not (0 <= i < dim_a and 0 <= j < dim_b):
             raise ParseError(f"entry {k}: index ({i}, {j}) outside the {dim_a}x{dim_b} grid")
@@ -194,8 +230,8 @@ def generate_one_sided_pair(
 
 
 def _random_simplex(rng: Xoshiro256StarStar, n: int) -> np.ndarray:
-    w = np.array([-math.log(max(1e-300, 1.0 - rng.random())) for _ in range(n)])
-    w = np.maximum(w, 1e-12)
+    w = np.array([-math.log(1.0 - rng.random()) for _ in range(n)])  # 1 - r >= 2^-53
+    w = np.maximum(w, SIMPLEX_FLOOR)
     return w / w.sum()
 
 
@@ -321,7 +357,7 @@ def _check_row(
     quantity: str,
     computed: float,
     expected: float,
-    tol: float,
+    tol: float = EXAMPLE_TOL,
     note: str = "",
 ) -> ExampleRow:
     return ExampleRow(
@@ -333,6 +369,12 @@ def _check_row(
         passed=abs(computed - expected) <= tol,
         note=note,
     )
+
+
+def _order_row(case: str, quantity: str, gap: float) -> ExampleRow:
+    """An upper bound's ``gap`` over exact_e, passing unless it is negative
+    beyond EXAMPLE_ORDER_SLACK."""
+    return ExampleRow(case, quantity, gap, passed=gap >= -EXAMPLE_ORDER_SLACK)
 
 
 def run_examples() -> list[ExampleRow]:
@@ -353,15 +395,13 @@ def _example1_rows() -> list[ExampleRow]:
         case = f"E1[alpha={alpha:.4g}]"
         prob = SuperpositionProblem.from_states(psi, phi, alpha, beta)
         (report,) = bounds.certify_many([prob])
-        rows.append(_check_row(case, "E(psi)", prob.e_psi, 1.0, 1e-9))
-        rows.append(_check_row(case, "E(phi)", prob.e_phi, 1.0, 1e-9))
-        rows.append(_check_row(case, "exact_e", report.exact_e, 1.0, 1e-9))
-        rows.append(_check_row(case, "one_sided_formula", report.exact_one_sided, 1.0, 1e-9))
-        rows.append(_check_row(case, "S_A(t=|alpha|^2)", report.s_a, 1.0, 1e-9))
+        rows.append(_check_row(case, "E(psi)", prob.e_psi, 1.0))
+        rows.append(_check_row(case, "E(phi)", prob.e_phi, 1.0))
+        rows.append(_check_row(case, "exact_e", report.exact_e, 1.0))
+        rows.append(_check_row(case, "one_sided_formula", report.exact_one_sided, 1.0))
+        rows.append(_check_row(case, "S_A(t=|alpha|^2)", report.s_a, 1.0))
         rows.append(
-            _check_row(
-                case, "S_B(t=|alpha|^2)", report.s_b, 1.0 + binary_entropy(alpha * alpha), 1e-9
-            )
+            _check_row(case, "S_B(t=|alpha|^2)", report.s_b, 1.0 + binary_entropy(alpha * alpha))
         )
     return rows
 
@@ -374,22 +414,21 @@ def _example2_rows() -> list[ExampleRow]:
     (report,) = bounds.certify_many([prob])
     exact, lps, t2 = report.exact_e, report.lps_upper, report.theorem2_upper
     rows = [
-        _check_row(case, "E(psi)", prob.e_psi, 1.5, 1e-9),
-        _check_row(case, "E(phi)", prob.e_phi, 1.5, 1e-9),
-        _check_row(case, "norm_sq(gamma)", prob.gamma_norm_sq, 1.5, 1e-9),
-        _check_row(case, "exact_e", exact, math.log2(3.0), 1e-9),
-        _check_row(case, "S_A(t=1/2)", report.s_a, 1.5, 1e-9),
-        _check_row(case, "S_B(t=1/2)", report.s_b, 2.0, 1e-9),
-        _check_row(case, "lps_upper", lps, 10.0 / 3.0, 1e-9),
-        _check_row(case, "theorem2_upper", t2, 8.0 / 3.0, 1e-9),
-        ExampleRow(case, "lps_upper - exact_e", lps - exact, passed=lps - exact >= -1e-12),
-        ExampleRow(case, "theorem2_upper - exact_e", t2 - exact, passed=t2 - exact >= -1e-12),
+        _check_row(case, "E(psi)", prob.e_psi, 1.5),
+        _check_row(case, "E(phi)", prob.e_phi, 1.5),
+        _check_row(case, "norm_sq(gamma)", prob.gamma_norm_sq, 1.5),
+        _check_row(case, "exact_e", exact, math.log2(3.0)),
+        _check_row(case, "S_A(t=1/2)", report.s_a, 1.5),
+        _check_row(case, "S_B(t=1/2)", report.s_b, 2.0),
+        _check_row(case, "lps_upper", lps, 10.0 / 3.0),
+        _check_row(case, "theorem2_upper", t2, 8.0 / 3.0),
+        _order_row(case, "lps_upper - exact_e", lps - exact),
+        _order_row(case, "theorem2_upper - exact_e", t2 - exact),
         _check_row(
             case,
             "lps_upper (norm-divided variant)",
             lps * math.sqrt(prob.gamma_norm_sq),
             5.0 * math.sqrt(2.0 / 3.0),
-            1e-9,
             note=(
                 "documented discrepancy: the reference value 5*sqrt(2/3) matches the "
                 "bound divided by ||gamma|| instead of ||gamma||^2; the implemented "
@@ -401,7 +440,6 @@ def _example2_rows() -> list[ExampleRow]:
             "theorem2_upper (norm-divided variant)",
             t2 * math.sqrt(prob.gamma_norm_sq),
             4.0 * math.sqrt(2.0 / 3.0),
-            1e-9,
             note=(
                 "documented discrepancy: the reference value 4*sqrt(2/3) matches the "
                 "bound divided by ||gamma|| instead of ||gamma||^2; the implemented "
@@ -427,23 +465,17 @@ def _example3_rows() -> list[ExampleRow]:
     lps = bounds.lps_upper_value(e_state, e_state, asq, n2)
     residual = bounds.theorem3_stationarity_residual(t3_star, e_state, e_state, asq)
     rows = [
-        _check_row(case, "E(psi)", e_state, 0.5 * log_d1 + 1.0, 1e-9),
-        _check_row(
-            case,
-            "exact_e",
-            exact,
-            (49.0 / 50.0) * log_d1 + binary_entropy(1.0 / 50.0),
-            1e-9,
-        ),
-        _check_row(case, "t_star(f)", t3_star, 3.0 / 7.0, 1e-2),
-        _check_row(case, "stationarity residual at t_star", residual, 0.0, 1e-6),
-        _check_row(case, "f(3/7)", f37, f37_direct, 1e-9),
+        _check_row(case, "E(psi)", e_state, 0.5 * log_d1 + 1.0),
+        _check_row(case, "exact_e", exact, (49.0 / 50.0) * log_d1 + binary_entropy(1.0 / 50.0)),
+        _check_row(case, "t_star(f)", t3_star, 3.0 / 7.0, T_STAR_TOL),
+        _check_row(case, "stationarity residual at t_star", residual, 0.0, EXAMPLE_DERIVED_TOL),
+        _check_row(case, "f(3/7)", f37, f37_direct),
         _check_row(
             case,
             "f(3/7) - exact_e",
             f37 - exact,
             reference_gap,
-            1e-6,
+            EXAMPLE_DERIVED_TOL,
             note="(49/25)(1 + h2(3/7)) - h2(1/50), independent of d",
         ),
         _check_row(
@@ -451,10 +483,9 @@ def _example3_rows() -> list[ExampleRow]:
             "lps_upper",
             lps,
             log_d1 + 2.0 + 2.0 * binary_entropy(asq),
-            1e-9,
             note="grows like log2(d-1); diverges from exact_e as d grows",
         ),
-        ExampleRow(case, "f(t_star) - exact_e", t3 - exact, passed=t3 - exact >= -1e-12),
+        _order_row(case, "f(t_star) - exact_e", t3 - exact),
     ]
     sweep = dimension_sweep([2**8 + 1, 2**12 + 1, EXAMPLE_DIM], "example3")
     diffs = [b.gap_lps - a.gap_lps for a, b in zip(sweep, sweep[1:])]
@@ -498,27 +529,21 @@ def _example4_rows() -> list[ExampleRow]:
         e_state, e_state, asq / n2, bsq / n2
     )
     rows = [
-        _check_row(
-            case,
-            "exact_e",
-            exact,
-            (1.0 / 50.0) * log_d1 + binary_entropy(1.0 / 50.0),
-            1e-9,
-        ),
-        _check_row(case, "L1(25/28)", l1_ref, l1_closed, 1e-9),
+        _check_row(case, "exact_e", exact, (1.0 / 50.0) * log_d1 + binary_entropy(1.0 / 50.0)),
+        _check_row(case, "L1(25/28)", l1_ref, l1_closed),
         _check_row(
             case,
             "exact_e - L1(25/28)",
             exact - l1_ref,
             gap_closed,
-            1e-6,
+            EXAMPLE_DERIVED_TOL,
             note="approximately 0.65, independent of d",
         ),
         ExampleRow(
             case,
             f"optimized lower bound (branch {branch}) - L1(25/28)",
             max(0.0, raw) - l1_ref,
-            passed=max(0.0, raw) >= l1_ref - 1e-9,
+            passed=max(0.0, raw) >= l1_ref - EXAMPLE_TOL,
         ),
         ExampleRow(
             case,
@@ -542,8 +567,8 @@ def _example4_rows() -> list[ExampleRow]:
                 "t_star(lower)",
                 t_star,
                 expected=t_ref,
-                tol=1e-2,
-                passed=abs(t_star - t_ref) <= 1e-2 and branch == "L1" and raw > 0.0,
+                tol=T_STAR_TOL,
+                passed=abs(t_star - t_ref) <= T_STAR_TOL and branch == "L1" and raw > 0.0,
                 note=f"branch {branch}, raw {raw:.4g}; must be L1 with raw > 0",
             )
         )
@@ -669,9 +694,9 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
             continue
         if not report.sane:
             violations += 1
-        if report.theorem2_upper > report.lps_upper + 1e-9:
+        if report.theorem2_upper > report.lps_upper + AUDIT_ORDER_SLACK:
             t2_violations += 1
-        if report.theorem3_upper > report.lps_upper + 1e-9:
+        if report.theorem3_upper > report.lps_upper + AUDIT_ORDER_SLACK:
             t3_violations += 1
         upper_min = min(
             report.lps_upper,
@@ -758,6 +783,6 @@ def _certified_batch(batch):
     built = iter(SuperpositionProblem.from_states_many(d[1:] for d in batch if d[3] is not None))
     problems = [None if d[3] is None else next(built) for d in batch]
     kept = [p for p in problems if p is not None]
-    reports = iter(bounds.certify_many(kept) if kept else ())
+    reports = iter(bounds.certify_many(kept))
     for draw, problem in zip(batch, problems):
         yield draw, None if problem is None else next(reports)

@@ -12,7 +12,6 @@ when several do.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -47,9 +46,9 @@ class OptimizerResult:
     converged: bool
 
 
-@functools.lru_cache(maxsize=16)
 def grid_points(a: float, b: float, grid_n: int) -> tuple[float, ...]:
-    """The exact uniform evaluation grid used by the searches below."""
+    """The uniform grid of grid_n floats from a to b, both included, as a tuple:
+    the grid points ``minimize_many`` takes."""
     step = (b - a) / (grid_n - 1)
     return tuple(a + i * step for i in range(grid_n - 1)) + (b,)
 
@@ -74,10 +73,11 @@ def _value(f: Callable, row: int, x: float) -> float:
 
 
 def minimize_many(
-    f: Callable, a: float, b: float, grid_values: np.ndarray
+    f: Callable, xs: tuple[float, ...], grid_values: np.ndarray
 ) -> list[OptimizerResult]:
-    """Minimize n objectives on [a, b] in lockstep, row r of the (n, G) array
-    ``grid_values`` holding search r's values on ``grid_points(a, b, G)``.
+    """Minimize n objectives on [xs[0], xs[-1]] in lockstep, row r of the
+    (n, G) array ``grid_values`` holding search r's values on the G ascending
+    grid points ``xs``, a tuple of floats (DomainError unless len(xs) == G).
 
     Each search refines the bracket around its best grid point (the first of
     equal minima) until it is narrower than TOL; one on the edge starts one
@@ -89,7 +89,8 @@ def minimize_many(
     """
     vals = np.asarray(grid_values, dtype=float)
     n, grid_n = vals.shape
-    xs = grid_points(a, b, grid_n)
+    if len(xs) != grid_n:
+        raise DomainError(f"{len(xs)} grid points for {grid_n} grid values per search")
     finite = np.isfinite(vals)
     if not finite.all():
         r, i = np.argwhere(~finite)[0]
@@ -156,8 +157,8 @@ def minimize_scalar(f: Callable[[float], float], a: float, b: float) -> Optimize
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a!r}, {b!r}]")
-    vals = np.asarray([[f(x) for x in grid_points(a, b, DEFAULT_GRID_N)]], dtype=float)
-    return minimize_many(lambda _, x: f(x), a, b, vals)[0]
+    xs = grid_points(a, b, DEFAULT_GRID_N)
+    return minimize_many(lambda _, x: f(x), xs, np.asarray([[f(x) for x in xs]], dtype=float))[0]
 
 
 def maximize_scalar(f: Callable[[float], float], a: float, b: float) -> OptimizerResult:

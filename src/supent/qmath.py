@@ -28,11 +28,20 @@ __all__ = [
 # and still be clipped into the interval rather than rejected.
 H2_DOMAIN_SLACK = 1e-12
 
-# How far a probability may fall below 0, and a spectrum's sum stray from 1,
-# and still be taken as a probability spectrum: squared Schmidt coefficients
-# and eigenvalues of a unit-trace density carry round-off of order 1e-15 per
-# entry, so 1e-8 passes any computed spectrum and rejects a mis-normalized one.
+# How far a sum of squared moduli may stray from 1 and still count as 1, and
+# a probability fall below 0: a probability spectrum here, the squared norm of
+# each state of a ``states.PairStack``, and |alpha|^2 + |beta|^2 of a
+# ``bounds.SuperpositionProblem``.  Squared Schmidt coefficients, eigenvalues
+# of a unit-trace density and the squared norm of a normalized state carry
+# round-off of order 1e-15 per entry, so 1e-8 passes any computed unit sum and
+# rejects a mis-normalized one.
 PROB_SLACK = 1e-8
+
+# How far a Spectrum's values may sum from its trace, relative to the larger
+# of 1, |trace| and sum |values|: n summed values carry round-off of at most
+# about n u (u = 2^-53) relative to sum |values|, under 1e-9 for any
+# n < 9e6, and numpy's pairwise sum far less.
+SPECTRUM_TRACE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,7 @@ class Spectrum:
             raise DomainError("spectrum values must be finite")
         if v.size > 1 and np.any(np.diff(v) > 0.0):
             raise DomainError("spectrum values must be sorted descending")
-        tol = 1e-9 * max(1.0, abs(self.trace), float(np.abs(v).sum()))
+        tol = SPECTRUM_TRACE_SLACK * max(1.0, abs(self.trace), float(np.abs(v).sum()))
         if abs(float(v.sum()) - self.trace) > tol:
             raise DomainError("spectrum values do not sum to the stated trace")
         v.setflags(write=False)

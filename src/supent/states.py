@@ -31,12 +31,24 @@ __all__ = [
     "mixture_entropy",
 ]
 
+# A state of squared norm at most ZERO_NORM_SQ counts as vanishing:
+# entanglement_entropies raises ZeroState for it, and
+# bounds.SuperpositionProblem calls a superposition gamma that small fully
+# destructive.  The bounds divide by N^2 = ||gamma||^2, and at this floor
+# they still stay finite (bounds.MAX_ENTANGLEMENT).  normalized() rescales
+# such a state before dividing by its norm.
 ZERO_NORM_SQ = 1e-12
+
+# Largest |<psi|phi>| (simple_lower's test, in bounds) and trace overlap
+# Tr[rho(psi) rho(phi)] of two reduced operators (classify_orthogonality) that
+# count as 0.  Both are at most 1 for unit states, and an exact 0 computes to
+# rounding.  One-sided pairs harness.generate_one_sided_pair(d/2, d/2, d, s)
+# rotated by Haar unitaries on both sides (d = 16 to 1024 with five seeds
+# each, 2048 and 4096 with one) kept the orthogonal B-side trace overlap at
+# or below 5e-18, while the A-side one was about 1/d (2.4e-4 at d = 4096).
+# So an absolute 1e-9 parts the two by over five orders of magnitude at
+# every dimension a state may have, and needs no scaling with d.
 ORTHOGONALITY_TOL = 1e-9
-# How far the squared norm of each state of a PairStack may stray from 1.
-# normalized() leaves a few ulps; a state that was never normalized misses
-# by far more, and would scale every trace overlap and entropy it feeds.
-UNIT_NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -114,11 +126,11 @@ class PairStack:
 
     def __init__(self, pairs):
         """Raises DimMismatch for a pair on different spaces and NotNormalized
-        unless each squared norm is 1 within UNIT_NORM_TOL."""
+        unless each squared norm is 1 within qmath.PROB_SLACK."""
         pairs = list(pairs)
         for s1, s2 in pairs:
             _check_dims(s1, s2)
-            if any(abs(norm_squared(s) - 1.0) > UNIT_NORM_TOL for s in (s1, s2)):
+            if any(abs(norm_squared(s) - 1.0) > qmath.PROB_SLACK for s in (s1, s2)):
                 raise NotNormalized("a pair stack needs normalized states")
         self._dims = np.array([s1.coeffs.shape for s1, _ in pairs], dtype=int).reshape(-1, 2)
         self._index = np.empty_like(self._dims)  # each (row, side)'s place in its stack

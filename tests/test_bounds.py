@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_state, random_sphere_pair
+from helpers import random_sphere_pair, random_state, random_unitary
 from supent import bounds, harness, optimize, qmath, states
 from supent.bounds import (
     T_EPS,
@@ -146,6 +146,22 @@ def test_exact_one_sided_matches_direct_entropy():
         )
 
 
+@pytest.mark.parametrize("d", [32, 64])
+def test_one_sided_pair_in_a_rotated_basis_keeps_lemma1(d):
+    # Haar unitaries on both sides move the pair off the computational basis;
+    # its B-side supports stay orthogonal, its A-side ones overlap by ~1/d
+    rng = np.random.default_rng(d)
+    u_a, u_b = random_unitary(rng, d), random_unitary(rng, d)
+    psi, phi = (
+        BipartiteState(u_a @ s.coeffs @ u_b.T) for s in harness.generate_one_sided_pair(d // 2, d // 2, d, d)
+    )
+    kind = states.classify_orthogonality(states.PairStack([(psi, phi)]), 0)
+    assert kind.one_sided_eq1 and not kind.one_sided_eq2
+    alpha, beta = random_sphere_pair(rng)
+    report = certify(psi, phi, alpha, beta)
+    assert report.exact_one_sided == pytest.approx(report.exact_e, abs=1e-9)
+
+
 def test_exact_one_sided_absent_for_overlapping_pairs():
     rng = np.random.default_rng(38)
     pairs = [harness.overlapping_triple_pair()]
@@ -280,9 +296,9 @@ def test_scalar_checks_keep_valid_edge_arguments():
 
 # NaN, +-inf, negatives, 0, values above 1, tiny, ordinary and huge numbers:
 # magnitudes run to just past bounds.MAX_ENTANGLEMENT and the cap
-# 1 / DESTRUCTIVE_NORM_SQ on a' and b', and on to 1e300, where an unchecked
+# 1 / ZERO_NORM_SQ on a' and b', and on to 1e300, where an unchecked
 # bound would overflow to inf.
-_CAPS = (bounds.MAX_ENTANGLEMENT, 1.0 / bounds.DESTRUCTIVE_NORM_SQ)
+_CAPS = (bounds.MAX_ENTANGLEMENT, 1.0 / states.ZERO_NORM_SQ)
 _SCALARS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -1e-300, 0.0, 1e-300, 1.0, 1.5]),
     st.sampled_from(
@@ -477,9 +493,9 @@ def test_refined_pruning_matches_exhaustive_grid(monkeypatch):
     seen = []
     minimize = optimize.minimize_many
 
-    def spy(f, a, b, grid_values):
+    def spy(f, xs, grid_values):
         seen.append(grid_values)
-        return minimize(f, a, b, grid_values)
+        return minimize(f, xs, grid_values)
 
     monkeypatch.setattr(optimize, "minimize_many", spy)
     problems = list(_pruning_problems())

@@ -82,6 +82,10 @@ def test_parse_rejects_bad_fields():
         parse_state_file(json.dumps({"dim_a": 2, "dim_b": 2, "entries": "nope"}))
     with pytest.raises(ParseError, match="entry 0"):
         parse_state_file(json.dumps({"dim_a": 2, "dim_b": 2, "entries": [[0, 0, 1.0]]}))
+    # a bool is an int to Python, but no amplitude: [0, 0, true, false] is not 1
+    for entry in ([0, 0, True, 0.0], [0, 0, 1.0, False]):
+        with pytest.raises(ParseError, match="entry 1: amplitudes"):
+            parse_state_file(json.dumps({"dim_a": 2, "dim_b": 2, "entries": [[1, 1, 1, 0], entry]}))
 
 
 def test_roundtrip_is_bit_exact():
@@ -480,7 +484,7 @@ def test_haar_state_rejects_non_integer_dimensions():
 def test_audit_counts_destructive_trials_separately(monkeypatch):
     # force every draw below the destructive threshold to exercise the skip
     # accounting; no random draw can hit it otherwise
-    monkeypatch.setattr(bounds, "DESTRUCTIVE_NORM_SQ", 2.0)
+    monkeypatch.setattr(bounds, "ZERO_NORM_SQ", 2.0)
     summary = random_audit(8, 3, seed=1)
     assert summary.skipped_destructive == 8
     assert summary.violations == 0

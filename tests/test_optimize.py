@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supent import bounds
-from supent.errors import NonFiniteObjective
+from supent.errors import DomainError, NonFiniteObjective
 from supent.optimize import (
     DEFAULT_GRID_N,
     grid_points,
@@ -31,32 +31,40 @@ def test_minimize_boundary_minimum():
 
 
 def _on_grid(f, a, b, grid_n):
-    """minimize_many's objective and (1, grid_n) grid values for one search of f."""
-    return (lambda _, x: f(x)), a, b, np.array([[f(x) for x in grid_points(a, b, grid_n)]])
+    """minimize_many's objective, grid points and (1, grid_n) grid values for
+    one search of f."""
+    xs = grid_points(a, b, grid_n)
+    return (lambda _, x: f(x)), xs, np.array([[f(x) for x in xs]])
 
 
 def test_minimize_value_never_exceeds_grid_samples():
     f = lambda x: math.sin(13.0 * x) + 0.3 * x
-    g, a, b, grid = _on_grid(f, 0.0, 3.0, 101)
-    (res,) = minimize_many(g, a, b, grid)
+    g, xs, grid = _on_grid(f, 0.0, 3.0, 101)
+    (res,) = minimize_many(g, xs, grid)
     assert res.value <= grid.min() + 1e-15
 
 
 def test_minimize_grid_values_above_the_minimum_change_nothing():
     f = lambda x: math.sin(13.0 * x) + 0.3 * x
-    xs = grid_points(0.0, 3.0, 101)
-    g, a, b, exact = _on_grid(f, 0.0, 3.0, 101)
+    g, xs, exact = _on_grid(f, 0.0, 3.0, 101)
     raised = np.where(exact == exact.min(), exact, exact + 1.0)
-    assert minimize_many(g, a, b, raised) == minimize_many(g, a, b, exact)
+    assert minimize_many(g, xs, raised) == minimize_many(g, xs, exact)
     # a non-finite grid value is reported with its point
     last_nan = exact.copy()
     last_nan[0, -1] = math.nan
     with pytest.raises(NonFiniteObjective, match=re.escape(f"nan at x={xs[-1]!r}") + "$"):
-        minimize_many(g, a, b, last_nan)
+        minimize_many(g, xs, last_nan)
     one_nan = exact.copy()
     one_nan[0, 7] = math.nan
     with pytest.raises(NonFiniteObjective, match=re.escape(f"nan at x={xs[7]!r}") + "$"):
-        minimize_many(g, a, b, one_nan)
+        minimize_many(g, xs, one_nan)
+
+
+def test_minimize_many_rejects_grid_points_of_another_count():
+    g, xs, grid = _on_grid(lambda x: x * x, 0.0, 1.0, 9)
+    for points in (xs[:-1], xs + (2.0,), grid_points(0.0, 1.0, 17)):
+        with pytest.raises(DomainError, match="grid points for 9 grid values"):
+            minimize_many(g, points, grid)
 
 
 def test_maximize_with_grid_values_matches_scalar_grid():
@@ -132,7 +140,7 @@ def test_lockstep_search_equals_separate_searches(rows, grid_n):
             return fs[r](x)
         return np.array([fs[k](v) for k, v in zip(r.tolist(), x.tolist())])
 
-    together = minimize_many(f, 0.0, 1.0, np.array([[g(x) for x in xs] for g in fs]))
+    together = minimize_many(f, xs, np.array([[g(x) for x in xs] for g in fs]))
     alone = [minimize_many(*_on_grid(g, 0.0, 1.0, grid_n))[0] for g in fs]
     assert [(r.value, r.x_star, r.iterations, r.converged) for r in together] == [
         (r.value, r.x_star, r.iterations, r.converged) for r in alone
@@ -156,4 +164,4 @@ def test_lockstep_non_finite_value_names_its_point():
     # c = hi - (hi - lo) / phi in the bracket [0, xs[1]]
     c = xs[1] - xs[1] * (math.sqrt(5.0) - 1.0) / 2.0
     with pytest.raises(NonFiniteObjective, match=re.escape(f"nan at x={c!r}") + "$"):
-        minimize_many(f, 0.0, 1.0, grid)
+        minimize_many(f, xs, grid)
