@@ -28,6 +28,7 @@ drops below max over t of these, and also never below zero.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -78,10 +79,10 @@ PARALLEL_TOL = 1e-9
 
 # Largest entanglement, in ebits, and largest |S_A - S_B| the scalar layer
 # takes.  Its largest caller passes 513 (harness._example4_rows, at
-# log2(d - 1) = 1024).  At the window's edge f reaches about 1e21 E when
-# N^2 = ZERO_NORM_SQ, and L1 and Theorem 4's residual about 1e12 E and
-# 3e20 E when a', b' = 1 / ZERO_NORM_SQ.  So at this cap every value stays
-# below 1e28, while E = 1e300 would overflow.
+# log2(d - 1) = 1024).  At the window's edge f reaches about 1e21 E as N^2
+# nears ZERO_NORM_SQ, and L1 and Theorem 4's residual about 1e12 E and 3e20 E
+# as a', b' near 1 / ZERO_NORM_SQ (both excluded).  So at this cap every
+# value stays below 1e28, while E = 1e300 would overflow.
 MAX_ENTANGLEMENT = 1e6
 
 # Rounding slack, relative to 1 + |bracket|, for the computed entropies when
@@ -118,11 +119,12 @@ _H_GRID = binary_entropy(_T_GRID)
 _H_GRID.setflags(write=False)
 # The refined search's knots: every PRUNE_STRIDE-th grid index and the last.
 _KNOTS = np.append(np.arange(0, _T_GRID.size - 1, PRUNE_STRIDE), _T_GRID.size - 1)
+_BRANCHES = ("L1", "L2")  # the lower-bound branches; the first wins ties
 
 
 @dataclass(frozen=True)
 class SuperpositionProblem:
-    """Normalized (psi, phi, alpha, beta) with the derived superposition."""
+    """Normalized (psi, phi, alpha, beta), their superposition and its exact E."""
 
     psi: BipartiteState
     phi: BipartiteState
@@ -133,6 +135,7 @@ class SuperpositionProblem:
     overlap: complex
     e_psi: float
     e_phi: float
+    exact_e: float
 
     @property
     def alpha_sq(self) -> float:
@@ -150,9 +153,9 @@ class SuperpositionProblem:
 
         The coefficient pair must lie on the unit sphere within PROB_SLACK;
         it is rescaled onto it exactly so downstream identities hold to
-        machine precision.  Raises DomainError for a non-finite or
-        overflowing coefficient, and ZeroState when the superposition is
-        fully destructive (squared norm at most ZERO_NORM_SQ).
+        machine precision.  Raises DomainError for a coefficient that is not
+        a number, not finite or overflowing, and ZeroState when the
+        superposition is fully destructive (squared norm at most ZERO_NORM_SQ).
         """
         (problem,) = cls.from_states_many([(psi, phi, alpha, beta)])
         if problem is None:
@@ -164,10 +167,10 @@ class SuperpositionProblem:
         """``from_states`` for each (psi, phi, alpha, beta) of ``quads``, in
         order, with None in place of a fully destructive problem.
 
-        The entanglements of all the normalized states come from one stacked
-        SVD per coefficient shape (``states.entanglement_entropies``), with
-        the bits each gets alone.  Raises as ``from_states`` does, for the
-        first bad quadruple.
+        The entanglements of all the normalized states and superpositions
+        come from one stacked SVD per coefficient shape
+        (``states.entanglement_entropies``), with the bits each gets alone.
+        Raises as ``from_states`` does, for the first bad quadruple.
         """
         held = []  # (psi, phi, alpha, beta, gamma, gamma_norm_sq) or None
         for psi, phi, alpha, beta in quads:
@@ -185,10 +188,10 @@ class SuperpositionProblem:
             n2 = states.norm_squared(gamma)
             held.append(None if n2 <= ZERO_NORM_SQ else (psi_n, phi_n, alpha, beta, gamma, n2))
         kept = [h for h in held if h is not None]
-        e = iter(states.entanglement_entropies(s for h in kept for s in h[:2]))
-        # fields in order: the held six, then overlap, e_psi and e_phi
+        e = iter(states.entanglement_entropies(s for h in kept for s in (h[0], h[1], h[4])))
+        # fields in order: the held six, then overlap, e_psi, e_phi and exact_e
         return [
-            None if h is None else cls(*h, states.inner_product(*h[:2]), next(e), next(e))
+            None if h is None else cls(*h, states.inner_product(*h[:2]), next(e), next(e), next(e))
             for h in held
         ]
 
@@ -294,11 +297,11 @@ def _l1(t, h, e_psi, e_phi, alpha_sq, beta_sq):
 def _as_l1(branch, e_psi, e_phi, alpha_sq, beta_sq):
     """The arguments of the L1 formula for ``branch``: L2 is L1 with
     (psi, a') and (phi, b') exchanged."""
-    if branch == "L1":
+    if branch == _BRANCHES[0]:
         return e_psi, e_phi, alpha_sq, beta_sq
-    if branch == "L2":
+    if branch == _BRANCHES[1]:
         return e_phi, e_psi, beta_sq, alpha_sq
-    raise DomainError(f"branch must be 'L1' or 'L2', got {branch!r}")
+    raise DomainError(f"branch must be one of {_BRANCHES!r}, got {branch!r}")
 
 
 def minimize_f_scalar(
@@ -460,9 +463,7 @@ def _maximize_lower(
        vacuous near the edge; which one is larger there depends on the
        rounding and on terms of order T_EPS, not on the sign of
        b' E(phi) - a' E(psi).  Both are searched, as extra rows, and L1 wins
-       ties.  This takes in every exact tie b' E(phi) = a' E(psi).  A
-       problem whose mirrored columns are identical (equal entanglements and
-       equal weights) has identical branches and searches L1 alone.
+       ties.  This takes in every exact tie b' E(phi) = a' E(psi).
 
     A branch's value at b exceeds -h2(b)/b by A - B, its first two terms.
     That margin must exceed LOWER_EDGE_ROUNDING times the size of the terms
@@ -471,16 +472,15 @@ def _maximize_lower(
     branches and keeping the larger.
     """
     n = len(e_psi)
-    # (branch, column, problem): the columns of the L1 formula for L1 and L2
-    table = np.array([(e_psi, e_phi, alpha_sq, beta_sq), (e_phi, e_psi, beta_sq, alpha_sq)])
+    # (branch, column, problem): the columns of the L1 formula for each branch
+    table = np.array([_as_l1(b, e_psi, e_phi, alpha_sq, beta_sq) for b in _BRANCHES])
     e1, e2, w1, w2 = table.transpose(1, 0, 2)
     t, h = float(_T_GRID[-1]), float(_H_GRID[-1])
     first = (1.0 - t) * w2 / (1.0 - t * (1.0 - w1)) * e2
     second = (1.0 - t) / t * e1
     size = h / t + first.sum(axis=0) + second.sum(axis=0)
     clear = first - second > LOWER_EDGE_ROUNDING * size
-    mirrored = (e_psi == e_phi) & (alpha_sq == beta_sq)
-    keep = np.concatenate([~clear[1], ~clear[0] & ~mirrored])  # L1 rows, then L2 rows
+    keep = np.concatenate([~clear[1], ~clear[0]])  # L1 rows, then L2 rows
     branch, rows = np.divmod(np.flatnonzero(keep), n)
     cols = tuple(table[branch, :, rows].T)
     grid = _l1(_T_GRID, _H_GRID, *(c[:, None] for c in cols))
@@ -488,7 +488,7 @@ def _maximize_lower(
     best: list = [None] * n
     for r, b, (v, t_star) in zip(rows.tolist(), branch.tolist(), _golden(negated, -grid)):
         if best[r] is None or -v > best[r][0]:  # an L2 row comes second: L1 wins ties
-            best[r] = (-v, t_star, ("L1", "L2")[b])
+            best[r] = (-v, t_star, _BRANCHES[b])
     return best
 
 
@@ -622,9 +622,9 @@ def certify(
 def certify_many(problems: Sequence[SuperpositionProblem]) -> list[BoundReport]:
     """``certify`` for each problem, in input order, with the bits it gives
     each alone.  The plain f, refined f and lower searches each run for all
-    problems in lockstep, each step of the refined search takes one stacked
-    eigendecomposition per distinct dimension, and the exact entanglements
-    take one stacked SVD per coefficient shape."""
+    problems in lockstep, and each step of the refined search takes one
+    stacked eigendecomposition per distinct dimension.  It makes no SVD:
+    each report's exact entanglement is its problem's ``exact_e``."""
     problems = list(problems)
     stack = states.PairStack((p.psi, p.phi) for p in problems)
     e_psi, e_phi, asq, bsq, n2 = (
@@ -634,14 +634,12 @@ def certify_many(problems: Sequence[SuperpositionProblem]) -> list[BoundReport]:
     pinned = stack.entropies(np.arange(len(problems)), asq)
     upper = minimize_f_with_refinement(e_psi, e_phi, asq, n2, stack, pinned)
     lower = _maximize_lower(e_psi, e_phi, asq / n2, bsq / n2)
-    exact = states.entanglement_entropies(p.gamma for p in problems)
-    found = zip(problems, exact, pinned[0].tolist(), pinned[1].tolist(), upper, lower)
+    found = zip(problems, pinned[0].tolist(), pinned[1].tolist(), upper, lower)
     return [_report(stack, row, *args) for row, args in enumerate(found)]
 
 
-def _report(stack, row, p, exact, s_a, s_b, upper, lower) -> BoundReport:
-    """Problem ``p``'s report, given what ``certify_many`` computed for it as
-    row ``row`` of ``stack``, its exact entanglement ``exact`` among them."""
+def _report(stack, row, p, s_a, s_b, upper, lower) -> BoundReport:
+    """Problem ``p``'s report from what ``certify_many`` found for row ``row`` of ``stack``."""
     ((t3, t3_star), (t3r, _)), (raw, low_t, branch) = upper, lower
     lps = lps_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
     t2 = theorem2_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=s_a - s_b)
@@ -649,7 +647,7 @@ def _report(stack, row, p, exact, s_a, s_b, upper, lower) -> BoundReport:
     one_sided = states.classify_orthogonality(stack, row).one_sided
     upper_min = min(lps, t2, t3, t3r)
     return BoundReport(
-        exact_e=exact,
+        exact_e=p.exact_e,
         lps_upper=lps,
         theorem2_upper=t2,
         theorem3_upper=t3,
@@ -661,7 +659,7 @@ def _report(stack, row, p, exact, s_a, s_b, upper, lower) -> BoundReport:
         lower_raw=raw,
         simple_lower=simple_lower(p),
         exact_one_sided=_one_sided_value(p, s_a, s_b) if one_sided else None,
-        sane=(low - SANITY_SLACK <= exact) and (exact <= upper_min + SANITY_SLACK),
+        sane=(low - SANITY_SLACK <= p.exact_e) and (p.exact_e <= upper_min + SANITY_SLACK),
         s_a=s_a,
         s_b=s_b,
     )
@@ -681,7 +679,10 @@ def _one_sided_value(p: SuperpositionProblem, s_a: float, s_b: float) -> float:
 
 
 def _weight(name: str, c: complex) -> float:
-    """|c|^2 of a coefficient, rejecting values with no finite weight."""
+    """|c|^2 of a coefficient, rejecting values that are not real or complex
+    numbers (bools included, as ``check_numbers`` does) or have no finite weight."""
+    if not (isinstance(c, numbers.Complex) and not isinstance(c, bool)):
+        raise DomainError(f"coefficient {name} = {c!r} is not a real or complex number")
     try:
         w = abs(c) ** 2
     except OverflowError:
@@ -699,17 +700,17 @@ def _check_t(t) -> float:
 
 def _check_upper(e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=0.0) -> None:
     """Raise DomainError unless E(psi), E(phi) lie in [0, MAX_ENTANGLEMENT],
-    |alpha|^2 in [0, 1] (to h2's slack), N^2 >= ZERO_NORM_SQ, at or below
+    |alpha|^2 in [0, 1] (to h2's slack), N^2 > ZERO_NORM_SQ, at or below
     which a problem is fully destructive, and |delta_s| <= MAX_ENTANGLEMENT."""
     check_numbers(0.0, MAX_ENTANGLEMENT, e_psi=e_psi, e_phi=e_phi)
     check_numbers(-H2_DOMAIN_SLACK, 1.0 + H2_DOMAIN_SLACK, alpha_sq=alpha_sq)
-    check_numbers(ZERO_NORM_SQ, gamma_norm_sq=gamma_norm_sq)
+    check_numbers(math.nextafter(ZERO_NORM_SQ, math.inf), gamma_norm_sq=gamma_norm_sq)
     check_numbers(-MAX_ENTANGLEMENT, MAX_ENTANGLEMENT, delta_s=delta_s)
 
 
 def _check_lower(e_psi, e_phi, alpha_sq, beta_sq) -> None:
     """Raise DomainError unless E(psi), E(phi) lie in [0, MAX_ENTANGLEMENT] and
     the rescaled weights a' = |alpha|^2 / N^2, b' = |beta|^2 / N^2 in
-    [0, 1 / ZERO_NORM_SQ], the most a problem can give them."""
+    [0, 1 / ZERO_NORM_SQ), the range a problem's N^2 > ZERO_NORM_SQ gives them."""
     check_numbers(0.0, MAX_ENTANGLEMENT, e_psi=e_psi, e_phi=e_phi)
-    check_numbers(0.0, 1.0 / ZERO_NORM_SQ, alpha_sq=alpha_sq, beta_sq=beta_sq)
+    check_numbers(0.0, math.nextafter(1.0 / ZERO_NORM_SQ, 0.0), alpha_sq=alpha_sq, beta_sq=beta_sq)

@@ -95,6 +95,13 @@ def test_problem_rejects_coefficients_without_finite_weight(alpha):
         SuperpositionProblem.from_states(psi, phi, alpha, 0.8)
 
 
+@pytest.mark.parametrize("alpha", ["0.6", None, [0.6], np.array([0.6, 0.1]), True])
+def test_certify_rejects_coefficients_that_are_not_numbers(alpha):
+    psi, phi = harness.bell_block_pair()
+    with pytest.raises(DomainError, match="coefficient alpha"):
+        certify(psi, phi, alpha, 0.8)
+
+
 def test_problem_rejects_destructive_superposition():
     bell = BipartiteState(np.eye(2) / math.sqrt(2.0))
     with pytest.raises(ZeroState):
@@ -116,6 +123,38 @@ def test_problems_built_together_equal_problems_built_alone():
             assert same and repr(x) == repr(y), f.name
     with pytest.raises(DomainError):
         SuperpositionProblem.from_states_many([draws[0], (bell, bell, 1.0, 1.0)])
+
+
+def _shape_batch():
+    """(psi, phi, alpha, beta) of Haar pairs of two shapes, a one-sided pair
+    sharing the first shape and a product pair of a third shape."""
+    rng = np.random.default_rng(107)
+    for dim_a, dim_b in ((3, 4), (5, 2), (3, 4)):
+        yield random_state(rng, dim_a, dim_b), random_state(rng, dim_a, dim_b), *random_sphere_pair(rng)
+    yield (*harness.generate_one_sided_pair(2, 2, 3, 11), *random_sphere_pair(rng))
+    product = [BipartiteState(np.outer(*(rng.standard_normal(n) for n in (2, 3)))) for _ in range(2)]
+    yield (*product, *random_sphere_pair(rng))
+
+
+def test_problems_carry_the_bits_of_their_superpositions_entanglement():
+    problems = SuperpositionProblem.from_states_many(_shape_batch())
+    assert len(problems) == 5
+    for p in problems:
+        assert p.exact_e.hex() == entanglement_entropy(p.gamma).hex()
+
+
+def test_a_batch_takes_one_svd_per_coefficient_shape(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    certify_many(SuperpositionProblem.from_states_many(_shape_batch()))
+    # E(psi), E(phi) and E(gamma) of every problem of a shape share one call
+    assert sorted(shapes) == [(2, 3), (3, 4), (5, 2)]
 
 
 # -- exact_one_sided -----------------------------------------------------------
@@ -272,13 +311,18 @@ def test_f_domain_error():
         (theorem3_stationarity_residual, (0.5, 1.0, 1.0, 1.0)),
         (theorem4_stationarity_residual, (1.0, 1.0, 1.0, 0.5, 0.5)),
         (theorem4_stationarity_residual, (0.5, 1.0, 1.0, -0.5, 0.5)),
+        # N^2 = ZERO_NORM_SQ and a' = 1 / ZERO_NORM_SQ: no problem has them
+        (lps_upper_value, (1.0, 1.0, 0.5, 1e-12)),
+        (minimize_f_scalar, (1.0, 1.0, 0.5, 1e-12)),
+        (lower_value, (0.5, 1.0, 1.0, 1e12, 0.0, "L1")),
+        (maximize_lower_scalar, (1.0, 1.0, 0.5, 1e12)),
     ],
 )
 def test_bad_scalar_arguments_raise_domain_error(fn, args):
-    # entanglements finite and >= 0, N^2 finite and >= 1e-12, |alpha|^2 a
-    # weight, a' and b' finite and >= 0, t inside the window, all checked
-    # before any arithmetic: no ZeroDivisionError, no numpy warning, no
-    # NonFiniteObjective from inside a search
+    # entanglements finite and >= 0, N^2 finite and > 1e-12, |alpha|^2 a
+    # weight, a' and b' finite, >= 0 and < 1e12, t inside the window, all
+    # checked before any arithmetic: no ZeroDivisionError, no numpy warning,
+    # no NonFiniteObjective from inside a search
     with pytest.raises(DomainError):
         fn(*args)
 
@@ -292,6 +336,13 @@ def test_scalar_checks_keep_valid_edge_arguments():
         assert math.isfinite(lps_upper_value(1.0, 1.0, asq, 1.0))
         assert math.isfinite(minimize_f_scalar(1.0, 1.0, asq, 1.0)[0])
     assert math.isfinite(theorem3_stationarity_residual(0.5, 1.0, 1.0, 1.0 - 2**-53))
+    # the neighbours of the excluded N^2 = ZERO_NORM_SQ and a' = 1 / ZERO_NORM_SQ
+    n2 = math.nextafter(states.ZERO_NORM_SQ, math.inf)
+    assert math.isfinite(lps_upper_value(1.0, 1.0, 0.5, n2))
+    assert math.isfinite(minimize_f_scalar(1.0, 1.0, 0.5, n2)[0])
+    big = math.nextafter(1.0 / states.ZERO_NORM_SQ, 0.0)
+    assert math.isfinite(lower_value(0.5, 1.0, 1.0, big, 0.0, "L1"))
+    assert math.isfinite(maximize_lower_scalar(1.0, 1.0, 0.5, big)[0])
 
 
 # NaN, +-inf, negatives, 0, values above 1, tiny, ordinary and huge numbers:
@@ -788,7 +839,9 @@ def test_lower_search_rows_and_ties(monkeypatch):
     asq, bsq = np.array([0.5, 0.5, 0.25, 0.5]), np.array([0.5, 0.5, 0.5, 0.5])
     cols = e_psi, e_phi, asq, bsq
     found = bounds._maximize_lower(*cols)
-    assert searched == [5]  # one call: one row each, two for the tie
+    # one call: one row each for the clear problems, two each for the tie
+    # and the mirrored problem, whose equal rows L1 wins
+    assert searched == [6]
     assert [f[2] for f in found[:2]] == ["L1", "L2"]
     assert found[3][2] == "L1"
     # on equal values the L1 row wins
