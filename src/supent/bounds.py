@@ -14,7 +14,8 @@ The upper-bound family is, with a = |alpha|^2 and N^2 = ||gamma||^2,
 
 where S_A, S_B are the entropies of the reduced operators of the mixture
 a |psi><psi| + (1-a) |phi><phi|, f(a) reproduces lps_upper exactly, and the
-refined variant of f subtracts |S_A(t) - S_B(t)| inside the bracket.
+refined variant of f subtracts |S_A(t) - S_B(t)|, capped at h2(t), inside
+the bracket.
 
 The lower-bound family uses the rescaled coefficients a' = a / N^2,
 b' = (1-a) / N^2 (so that the superposition is normalized):
@@ -257,16 +258,28 @@ def f_upper_value(
 ) -> float:
     """One-parameter upper bound f(t) / N^2 at one weight t in the window;
     f(a) equals the LPS bound.  ``delta_s`` is the refined-variant correction
-    |S_A(t) - S_B(t)| subtracted inside the bracket (zero for the plain
-    bound).  The lockstep searches take the same formula over arrays."""
+    |S_A(t) - S_B(t)|, capped at h2(t), subtracted inside the bracket (zero
+    for the plain bound).  The lockstep searches take the same formula over
+    arrays."""
     t = _check_t(t)
     _check_upper(e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s)
     return _f_value(t, binary_entropy(t), e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s)
 
 
-def _f_value(t, h, e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=0.0):
-    """``f_upper_value`` given h = h2(t)."""
-    bracket = t * e_psi + (1.0 - t) * e_phi + h - abs(delta_s)
+def _f_value(t, h, e_psi, e_phi, alpha_sq, gamma_norm_sq, delta_s=None):
+    """``f_upper_value`` given h = h2(t): the plain f without ``delta_s``,
+    the refined f with |delta_s| capped at h.
+
+    The cap is sound: Araki-Lieb gives |S_A - S_B| <= S_AB <= h2(t) for the
+    mixture t |psi><psi| + (1-t) |phi><phi|.  Near the window's edge a
+    computed gap can exceed h2(t) by rounding (eigvalsh's error on the O(t)
+    eigenvalue, times |log2 t|), and the prefactor, about |alpha|^2 / t,
+    would carry that below the exact entanglement of a product gamma.
+    """
+    bracket = t * e_psi + (1.0 - t) * e_phi + h
+    if delta_s is not None:
+        delta = abs(delta_s)
+        bracket = bracket - (min(delta, h) if isinstance(h, float) else np.minimum(delta, h))
     return _f_prefactor(t, alpha_sq) * bracket / gamma_norm_sq
 
 
@@ -340,9 +353,9 @@ def minimize_f_with_refinement(
     optimum at or below the plain one.
 
     The refined f subtracts Delta(t) = |S_A(t) - S_B(t)|, the gap between the
-    reduced entropies of t |psi><psi| + (1-t) |phi><phi|.  Row k of ``stack``
-    holds the reduced operators of problem k, and ``pinned`` their
-    (S_A, S_B) at t = |alpha|^2.
+    reduced entropies of t |psi><psi| + (1-t) |phi><phi|, capped at h2(t)
+    (``_f_value``).  Row k of ``stack`` holds the reduced operators of
+    problem k, and ``pinned`` their (S_A, S_B) at t = |alpha|^2.
 
     The grid stage eigendecomposes only the points that could be the grid
     minimum:
@@ -358,7 +371,8 @@ def minimize_f_with_refinement(
        mixture: its top eigenvalue is at least <psi|rho|psi> >= t, and
        likewise 1 - t.  With U_X the lower of the two secants and the
        ceiling, cap = clip(max(U_A - L_B, U_B - L_A), 0, inf) >= Delta, and
-       LB = pref (m + h2(t) - cap) / N^2 is at most the refined f.
+       LB = pref (m + h2(t) - min(cap, h2(t))) / N^2 is at most the refined
+       f.
        S_X >= m and Araki-Lieb's Delta <= h2(t) would rule out no more
        points: the chord lies above the affine m, which S_X exceeds at the
        knots, so U_A - L_B <= (m + h2(t)) - m already.

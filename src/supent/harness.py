@@ -36,13 +36,11 @@ __all__ = [
     "ExampleRow",
     "AuditSummary",
     "parse_state_file",
-    "serialize_state",
     "state_document",
     "haar_random_state",
     "generate_one_sided_pair",
     "bell_block_pair",
     "overlapping_triple_pair",
-    "diagonal_family_states",
     "run_examples",
     "dimension_sweep",
     "sweep_csv",
@@ -171,10 +169,6 @@ def state_document(state: BipartiteState, label: Optional[str] = None) -> dict:
     return doc
 
 
-def serialize_state(state: BipartiteState, label: Optional[str] = None) -> str:
-    return json.dumps(state_document(state, label), indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Random ensembles.
 # ---------------------------------------------------------------------------
@@ -277,22 +271,11 @@ def family_coefficients(family: str) -> tuple[float, float]:
     raise DomainError(f"unknown family {family!r} (expected 'example3' or 'example4')")
 
 
-def family_state_probs(d: int) -> np.ndarray:
-    """Squared Schmidt coefficients of the diagonal family state at size d."""
-    return np.repeat(*_family_runs(d, 1.0, 0.0))
-
-
 def _family_dim(d) -> int:
     """``d`` as an int, checked to be an integer in the family's range before
     any allocation."""
     check_integer(2, MAX_FAMILY_DIM, **{"family dimension d": d})
     return int(d)
-
-
-def family_gamma_probs(d: int, alpha: float, beta: float) -> tuple[np.ndarray, float]:
-    """Unnormalized squared amplitudes of the superposed family state."""
-    gp = np.repeat(*_family_runs(d, alpha, beta))
-    return gp, float(gp.sum())
 
 
 def _family_runs(d, alpha: float, beta: float) -> tuple[np.ndarray, tuple[int, int]]:
@@ -314,21 +297,13 @@ def _family_entropies(d: int, alpha: float, beta: float) -> tuple[float, float, 
     entropy, and three d-length sums (each entropy's repeated terms and
     gamma's repeated squared amplitudes), one array alive at a time.  The
     sums run over the dense order, so every value has the bits of
-    ``shannon_entropy`` and ``sum`` on ``family_state_probs`` and
-    ``family_gamma_probs`` (divided by N^2).
+    ``shannon_entropy`` and ``sum`` on the dense spectra
+    ``np.repeat(values, counts)`` (gamma's divided by N^2).
     """
     state, counts = _family_runs(d, 1.0, 0.0)
     gamma, _ = _family_runs(d, alpha, beta)
     n2 = float(np.repeat(gamma, counts).sum())
     return qmath._run_entropy(state, counts), qmath._run_entropy(gamma / n2, counts), n2
-
-
-def diagonal_family_states(d: int, family: str) -> tuple[BipartiteState, BipartiteState]:
-    """Dense d x d realization of the sweep family (small d only)."""
-    amps = np.sqrt(family_state_probs(d)).astype(complex)
-    phi_amps = amps.copy()
-    phi_amps[1:] *= -1.0
-    return BipartiteState(np.diag(amps)), BipartiteState(np.diag(phi_amps))
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +717,16 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
 
 
 def _audit_draws(n_trials: int, max_dim: int, seed: int):
-    """(trial, psi, phi, alpha, beta) of each trial, from its own stream;
-    alpha and beta are None when both coefficient draws are 0."""
+    """(trial, psi, phi, alpha, beta) of each trial, from its own stream.
+
+    The coefficients' norm is never 0.  The two Gaussians of z1 come from one
+    accepted polar pair (u, v) with 0 < u^2 + v^2 < 1: the stream is a fresh
+    ``spawn``, and each of the two matrix draws before z1 takes an even count
+    of Gaussians (2 rows cols, in even chunks), so no spare variate is left
+    over.  u and v are multiples of 2^-52, one of them nonzero, so it is at
+    least 2^-52 in size, and the polar factor sqrt(-2 ln(r2) / r2) with
+    r2 <= 1 - 2^-53 is at least 2^-26.  So |z1|^2 >= 2^-156 > 0.
+    """
     base = Xoshiro256StarStar(seed)
     for trial in range(n_trials):
         rng = base.spawn(trial)
@@ -754,10 +737,7 @@ def _audit_draws(n_trials: int, max_dim: int, seed: int):
         z1 = complex(rng.gaussian(), rng.gaussian())
         z2 = complex(rng.gaussian(), rng.gaussian())
         norm = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2)
-        if norm == 0.0:
-            yield trial, psi, phi, None, None
-        else:
-            yield trial, psi, phi, z1 / norm, z2 / norm
+        yield trial, psi, phi, z1 / norm, z2 / norm
 
 
 def _certified(draws):
@@ -765,8 +745,7 @@ def _certified(draws):
     AUDIT_BATCH_COEFFS state coefficients (or one draw, if larger).  A
     batch's problems are built together
     (``SuperpositionProblem.from_states_many``) and certified together; a
-    draw without a problem, fully destructive or with no coefficients, gets
-    report None."""
+    fully destructive draw gets report None."""
     batch, held = [], 0
     for draw in draws:
         size = 2 * draw[1].coeffs.size
@@ -780,9 +759,7 @@ def _certified(draws):
 
 def _certified_batch(batch):
     """(draw, report) for each draw of one batch of ``_certified``."""
-    built = iter(SuperpositionProblem.from_states_many(d[1:] for d in batch if d[3] is not None))
-    problems = [None if d[3] is None else next(built) for d in batch]
-    kept = [p for p in problems if p is not None]
-    reports = iter(bounds.certify_many(kept))
+    problems = SuperpositionProblem.from_states_many(d[1:] for d in batch)
+    reports = iter(bounds.certify_many([p for p in problems if p is not None]))
     for draw, problem in zip(batch, problems):
         yield draw, None if problem is None else next(reports)

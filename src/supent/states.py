@@ -25,7 +25,6 @@ __all__ = [
     "inner_product",
     "superpose",
     "reduced_density",
-    "entanglement_entropy",
     "entanglement_entropies",
     "classify_orthogonality",
     "mixture_entropy",
@@ -221,11 +220,6 @@ def reduced_density(s: BipartiteState, side: str) -> np.ndarray:
     if side == "B":
         return c.T @ c.conj()
     raise DomainError(f"side must be 'A' or 'B', got {side!r}")
-
-
-def entanglement_entropy(s: BipartiteState) -> float:
-    """Entropy of entanglement of the normalized state, in ebits."""
-    return entanglement_entropies([s])[0]
 
 
 def entanglement_entropies(states) -> list[float]:

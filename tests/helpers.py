@@ -1,8 +1,11 @@
-"""Shared test utilities: seeded random states and unitaries."""
+"""Shared test utilities: seeded random states and unitaries, dense oracles
+of what the package computes in stacks or in run form, and injected faults."""
+
+import json
 
 import numpy as np
 
-from supent import BipartiteState
+from supent import BipartiteState, bounds, harness, states
 
 
 def random_state(rng, dim_a, dim_b):
@@ -23,3 +26,39 @@ def random_sphere_pair(rng):
     beta = complex(z[2], z[3])
     norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     return alpha / norm, beta / norm
+
+
+def entanglement_entropy(s):
+    """Entropy of entanglement of one state, in ebits."""
+    return states.entanglement_entropies([s])[0]
+
+
+def serialize_state(state, label=None):
+    """A state file's text for ``state``."""
+    return json.dumps(harness.state_document(state, label), indent=2) + "\n"
+
+
+def family_state_probs(d):
+    """Squared Schmidt coefficients of the diagonal family state at size d."""
+    return np.repeat(*harness._family_runs(d, 1.0, 0.0))
+
+
+def family_gamma_probs(d, alpha, beta):
+    """Unnormalized squared amplitudes of the superposed family state, and
+    their sum N^2."""
+    gp = np.repeat(*harness._family_runs(d, alpha, beta))
+    return gp, float(gp.sum())
+
+
+def diagonal_family_states(d, family):
+    """Dense d x d (psi, phi) of the sweep family (small d only)."""
+    amps = np.sqrt(family_state_probs(d)).astype(complex)
+    phi_amps = amps.copy()
+    phi_amps[1:] *= -1.0
+    return BipartiteState(np.diag(amps)), BipartiteState(np.diag(phi_amps))
+
+
+def patch_reports(monkeypatch, change):
+    """Make ``bounds.certify_many`` return change(report) for each report."""
+    certify_many = bounds.certify_many
+    monkeypatch.setattr(bounds, "certify_many", lambda problems: [change(r) for r in certify_many(problems)])

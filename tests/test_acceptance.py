@@ -12,11 +12,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_state, random_sphere_pair
+from helpers import (
+    entanglement_entropy,
+    family_gamma_probs,
+    family_state_probs,
+    random_state,
+    random_sphere_pair,
+)
 from supent import bounds, harness, qmath, states
 from supent.bounds import SuperpositionProblem
 from supent.qmath import binary_entropy
-from supent.states import entanglement_entropy
 
 H2_150 = binary_entropy(1.0 / 50.0)
 H2_37 = binary_entropy(3.0 / 7.0)
@@ -83,8 +88,8 @@ def test_criterion_02_example2_reproduction():
 
 
 def _example3_scalars(d):
-    e_state = qmath.shannon_entropy(harness.family_state_probs(d))
-    gp, n2 = harness.family_gamma_probs(d, 0.6, -0.8)
+    e_state = qmath.shannon_entropy(family_state_probs(d))
+    gp, n2 = family_gamma_probs(d, 0.6, -0.8)
     exact = qmath.shannon_entropy(gp / n2)
     return e_state, exact, n2
 
@@ -136,8 +141,8 @@ def test_criterion_03_example3_f37_reference_gap():
 
 def test_criterion_04_example4_gap_and_value():
     d = 2**16 + 1
-    e_state = qmath.shannon_entropy(harness.family_state_probs(d))
-    gp, n2 = harness.family_gamma_probs(d, 0.6, 0.8)
+    e_state = qmath.shannon_entropy(family_state_probs(d))
+    gp, n2 = family_gamma_probs(d, 0.6, 0.8)
     exact = qmath.shannon_entropy(gp / n2)
     l1_ref = bounds.lower_value(25.0 / 28.0, e_state, e_state, 0.36 / n2, 0.64 / n2, "L1")
     gap = exact - l1_ref

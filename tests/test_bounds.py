@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_sphere_pair, random_state, random_unitary
+from helpers import (
+    diagonal_family_states,
+    entanglement_entropy,
+    random_sphere_pair,
+    random_state,
+    random_unitary,
+)
 from supent import bounds, harness, optimize, qmath, states
 from supent.bounds import (
     T_EPS,
@@ -29,7 +35,7 @@ from supent.bounds import (
 )
 from supent.errors import DegenerateSubspace, DomainError, SupentError, ZeroState
 from supent.qmath import binary_entropy
-from supent.states import BipartiteState, entanglement_entropy, superpose
+from supent.states import BipartiteState, superpose
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -698,7 +704,7 @@ def test_lower_l_limit_is_e_phi():
 def test_lower_l_family_reference_point():
     # closed form at t = 25/28 holds at any family dimension
     for d in (17, 257):
-        psi, phi = harness.diagonal_family_states(d, "example4")
+        psi, phi = diagonal_family_states(d, "example4")
         p = SuperpositionProblem.from_states(psi, phi, 0.6, 0.8)
         expected = (
             (1.0 / 50.0) * math.log2(d - 1)
@@ -868,7 +874,7 @@ def test_simple_lower_symmetric_coefficients_vacuous():
 
 
 def test_simple_lower_family_example():
-    psi, phi = harness.diagonal_family_states(65, "example4")
+    psi, phi = diagonal_family_states(65, "example4")
     p = SuperpositionProblem.from_states(psi, phi, 0.6, 0.8)
     expected = -(25.0 / 16.0) * binary_entropy(9.0 / 25.0)
     assert simple_lower(p) == pytest.approx(expected, abs=1e-9)
@@ -1194,3 +1200,99 @@ def test_report_is_serializable():
         "exact_one_sided",
         "sane",
     }
+
+
+# -- the refined f's Araki-Lieb cap ------------------------------------------
+
+
+def _log_uniform_coefficients(rng):
+    """(alpha, beta) with |alpha|^2 log-uniform on [1e-4, 1] and a random phase on beta."""
+    alpha_sq = 10.0 ** rng.uniform(-4.0, 0.0)
+    beta = math.sqrt(1.0 - alpha_sq) * complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+    return math.sqrt(alpha_sq), beta
+
+
+def _assert_refined_at_or_above_exact(quads):
+    reports = certify_many(SuperpositionProblem.from_states_many(quads))
+    assert all(r.sane for r in reports)
+    assert min(r.theorem3_refined_upper - r.exact_e for r in reports) >= -bounds.SANITY_SLACK
+
+
+def test_refined_bound_holds_for_pairs_sharing_a_factor():
+    # psi = q0 (x) v and phi = q1 (x) v with q0 orthogonal to q1: psi, phi and
+    # gamma are product states, and the computed S_A(t) - S_B(t) can exceed
+    # h2(t) by rounding near the window's edge, where 1/t magnifies it.  The
+    # 200 pairs, in this draw order, read sane = False 83 times without the cap
+    rng = np.random.default_rng(5)
+    quads = []
+    for _ in range(200):
+        dim_a, dim_b = int(rng.integers(2, 9)), int(rng.integers(1, 9))
+        q = np.linalg.qr(rng.standard_normal((dim_a, dim_a)) + 1j * rng.standard_normal((dim_a, dim_a)))[0]
+        v = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
+        v /= np.linalg.norm(v)
+        psi, phi = BipartiteState(np.outer(q[:, 0], v)), BipartiteState(np.outer(q[:, 1], v))
+        quads.append((psi, phi, *_log_uniform_coefficients(rng)))
+    _assert_refined_at_or_above_exact(quads)
+
+
+def test_refined_bound_holds_for_rotated_one_sided_product_pairs():
+    # d1 = d2 = dim_a = 1: two orthogonal B-side vectors on one A state, so
+    # gamma is a product state
+    rng = np.random.default_rng(17)
+    quads = []
+    for seed in range(60):
+        psi, phi = harness.generate_one_sided_pair(1, 1, 1, seed)
+        u = random_unitary(rng, 2)
+        quads.append(
+            (BipartiteState(psi.coeffs @ u), BipartiteState(phi.coeffs @ u), *_log_uniform_coefficients(rng))
+        )
+    _assert_refined_at_or_above_exact(quads)
+
+
+def test_refined_f_caps_the_entropy_gap_at_h2():
+    args = (1.0, 2.0, 0.3, 0.9)
+    for t in (T_EPS, 0.01, 0.5, 1.0 - T_EPS):
+        capped = f_upper_value(t, *args, delta_s=binary_entropy(t))
+        assert f_upper_value(t, *args, delta_s=binary_entropy(t) + 1.0) == capped
+        assert f_upper_value(t, *args, delta_s=-5.0) == capped
+        assert type(capped) is float
+
+
+# -- sanity and tolerance boundaries ----------------------------------------
+
+
+def test_sane_fails_just_outside_the_bounds():
+    rng = np.random.default_rng(29)
+    p = SuperpositionProblem.from_states(random_state(rng, 3, 3), random_state(rng, 3, 3), 0.6, 0.8)
+    (r,) = certify_many([p])
+    least_upper = min(r.lps_upper, r.theorem2_upper, r.theorem3_upper, r.theorem3_refined_upper)
+    assert r.sane
+    (above,) = certify_many([dataclasses.replace(p, exact_e=least_upper + 1e-6)])
+    assert above.sane is False
+    # a product state against a maximally entangled one at a small weight
+    # has a positive lower bound
+    product = BipartiteState(np.diag([1.0] + [0.0] * 7).astype(complex))
+    maximal = BipartiteState(np.eye(8) / np.sqrt(8))
+    p = SuperpositionProblem.from_states(product, maximal, math.sqrt(0.01), math.sqrt(0.99))
+    (r,) = certify_many([p])
+    assert r.sane and r.lower_l > 1.0
+    (below,) = certify_many([dataclasses.replace(p, exact_e=r.lower_l - 1e-6)])
+    assert below.sane is False
+
+
+def test_subspace_lower_takes_nearly_parallel_states():
+    # |<psi|phi>| = 0.995 spans two dimensions: only 1 - 1e-9 counts as parallel
+    psi = BipartiteState(np.diag([1.0, 0.0]).astype(complex))
+    phi = BipartiteState(np.diag([0.995, math.sqrt(1.0 - 0.995**2)]).astype(complex))
+    assert subspace_lower(psi, phi, 4) >= 0.0
+
+
+def test_a_nearly_destructive_problem_builds_and_certifies():
+    # N^2 = 1 - cos(theta) = 1e-8, above states.ZERO_NORM_SQ = 1e-12
+    c = 1.0 - 1e-8
+    psi = BipartiteState(np.diag([1.0, 0.0]).astype(complex))
+    phi = BipartiteState(np.diag([c, math.sqrt(1.0 - c * c)]).astype(complex))
+    p = SuperpositionProblem.from_states(psi, phi, INV_SQRT2, -INV_SQRT2)
+    assert p.gamma_norm_sq == pytest.approx(1e-8, rel=1e-6)
+    (r,) = certify_many([p])
+    assert r.sane

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
+from helpers import patch_reports, serialize_state
 from supent import bounds, harness
 from supent.cli import cli_main
-from supent.harness import bell_block_pair, serialize_state
+from supent.harness import bell_block_pair
 
 
 @pytest.fixture
@@ -135,6 +137,13 @@ def test_audit_command(capsys):
     summary = json.loads(out)
     assert summary["violations"] == 0
     assert summary["n_trials"] == 25
+
+
+def test_audit_command_exits_1_on_a_violation(monkeypatch, capsys):
+    patch_reports(monkeypatch, lambda r: dataclasses.replace(r, sane=False))
+    code = cli_main(["audit", "--trials", "5", "--max-dim", "3", "--seed", "7"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == 5
 
 
 def test_audit_seed_from_environment(monkeypatch, capsys):

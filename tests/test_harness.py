@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -6,26 +7,30 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import (
+    diagonal_family_states,
+    entanglement_entropy,
+    family_gamma_probs,
+    family_state_probs,
+    patch_reports,
+    serialize_state,
+)
 from supent import bounds, harness, qmath, states
 from supent.errors import DimError, DomainError, ParseError
 from supent.harness import (
     AuditSummary,
     bell_block_pair,
-    diagonal_family_states,
     dimension_sweep,
-    family_gamma_probs,
-    family_state_probs,
     generate_one_sided_pair,
     haar_random_state,
     parse_state_file,
     random_audit,
     run_examples,
-    serialize_state,
     sweep_csv,
     SWEEP_COLUMNS,
 )
 from supent.rng import Xoshiro256StarStar
-from supent.states import BipartiteState, entanglement_entropy
+from supent.states import BipartiteState
 
 
 # -- state files -----------------------------------------------------------------
@@ -424,6 +429,25 @@ def test_audit_counts_and_margins():
     assert summary.min_lower_margin > 0.0
     worst = summary.worst_case
     assert set(worst) >= {"trial", "alpha", "beta", "psi", "phi", "exact_e"}
+
+
+def test_audit_counts_injected_sanity_violations(monkeypatch):
+    clean = random_audit(20, 4, seed=3)
+    assert (clean.violations, clean.order_violations_t2, clean.order_violations_t3) == (0, 0, 0)
+    assert clean.skipped_destructive == 0
+    patch_reports(monkeypatch, lambda r: dataclasses.replace(r, sane=False))
+    summary = random_audit(20, 4, seed=3)
+    assert (summary.violations, summary.order_violations_t2, summary.order_violations_t3) == (20, 0, 0)
+
+
+def test_audit_counts_bounds_just_above_lps(monkeypatch):
+    # 1e-6 above the LPS bound is past AUDIT_ORDER_SLACK's rounding allowance
+    patch_reports(
+        monkeypatch,
+        lambda r: dataclasses.replace(r, theorem2_upper=r.lps_upper + 1e-6, theorem3_upper=r.lps_upper + 1e-6),
+    )
+    summary = random_audit(20, 4, seed=3)
+    assert (summary.violations, summary.order_violations_t2, summary.order_violations_t3) == (0, 20, 20)
 
 
 def test_audit_worst_case_is_reproducible():

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_state, random_sphere_pair, random_unitary
+from helpers import (
+    diagonal_family_states,
+    entanglement_entropy,
+    random_state,
+    random_sphere_pair,
+    random_unitary,
+)
 from supent import harness, qmath, states
 from supent.errors import DimMismatch, DomainError, NotNormalized, ZeroState
 from supent.qmath import binary_entropy
@@ -11,7 +17,6 @@ from supent.states import (
     BipartiteState,
     PairStack,
     classify_orthogonality,
-    entanglement_entropy,
     inner_product,
     mixture_entropy,
     norm_squared,
@@ -57,7 +62,7 @@ def test_inner_product_orthogonal_basis_states():
 
 
 def test_inner_product_family_pair_orthogonal():
-    psi, phi = harness.diagonal_family_states(5, "example3")
+    psi, phi = diagonal_family_states(5, "example3")
     assert inner_product(psi, phi) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -132,7 +137,7 @@ def test_entanglement_triple_state():
 
 
 def test_entanglement_family_state_d5():
-    psi, _ = harness.diagonal_family_states(5, "example3")
+    psi, _ = diagonal_family_states(5, "example3")
     assert entanglement_entropy(psi) == pytest.approx(0.5 * math.log2(4.0) + 1.0, abs=1e-12)
 
 
@@ -552,3 +557,13 @@ def test_exact_formula_identity_for_generated_pairs():
             - abs(s_a - s_b)
         )
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def test_a_small_trace_overlap_on_both_sides_is_not_one_sided():
+    # |00> against eps |00> + sqrt(1 - eps^2) |11>: trace overlap eps^2 = 1e-5
+    # on each side, far above ORTHOGONALITY_TOL's rounding-level 1e-9
+    eps = math.sqrt(1e-5)
+    psi = BipartiteState(np.diag([1.0, 0.0]).astype(complex))
+    phi = BipartiteState(np.diag([eps, math.sqrt(1.0 - eps**2)]).astype(complex))
+    cls = classify_orthogonality(PairStack([(psi, phi)]), 0)
+    assert (cls.one_sided_eq1, cls.one_sided_eq2) == (False, False)

@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Mutation run: every mutant below breaks one check or tolerance in
+``src/supent``, and the test suite must fail on it.
+
+    python3 tools/mutants.py
+
+For each mutant the script copies the repository (without its history and
+caches) into a temporary directory, replaces the mutant's old text (which
+must occur exactly once in its file) by its new text, runs
+``python -m pytest -q tests`` there (all but ``test_mutants.py``, which
+checks this list against the unchanged ``src/``) and prints KILLED, with the
+tests that failed, or SURVIVED.  It exits 1 if any mutant survived.  One
+mutant takes one run of ``tests/``, about 10 s on a 2-core x86 host.
+Standard library only.
+"""
+
+import os
+import pathlib
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# A mutant whose run takes longer than this counts as killed (a hang).
+RUN_TIMEOUT_S = 600
+# The test that checks this list against the unchanged src/; a mutant
+# changes src/, so the run leaves it out.
+SELF_TEST = "tests/test_mutants.py"
+# What the copy of the tree leaves out: history, caches and benchmark output.
+UNCOPIED = (".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks", ".bench_out")
+# Failing tests printed per killed mutant.
+SHOWN_KILLERS = 5
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to src/supent
+    old: str
+    new: str
+    reason: str
+
+
+MUTANTS = (
+    Mutant(
+        "audit-ignores-sane",
+        "harness.py",
+        "if not report.sane:\n            violations += 1",
+        "if not report.sane:\n            violations += 0",
+        "random_audit stops counting reports that read sane = False",
+    ),
+    Mutant(
+        "audit-order-slack",
+        "harness.py",
+        "AUDIT_ORDER_SLACK = 1e-9",
+        "AUDIT_ORDER_SLACK = 1.0",
+        "the audit's order counts miss a bound up to 1 ebit above the LPS bound",
+    ),
+    Mutant(
+        "audit-exit-0",
+        "cli.py",
+        "return 0 if summary.violations == 0 else 1",
+        "return 0",
+        "the audit command exits 0 when it found violations",
+    ),
+    Mutant(
+        "sanity-slack",
+        "bounds.py",
+        "SANITY_SLACK = 1e-8",
+        "SANITY_SLACK = 1.0",
+        "sane passes an exact value up to 1 ebit outside the bounds",
+    ),
+    Mutant(
+        "orthogonality-tol",
+        "states.py",
+        "ORTHOGONALITY_TOL = 1e-9",
+        "ORTHOGONALITY_TOL = 1e-3",
+        "a side with a trace overlap up to 1e-3 counts as orthogonal",
+    ),
+    Mutant(
+        "parallel-tol",
+        "bounds.py",
+        "PARALLEL_TOL = 1e-9",
+        "PARALLEL_TOL = 1e-2",
+        "subspace_lower rejects states with |<psi|phi>| above 0.99 as parallel",
+    ),
+    Mutant(
+        "zero-norm",
+        "states.py",
+        "ZERO_NORM_SQ = 1e-12",
+        "ZERO_NORM_SQ = 1e-6",
+        "a superposition with N^2 up to 1e-6 counts as fully destructive",
+    ),
+    Mutant(
+        "no-cap",
+        "bounds.py",
+        "bracket = bracket - (min(delta, h) if isinstance(h, float) else np.minimum(delta, h))",
+        "bracket = bracket - delta",
+        "the refined f subtracts |S_A - S_B| uncapped, so rounding near the "
+        "window's edge takes it below the exact value of a product gamma",
+    ),
+    Mutant(
+        "max-iter",
+        "optimize.py",
+        "MAX_ITER = 200",
+        "MAX_ITER = 5",
+        "golden section stops after 5 steps",
+    ),
+    Mutant(
+        "tol",
+        "optimize.py",
+        "TOL = 1e-10",
+        "TOL = 1e-6",
+        "golden section stops at a bracket of 1e-6",
+    ),
+    Mutant(
+        "half-delta-cap",
+        "bounds.py",
+        "return np.clip(np.maximum(hi[0] - lo[1], hi[1] - lo[0]), 0.0, None)",
+        "return 0.5 * np.clip(np.maximum(hi[0] - lo[1], hi[1] - lo[0]), 0.0, None)",
+        "the refined search's pruning floor uses half the certified gap cap, "
+        "so it can skip a grid point that holds the minimum",
+    ),
+)
+
+
+def run(mutant: Mutant) -> list[str]:
+    """The tests that fail with ``mutant`` applied to a copy of the tree."""
+    with tempfile.TemporaryDirectory(prefix="supent-mutant-") as tmp:
+        tree = pathlib.Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(*UNCOPIED))
+        path = tree / "src" / "supent" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.name}: old text occurs {text.count(mutant.old)} times in {mutant.file}")
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--ignore={SELF_TEST}", "tests"],
+                cwd=tree, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return [f"(no result in {RUN_TIMEOUT_S} s)"]
+    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
+    if done.returncode != 0 and not failed:
+        failed = [f"(pytest exit {done.returncode})"]
+    return failed
+
+
+def main() -> int:
+    survived = 0
+    for mutant in MUTANTS:
+        failed = run(mutant)
+        if failed:
+            more = f" and {len(failed) - SHOWN_KILLERS} more" if len(failed) > SHOWN_KILLERS else ""
+            print(f"KILLED   {mutant.name}: {', '.join(failed[:SHOWN_KILLERS])}{more}", flush=True)
+        else:
+            survived += 1
+            print(f"SURVIVED {mutant.name}: {mutant.reason}", flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
