@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -634,10 +634,7 @@ class AuditSummary:
     mean_upper_margin: float
     min_lower_margin: float
     mean_lower_margin: float
-    worst_case: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    worst_case: dict
 
 
 def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> AuditSummary:

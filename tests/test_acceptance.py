@@ -5,6 +5,7 @@ values are literal closed forms derived from the examples' definitions, not
 values read back from ``harness``.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -204,7 +205,7 @@ def test_criterion_05_ordering_audit_1000_trials():
     # the summary's bits, recorded before the audit's draws and searches
     # were batched (numpy 2.4, OpenBLAS 0.3); JSON writes each float as its
     # repr, which keeps every bit
-    digest = hashlib.sha256(json.dumps(summary.to_dict()).encode()).hexdigest()
+    digest = hashlib.sha256(json.dumps(dataclasses.asdict(summary)).encode()).hexdigest()
     assert digest == "5d7c1aaaf9ce2690064a61a8f1a2b39afaf6d511261c0c6fb33fed2c6a637e29"
 
 

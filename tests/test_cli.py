@@ -117,6 +117,36 @@ def test_examples_command(capsys):
     assert "passed" in out
 
 
+def test_examples_command_exits_1_on_a_failed_row(monkeypatch, capsys):
+    failed = harness.ExampleRow("E0", "exact_e", 1.0, expected=0.0, tol=0.0, passed=False)
+    monkeypatch.setattr(harness, "run_examples", lambda: [failed])
+    assert cli_main(["examples"]) == 1
+    assert "0 passed, 1 failed, 0 informational" in capsys.readouterr().out
+
+
+def test_examples_command_fails_the_rows_of_a_shifted_t_star(monkeypatch, capsys):
+    minimize_f, maximize_lower = bounds.minimize_f_scalar, bounds.maximize_lower_scalar
+
+    def late_f(*args):
+        value, t_star = minimize_f(*args)
+        return value, t_star + 0.05
+
+    def early_lower(*args):
+        raw, t_star, branch = maximize_lower(*args)
+        return raw, t_star - 0.05, branch
+
+    monkeypatch.setattr(bounds, "minimize_f_scalar", late_f)
+    monkeypatch.setattr(bounds, "maximize_lower_scalar", early_lower)
+    assert cli_main(["examples"]) == 1
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    failed_t_stars = [row[:2] for row in rows if row[-1:] == ["fail"] and row[1].startswith("t_star")]
+    assert failed_t_stars == [
+        ["E3[d=2^16+1]", "t_star(f)"],
+        ["E4[log2(d-1)=256]", "t_star(lower)"],
+        ["E4[log2(d-1)=1024]", "t_star(lower)"],
+    ]
+
+
 def test_sweep_command(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code = cli_main(
@@ -146,19 +176,14 @@ def test_audit_command_exits_1_on_a_violation(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["violations"] == 5
 
 
-def test_audit_seed_from_environment(monkeypatch, capsys):
-    monkeypatch.setenv("SUPENT_SEED", "1234")
-    code = cli_main(["audit", "--trials", "5", "--max-dim", "3"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert json.loads(out)["seed"] == 1234
-
-
-def test_audit_bad_environment_seed(monkeypatch, capsys):
-    monkeypatch.setenv("SUPENT_SEED", "not-a-number")
-    code = cli_main(["audit", "--trials", "5", "--max-dim", "3"])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: SUPENT_SEED=")
+def test_audit_command_exits_1_on_an_order_violation(monkeypatch, capsys):
+    for bound, count in (("theorem2_upper", "order_violations_t2"), ("theorem3_upper", "order_violations_t3")):
+        with monkeypatch.context() as m:
+            patch_reports(m, lambda r: dataclasses.replace(r, **{bound: r.lps_upper + 1e-6}))
+            code = cli_main(["audit", "--trials", "5", "--max-dim", "3", "--seed", "7"])
+        summary = json.loads(capsys.readouterr().out)
+        assert code == 1, bound
+        assert summary[count] == 5 and summary["violations"] == 0, bound
 
 
 def test_exceptions_other_than_bad_input_exit_2(monkeypatch, capsys):

@@ -414,8 +414,8 @@ def test_rng_uniform_and_gaussian_ranges():
 def test_audit_deterministic_bytes():
     s1 = random_audit(40, 5, seed=2024)
     s2 = random_audit(40, 5, seed=2024)
-    assert json.dumps(s1.to_dict(), sort_keys=True) == json.dumps(
-        s2.to_dict(), sort_keys=True
+    assert json.dumps(dataclasses.asdict(s1), sort_keys=True) == json.dumps(
+        dataclasses.asdict(s2), sort_keys=True
     )
 
 
@@ -475,7 +475,7 @@ def test_audit_summary_does_not_depend_on_its_batches(monkeypatch):
     one_by_one = random_audit(40, 6, seed=11)
     assert batches == [40] + [1] * 40
     # JSON writes each float as its repr, which keeps every bit
-    assert json.dumps(one_by_one.to_dict()) == json.dumps(together.to_dict())
+    assert json.dumps(dataclasses.asdict(one_by_one)) == json.dumps(dataclasses.asdict(together))
 
 
 def test_audit_rejects_bad_arguments(monkeypatch):

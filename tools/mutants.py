@@ -4,14 +4,18 @@
 
     python3 tools/mutants.py
 
-For each mutant the script copies the repository (without its history and
-caches) into a temporary directory, replaces the mutant's old text (which
-must occur exactly once in its file) by its new text, runs
-``python -m pytest -q tests`` there (all but ``test_mutants.py``, which
-checks this list against the unchanged ``src/``) and prints KILLED, with the
-tests that failed, or SURVIVED.  It exits 1 if any mutant survived.  One
-mutant takes one run of ``tests/``, about 10 s on a 2-core x86 host.
-Standard library only.
+The script first runs the suite on an unmutated copy of the repository and
+prints the tests that fail there (BASELINE): the bit pins hold on one BLAS
+kernel only, so under another one (say ``OPENBLAS_CORETYPE=Haswell``) they
+fail with no mutant at all.  Such a test kills no mutant.  Then, for each
+mutant, it copies the repository (without its history and caches) into a
+temporary directory, replaces the mutant's old text (which must occur
+exactly once in its file) by its new text, runs ``python -m pytest -q
+tests`` there (all but ``test_mutants.py``, which checks this list against
+the unchanged ``src/``) and prints KILLED, with the tests that failed there
+but pass at baseline, or SURVIVED.  It exits 1 if any mutant survived.  Each
+run of ``tests/`` takes about 10 s on a 2-core x86 host.  Standard library
+only.
 """
 
 import os
@@ -62,9 +66,30 @@ MUTANTS = (
     Mutant(
         "audit-exit-0",
         "cli.py",
-        "return 0 if summary.violations == 0 else 1",
+        "return 0 if counts == (0, 0, 0) else 1",
         "return 0",
         "the audit command exits 0 when it found violations",
+    ),
+    Mutant(
+        "audit-exit-ignores-order",
+        "cli.py",
+        "counts = (summary.violations, summary.order_violations_t2, summary.order_violations_t3)",
+        "counts = (summary.violations, 0, 0)",
+        "the audit command exits 0 when a bound lies above the LPS bound",
+    ),
+    Mutant(
+        "examples-exit-0",
+        "cli.py",
+        "return 0 if n_fail == 0 else 1",
+        "return 0",
+        "the examples command exits 0 when a checked row failed",
+    ),
+    Mutant(
+        "t-star-tol",
+        "harness.py",
+        "T_STAR_TOL = 1e-2",
+        "T_STAR_TOL = 1.0",
+        "the examples' t* rows pass any t* in the window",
     ),
     Mutant(
         "sanity-slack",
@@ -127,16 +152,18 @@ MUTANTS = (
 )
 
 
-def run(mutant: Mutant) -> list[str]:
-    """The tests that fail with ``mutant`` applied to a copy of the tree."""
+def run(mutant: Mutant | None) -> list[str]:
+    """The tests that fail with ``mutant`` (None: no mutant) applied to a
+    copy of the tree."""
     with tempfile.TemporaryDirectory(prefix="supent-mutant-") as tmp:
         tree = pathlib.Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(*UNCOPIED))
-        path = tree / "src" / "supent" / mutant.file
-        text = path.read_text(encoding="utf-8")
-        if text.count(mutant.old) != 1:
-            raise SystemExit(f"{mutant.name}: old text occurs {text.count(mutant.old)} times in {mutant.file}")
-        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        if mutant is not None:
+            path = tree / "src" / "supent" / mutant.file
+            text = path.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                raise SystemExit(f"{mutant.name}: old text occurs {text.count(mutant.old)} times in {mutant.file}")
+            path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         try:
             done = subprocess.run(
@@ -152,9 +179,13 @@ def run(mutant: Mutant) -> list[str]:
 
 
 def main() -> int:
+    baseline = run(None)
+    if any(name.startswith("(") for name in baseline):
+        raise SystemExit(f"the unmutated suite gives no test results: {baseline[0]}")
+    print(f"BASELINE {len(baseline)} failing without a mutant: {', '.join(baseline) or '-'}", flush=True)
     survived = 0
     for mutant in MUTANTS:
-        failed = run(mutant)
+        failed = [name for name in run(mutant) if name not in baseline]
         if failed:
             more = f" and {len(failed) - SHOWN_KILLERS} more" if len(failed) > SHOWN_KILLERS else ""
             print(f"KILLED   {mutant.name}: {', '.join(failed[:SHOWN_KILLERS])}{more}", flush=True)
