@@ -7,22 +7,71 @@ stream is an implementation detail.  Gaussian variates use the Marsaglia
 polar method.  Derived per-trial streams are obtained by mixing the base
 seed with the trial index, so parallel and serial execution orders draw
 identical numbers.
+
+A Gaussian draw has two paths with the same bits.  A draw of fewer than
+LANE_MIN_VARIATES variates runs the polar method one pair at a time in
+Python (``gaussians``' loop, the reference).  A larger draw cuts the stream
+into lanes of LANE_STEPS outputs each: the state update is linear over
+GF(2), so the jump J = T^LANE_STEPS (T: one step) is a 256 x 256 bit matrix
+and lane i starts at J^i s.  Numpy steps every lane at once, the outputs
+are read back in stream order, and the polar method runs on whole arrays.
+Every float operation in it is exact or correctly rounded, so it gives the
+loop's floats; the logarithm is not (``np.log`` differs from ``math.log``
+in the last bit on about 0.35 % of arguments), so ``math.log`` is taken
+once per accepted pair.  The generator's state and spare end where the loop
+would leave them.  The jump products are XORs of table rows indexed by the
+state's 4-bit nibbles, not matrix products, so no BLAS call (and none of
+its threads) is involved; the tables (96 KiB) are built on the first lane
+draw, in about 3 ms, never at import.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import DomainError
+from .qmath import check_integer
 
 __all__ = ["Xoshiro256StarStar"]
 
 _MASK64 = (1 << 64) - 1
-# Most Gaussians a matrix draw holds as Python floats at once (32 B each).
-GAUSSIAN_CHUNK = 2**12
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+# Draws of at least this many variates take the lane path: the smallest
+# power of two at which the lanes win.  Their cost has a floor, LANE_STEPS
+# rounds of numpy calls, so on a 2-core x86 host (least of 31 draws) the
+# loop took 0.40 ms at 256 variates against the lanes' 0.60, tied at 384
+# (0.62 ms each) and lost at 512 (0.82 against 0.68 ms).  So a 16 x 16 Haar
+# state takes the lanes, and every audit draw (at most 72 variates) the loop.
+LANE_MIN_VARIATES = 512
+# Outputs per lane (B in J = T^B).  Stepping costs B rounds of eight numpy
+# calls whatever the lane count, and each lane start a table lookup per
+# lane.  Medians of 15 draws of 512, 2,048 and 32,768 variates took
+# 0.65/0.93/7.55 ms at B = 16, 0.77/1.02/6.42 at 32, 1.09/1.31/6.34 at 64
+# and 1.70/1.97/6.78 at 128 (same host).
+LANE_STEPS = 32
+# Variates per lane pass (even, so a chunk leaves no spare but the last).
+# It bounds the temporaries: a full pass steps 1,337 lanes and holds about
+# 2 MB of arrays at once.  A 65,884-variate draw took 23.3, 16.6, 15.1,
+# 14.3 and 14.7 ms in chunks of 2^12 .. 2^16 (medians of 15).
+LANE_CHUNK = 2**15
+# Lane starts come from LANE_LEVELS tables, of J, J^LANE_GROUP, J^(LANE_GROUP^2)
+# ...: the coarsest steps one start at a time, and each finer one fills the
+# gaps of all starts so far at once.  A full pass's 1,337 starts took
+# 1.51 ms with two tables (J, J^16; 64 KiB), 1.10 ms with three (J, J^8,
+# J^64; 96 KiB), 1.12 ms with four of J^(4^l) and 1.00 ms with five
+# (160 KiB) (medians of 25).
+LANE_GROUP = 8
+LANE_LEVELS = 3
+# A lane pass draws this many standard deviations of the polar method's
+# attempt count beyond its mean; when fewer pairs are accepted (about once
+# in 10^12 passes) a second pass draws the rest.
+OVERDRAW_SD = 7
+# The chance that a polar pair of uniforms lands inside the unit disc.
+_POLAR_ACCEPT = math.pi / 4
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -38,11 +87,112 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
+def _step_lanes(state: np.ndarray, steps: int, s1_out: np.ndarray | None = None) -> None:
+    """Step each column of ``state`` (4 x lanes, uint64) ``steps`` times in
+    place, as ``next_u64`` does; row k of ``s1_out`` receives s1 before step
+    k, from which that step's output is made."""
+    s1, s2, s3 = state[1], state[2], state[3]
+    t = np.empty_like(s1)
+    for k in range(steps):
+        if s1_out is not None:
+            s1_out[k] = s1
+        np.left_shift(s1, 17, out=t)
+        state[2:] ^= state[:2]  # s2 ^= s0, s3 ^= s1
+        state[1::-1] ^= state[2:]  # s1 ^= s2, s0 ^= s3
+        s2 ^= t
+        np.right_shift(s3, 19, out=t)
+        s3 <<= 45
+        s3 |= t
+
+
+_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)[:, None]
+_NIBBLE_ROWS = np.arange(0, 64 * 16, 16, dtype=np.uint64)[:, None]
+
+
+def _nibble_table(images: np.ndarray) -> np.ndarray:
+    """The lookup table of the GF(2) map whose image of state bit j
+    (bit j % 64 of word j // 64) is ``images[j]`` (4 uint64 words): row
+    16 p + v holds the image of the bits of value v in nibble p."""
+    images = images.reshape(64, 4, 4)
+    table = np.zeros((64, 16, 4), np.uint64)
+    for b in range(4):
+        table[:, 1 << b : 2 << b] = table[:, : 1 << b] ^ images[:, b, None]
+    table.flags.writeable = False  # cached and shared by every generator
+    return table.reshape(64 * 16, 4)
+
+
+def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The map of ``table`` applied to each row of ``states`` (k x 4 uint64):
+    the XOR of one table row per nibble."""
+    nibbles = (states.T[:, None, :] >> _NIBBLE_SHIFTS) & 15  # word, nibble, row
+    rows = nibbles.reshape(64, -1) + _NIBBLE_ROWS
+    return np.bitwise_xor.reduce(np.take(table, rows, axis=0), axis=0)
+
+
+@functools.cache
+def _jump_tables() -> tuple[np.ndarray, ...]:
+    """Lookup tables of J^(LANE_GROUP^l), l = 0 .. LANE_LEVELS - 1, with
+    J = T^LANE_STEPS, built on the first lane draw: J's images of the 256
+    state bits are those bits' states stepped LANE_STEPS times, and each
+    next table's images are the last one's mapped LANE_GROUP - 1 more times
+    by the last table."""
+    bit = np.arange(256)
+    state = np.zeros((4, 256), np.uint64)
+    state[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
+    _step_lanes(state, LANE_STEPS)
+    images = state.T.copy()
+    tables = [_nibble_table(images)]
+    for _ in range(LANE_LEVELS - 1):
+        for _ in range(LANE_GROUP - 1):
+            images = _apply(tables[-1], images)
+        tables.append(_nibble_table(images))
+    return tuple(tables)
+
+
+def _lane_starts(state: list[int], lanes: int) -> np.ndarray:
+    """The states (lanes x 4 uint64) LANE_STEPS, 2 LANE_STEPS, ... outputs
+    apart, the first being ``state``.  From the coarsest table down, each
+    start so far is followed by the starts its table reaches in up to
+    LANE_GROUP - 1 jumps (the coarsest one jumps as often as it must)."""
+    starts = np.array([state], np.uint64)
+    for level, table in reversed(tuple(enumerate(_jump_tables()))):
+        count = -(-lanes // LANE_GROUP**level)
+        reach = count if len(starts) == 1 else LANE_GROUP
+        grown = np.empty((len(starts), reach, 4), np.uint64)
+        grown[:, 0] = starts
+        for a in range(1, reach):
+            grown[:, a] = _apply(table, grown[:, a - 1])
+        starts = grown.reshape(-1, 4)[:count]
+    return starts
+
+
+def _lane_uniforms(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The uniforms 2 (x >> 11) 2^-53 - 1 of the LANE_STEPS outputs x of
+    each start (lanes x 4 uint64), in stream order as (u, v) rows, and the
+    state after the last lane's outputs."""
+    state = starts.T.copy()
+    x = np.empty((LANE_STEPS, len(starts)), np.uint64)
+    _step_lanes(state, LANE_STEPS, x)
+    x = x.T.ravel()  # stream order
+    x *= 5  # next_u64's output: rotl(s1 * 5, 7) * 9
+    high = x << 7
+    x >>= 57
+    x |= high
+    x *= 9
+    x >>= 11
+    uv = x.astype(np.float64).reshape(-1, 2)
+    uv *= 2.0**-53
+    uv *= 2.0
+    uv -= 1.0
+    return uv, state[:, -1]
+
+
 class Xoshiro256StarStar:
     """xoshiro256** with splitmix64 seeding and polar-method Gaussians."""
 
     def __init__(self, seed: int):
-        self._seed = seed & _MASK64
+        check_integer(-math.inf, seed=seed)
+        self._seed = int(seed) & _MASK64
         state = self._seed
         s = []
         for _ in range(4):
@@ -72,6 +222,7 @@ class Xoshiro256StarStar:
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
+        check_integer(-math.inf, lo=lo, hi=hi)
         if hi < lo:
             raise DomainError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
@@ -86,10 +237,14 @@ class Xoshiro256StarStar:
 
         Each accepted pair of uniforms gives two variates; one that ``n``
         leaves over is kept and comes first in the next call.  The stream
-        is that of the polar method drawn one variate at a time; the loop
-        keeps the state in locals and steps the generator inline, which
-        halves its cost per variate.
+        is that of the polar method drawn one variate at a time.  Below
+        LANE_MIN_VARIATES this loop draws it, the reference for the lane
+        path; it keeps the state in locals and steps the generator inline,
+        which halves its cost per variate.
         """
+        check_integer(0, n=n)
+        if n >= LANE_MIN_VARIATES:
+            return self._lane_gaussians(n).tolist()
         out = []
         spare = self._spare_gaussian
         if spare is not None and n > 0:
@@ -131,14 +286,52 @@ class Xoshiro256StarStar:
         self._spare_gaussian = spare
         return out
 
+    def _lane_gaussians(self, n: int) -> np.ndarray:
+        """``gaussians(n)`` as an array, by lane passes of at most
+        LANE_CHUNK variates."""
+        out = np.empty(n)
+        start = 0
+        if self._spare_gaussian is not None:
+            out[0], self._spare_gaussian, start = self._spare_gaussian, None, 1
+        for lo in range(start, n, LANE_CHUNK):
+            m = min(LANE_CHUNK, n - lo)
+            pairs = self._lane_pairs((m + 1) // 2)
+            out[lo : lo + m] = pairs.ravel()[:m]
+            if m % 2:
+                self._spare_gaussian = float(pairs[-1, 1])
+        return out
+
+    def _lane_pairs(self, n_pairs: int) -> np.ndarray:
+        """The next ``n_pairs`` accepted polar pairs (n_pairs x 2), the
+        state left just after the last one's uniforms."""
+        pairs = np.empty((n_pairs, 2))
+        done = 0
+        while done < n_pairs:
+            need = n_pairs - done
+            # attempts per pair: mean 1/p, standard deviation sqrt(1 - p)/p
+            attempts = (need + OVERDRAW_SD * math.sqrt(need * (1.0 - _POLAR_ACCEPT))) / _POLAR_ACCEPT
+            starts = _lane_starts(self._s, math.ceil(2.0 * attempts / LANE_STEPS))
+            uv, end = _lane_uniforms(starts)
+            r2 = uv[:, 0] * uv[:, 0]
+            r2 += uv[:, 1] * uv[:, 1]
+            accepted = np.flatnonzero((r2 > 0.0) & (r2 < 1.0))[:need]
+            r2 = r2[accepted]
+            log = np.fromiter(map(math.log, r2.tolist()), np.float64, r2.size)
+            pairs[done : done + r2.size] = uv[accepted] * np.sqrt(-2.0 * log / r2)[:, None]
+            done += r2.size
+            used = 2 * (int(accepted[-1]) + 1) if done == n_pairs else 2 * len(uv)
+            lane, steps = divmod(used, LANE_STEPS)
+            self._s = [int(w) for w in (starts[lane] if lane < len(starts) else end)]
+            for _ in range(steps):
+                self.next_u64()
+        return pairs
+
     def complex_gaussian_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Matrix of i.i.d. standard complex Gaussians (row-major draw order,
-        real part first), drawn GAUSSIAN_CHUNK at a time, so the Python
-        floats in flight stay few at any size."""
-        g = np.empty(2 * rows * cols)
-        for lo in range(0, g.size, GAUSSIAN_CHUNK):
-            hi = min(lo + GAUSSIAN_CHUNK, g.size)
-            g[lo:hi] = self.gaussians(hi - lo)
+        real part first)."""
+        check_integer(0, rows=rows, cols=cols)
+        n = 2 * rows * cols
+        g = self._lane_gaussians(n) if n >= LANE_MIN_VARIATES else np.array(self.gaussians(n), dtype=float)
         return g.view(complex).reshape(rows, cols)
 
     def spawn(self, index: int) -> "Xoshiro256StarStar":
@@ -147,6 +340,7 @@ class Xoshiro256StarStar:
         Children depend only on (seed, index), never on how much of the
         parent stream has been consumed.
         """
+        check_integer(-math.inf, index=index)
         _, z = _splitmix64((self._seed ^ ((index + 1) * _SPLITMIX_GAMMA)) & _MASK64)
         _, z = _splitmix64(z)
         return Xoshiro256StarStar(z)

@@ -6,17 +6,24 @@ larger shapes, the sha256 of those strings joined by spaces) of
 ``haar_random_state`` coefficients, and the generator's next ``next_u64()``
 after an odd number of Gaussians, which covers the spare Gaussian a polar
 draw carries to the next call.  They were recorded before the Gaussian loop
-was rewritten; pure integer and float arithmetic makes them
-platform-independent.
+was rewritten, and the 181 x 182 digest before large draws moved to numpy
+lanes; pure integer and float arithmetic makes them platform-independent.
 """
 
 import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from supent import harness
+from supent import harness, rng as rng_module
+from supent.errors import DomainError
 from supent.rng import Xoshiro256StarStar
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def _hexes(state):
@@ -56,6 +63,8 @@ def test_haar_state_bits(shape, seed, recorded):
         ((5, 6), 6, "b4a8961f62b6bb4adbfdec8d86bde77e0d9e7c7f5100da8afa7904729d679f35"),
         ((6, 5), 7, "ef3843148864ba6081d1c8242e8700f1d4f69c02f117b9d8de8d920be62b744f"),
         ((64, 64), 3, "524834e3c938cb968ca26baafa3f9315915d829e9a1ee48172f43345d589ece0"),
+        # 65,884 variates: two full lane chunks and part of a third
+        ((181, 182), 2026, "648649dbbdfd5d5aa47abe7790e73014c15c8a328125a7105db5b14f5ee2e9db"),
     ],
 )
 def test_haar_state_digests(shape, seed, digest):
@@ -118,3 +127,71 @@ def test_gaussian_loop_matches_the_one_at_a_time_polar_method():
             expected, spare = _polar_gaussians(slow, n, spare)
             assert [x.hex() for x in fast.gaussians(n)] == [x.hex() for x in expected]
             assert fast.next_u64() == slow.next_u64()
+
+
+# Below, at and above LANE_MIN_VARIATES (512), and up to three LANE_CHUNKs.
+LANE_SHAPES = [(1, 3), (15, 17), (16, 16), (33, 31), (40, 40), (64, 65), (129, 127), (181, 182)]
+
+
+def _assert_matrix_draws_match(seeds, shapes):
+    # an odd gaussian() before and after carries a spare into and out of
+    # each matrix draw
+    for seed in seeds:
+        for rows, cols in shapes:
+            fast, slow = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+            got = [fast.gaussian()]
+            got += fast.complex_gaussian_matrix(rows, cols).view(float).ravel().tolist()
+            got.append(fast.gaussian())
+            expected, _ = _polar_gaussians(slow, len(got), None)
+            assert [x.hex() for x in got] == [x.hex() for x in expected], (seed, rows, cols)
+            assert fast.next_u64() == slow.next_u64(), (seed, rows, cols)
+
+
+def test_lane_draws_match_the_one_at_a_time_polar_method():
+    _assert_matrix_draws_match(range(12), LANE_SHAPES)
+
+
+def test_a_lane_pass_that_falls_short_draws_the_rest(monkeypatch):
+    # planning for every attempt to be accepted leaves about a fifth of
+    # each pass's pairs to the next pass
+    monkeypatch.setattr(rng_module, "_POLAR_ACCEPT", 1.0)
+    _assert_matrix_draws_match(range(3), [(16, 16), (64, 65)])
+    fast, slow = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
+    expected, _ = _polar_gaussians(slow, 1001, None)
+    assert [x.hex() for x in fast.gaussians(1001)] == [x.hex() for x in expected]
+
+
+def test_small_draws_build_no_jump_table():
+    code = (
+        "from supent import harness, rng\n"
+        "harness.haar_random_state(6, 6, 1)\n"
+        "assert rng._jump_tables.cache_info().currsize == 0\n"
+        "harness.haar_random_state(16, 16, 1)\n"
+        "assert rng._jump_tables.cache_info().currsize == 1\n"
+        "assert sum(table.nbytes for table in rng._jump_tables()) <= 256 * 1024\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_bad_generator_arguments_raise_domain_error():
+    rng = Xoshiro256StarStar(1)
+    bad = [
+        lambda: Xoshiro256StarStar(1.5),
+        lambda: Xoshiro256StarStar(True),
+        lambda: rng.gaussians(2.5),
+        lambda: rng.gaussians(True),
+        lambda: rng.gaussians(-1),
+        lambda: rng.complex_gaussian_matrix(-1, 2),
+        lambda: rng.complex_gaussian_matrix(2.0, 2),
+        lambda: rng.complex_gaussian_matrix(2, None),
+        lambda: rng.randint(0.5, 3),
+        lambda: rng.randint(0, 3.0),
+        lambda: rng.randint(3, 2),
+        lambda: rng.spawn(1.5),
+    ]
+    for call in bad:
+        with pytest.raises(DomainError):
+            call()
+    # none of them drew from the stream
+    assert rng.next_u64() == Xoshiro256StarStar(1).next_u64()

@@ -149,6 +149,30 @@ MUTANTS = (
         "the refined search's pruning floor uses half the certified gap cap, "
         "so it can skip a grid point that holds the minimum",
     ),
+    Mutant(
+        "lane-np-log",
+        "rng.py",
+        "log = np.fromiter(map(math.log, r2.tolist()), np.float64, r2.size)",
+        "log = np.log(r2)",
+        "the lane path's polar factor takes np.log, which differs from the loop's "
+        "math.log in the last bit on about 0.35 % of arguments",
+    ),
+    Mutant(
+        "lane-drops-spare",
+        "rng.py",
+        "self._spare_gaussian = float(pairs[-1, 1])",
+        "self._spare_gaussian = None",
+        "an odd lane draw drops the second variate of its last pair instead of "
+        "keeping it for the next call",
+    ),
+    Mutant(
+        "lane-state-pair-short",
+        "rng.py",
+        "used = 2 * (int(accepted[-1]) + 1) if done == n_pairs else 2 * len(uv)",
+        "used = 2 * int(accepted[-1]) if done == n_pairs else 2 * len(uv)",
+        "a lane draw leaves the generator's state one pair of outputs short, "
+        "so the next draw repeats the last pair's uniforms",
+    ),
 )
 
 
