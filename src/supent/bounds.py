@@ -102,9 +102,14 @@ ENTROPY_ROUNDING = 1e-9
 # the edge within a small factor.  1e-12 (about 9000 u) covers both.
 LOWER_EDGE_ROUNDING = 1e-12
 
-# Every PRUNE_STRIDE-th grid point of the refined search is eigendecomposed
-# unconditionally; the bounds on the points between interpolate from them.
-PRUNE_STRIDE = 16
+# Grid strides of the refined search's levels, coarse to fine.  The first
+# level eigendecomposes every PRUNE_STRIDES[0]-th grid point and the last;
+# each later one, those of its stride next to the grid points still in
+# doubt, whose bounds it then tightens; after the last, the points still in
+# doubt are eigendecomposed.  So a search makes at most len(PRUNE_STRIDES)
+# + 1 stacked calls before golden section.  Each stride divides the grid's
+# 256 steps, so a point's neighbours of each stride lie on the grid.
+PRUNE_STRIDES = (64, 16, 4)
 
 # Largest grid_n of subspace_lower: it runs up to grid_n^2 lower-bound
 # searches of about 0.4 ms each (2-core x86 host), so a 1024-point grid takes
@@ -118,8 +123,10 @@ _T_GRID = np.asarray(_T_POINTS)
 _T_GRID.setflags(write=False)
 _H_GRID = binary_entropy(_T_GRID)
 _H_GRID.setflags(write=False)
-# The refined search's knots: every PRUNE_STRIDE-th grid index and the last.
-_KNOTS = np.append(np.arange(0, _T_GRID.size - 1, PRUNE_STRIDE), _T_GRID.size - 1)
+# The refined search's first level: every PRUNE_STRIDES[0]-th grid index and
+# the last, and the one of them that starts each grid point's interval.
+_KNOTS = np.append(np.arange(0, _T_GRID.size - 1, PRUNE_STRIDES[0]), _T_GRID.size - 1)
+_KNOT_BELOW = np.clip(np.searchsorted(_KNOTS, np.arange(_T_GRID.size), side="right") - 1, 0, _KNOTS.size - 2)
 _BRANCHES = ("L1", "L2")  # the lower-bound branches; the first wins ties
 
 
@@ -343,46 +350,53 @@ def minimize_f_with_refinement(
     alpha_sq: np.ndarray,
     gamma_norm_sq: np.ndarray,
     stack: states.PairStack,
-    pinned: tuple[np.ndarray, np.ndarray],
-) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+) -> list[tuple[tuple[float, float], tuple[float, float], tuple[float, float]]]:
     """Minimize the plain and refined f of n problems in lockstep; returns
-    ((plain_value, plain_t), (refined_value, refined_t)) for each.
+    ((plain_value, plain_t), (refined_value, refined_t), (S_A, S_B)) for
+    each, the last pair at t = |alpha|^2.
 
-    Each argument but ``stack`` and ``pinned`` is an array of n.  The refined
-    candidate set includes the plain minimizer, which pins the refined
-    optimum at or below the plain one.
+    Each argument but ``stack`` is an array of n.  The refined candidate set
+    includes t = |alpha|^2 inside the window and the plain minimizer, which
+    pins the refined optimum at or below the plain one.
 
     The refined f subtracts Delta(t) = |S_A(t) - S_B(t)|, the gap between the
     reduced entropies of t |psi><psi| + (1-t) |phi><phi|, capped at h2(t)
     (``_f_value``).  Row k of ``stack`` holds the reduced operators of
-    problem k, and ``pinned`` their (S_A, S_B) at t = |alpha|^2.
+    problem k.
 
     The grid stage eigendecomposes only the points that could be the grid
-    minimum:
+    minimum, coarse to fine (PRUNE_STRIDES):
 
-    1. S_A and S_B are computed at every PRUNE_STRIDE-th grid point (the
-       knots); ``best`` is the least refined f among them.
+    1. The first level computes S_A and S_B at every PRUNE_STRIDES[0]-th
+       grid point and the last, in one stacked call with those at
+       t = |alpha|^2 and at the plain minimizer.  ``best`` is always the
+       least refined f among the grid points computed so far.
     2. Each S_X is concave in t, because entropy is concave and rho_X(t) is
-       affine in t.  So between two knots S_X lies above their chord L_X
-       and below the secants of the two neighbouring knot intervals,
-       extended.  And since the Holevo quantity does not grow under partial
-       trace, S_X <= m + S_AB <= m + h2(t), the ceiling, where
-       m = t E(psi) + (1-t) E(phi) and S_AB is the entropy of the rank-2
-       mixture: its top eigenvalue is at least <psi|rho|psi> >= t, and
-       likewise 1 - t.  With U_X the lower of the two secants and the
-       ceiling, cap = clip(max(U_A - L_B, U_B - L_A), 0, inf) >= Delta, and
-       LB = pref (m + h2(t) - min(cap, h2(t))) / N^2 is at most the refined
-       f.
+       affine in t.  So between two computed points S_X lies above their
+       chord L_X and below the secants of the two neighbouring intervals
+       between computed points, extended.  And since the Holevo quantity
+       does not grow under partial trace, S_X <= m + S_AB <= m + h2(t), the
+       ceiling, where m = t E(psi) + (1-t) E(phi) and S_AB is the entropy of
+       the rank-2 mixture: its top eigenvalue is at least
+       <psi|rho|psi> >= t, and likewise 1 - t.  With U_X the lower of the
+       two secants and the ceiling, cap = clip(max(U_A - L_B, U_B - L_A), 0,
+       inf) >= Delta, and LB = pref (m + h2(t) - min(cap, h2(t))) / N^2 is at
+       most the refined f (``_delta_cap``).
        S_X >= m and Araki-Lieb's Delta <= h2(t) would rule out no more
        points: the chord lies above the affine m, which S_X exceeds at the
-       knots, so U_A - L_B <= (m + h2(t)) - m already.
-    3. One more stacked call evaluates the points with
-       LB - allowance <= best, where
+       computed points, so U_A - L_B <= (m + h2(t)) - m already.
+    3. A point is in doubt while LB - allowance <= best, where
        allowance = pref ENTROPY_ROUNDING (1 + |m + h2(t)|) / N^2 absorbs
-       rounding in the computed entropies.  Every other point keeps LB as
-       its grid value: its refined f exceeds ``best``, so it cannot be the
-       grid minimum, and the grid argmin, the golden-section path and the
-       result are those of a full-grid evaluation, bit for bit.
+       rounding in the computed entropies.  Each later level computes, in
+       one stacked call, the points of its stride on either side of each
+       point in doubt, once each, and bounds what is still in doubt from
+       its row's nearest computed points.  After the last level, one call
+       computes every point still in doubt.
+    4. Every other point keeps the LB of the level that ruled it out as its
+       grid value.  ``best`` only falls, so its refined f still exceeds the
+       final ``best``, the least computed value: it cannot be the grid
+       minimum, and the grid argmin, the golden-section path and the result
+       are those of a full-grid evaluation, bit for bit.
     """
     cols = (e_psi, e_phi, alpha_sq, gamma_norm_sq)
     plain = _minimize_f(*cols)
@@ -392,49 +406,83 @@ def minimize_f_with_refinement(
         s_a, s_b = stack.entropies(rows, t)
         return f(rows, t, s_a - s_b)
 
-    def on_grid(rows, i, s_a, s_b):
-        return _f_value(_T_GRID[i], _H_GRID[i], *(c[rows] for c in cols), s_a - s_b)
+    def on_grid(rows, i, delta):
+        return _f_value(_T_GRID[i], _H_GRID[i], *(c[rows] for c in cols), delta)
 
-    n, k = len(e_psi), _KNOTS.size
-    all_rows = np.arange(n)[:, None]
-    s_a, s_b = (
-        s.reshape(n, k)
-        for s in stack.entropies(np.repeat(all_rows, k), np.tile(_T_GRID[_KNOTS], n))
+    n, size, k = len(e_psi), _T_GRID.size, _KNOTS.size
+    all_rows = np.arange(n)
+    plain_t = np.array([t for _, t in plain])
+    (s_a, pin_a, plain_a), (s_b, pin_b, plain_b) = (
+        np.split(s, [n * k, n * k + n])
+        for s in stack.entropies(
+            np.concatenate([np.repeat(all_rows, k), all_rows, all_rows]),
+            np.concatenate([np.tile(_T_GRID[_KNOTS], n), alpha_sq, plain_t]),
+        )
     )
+    s_a, s_b = s_a.reshape(n, k), s_b.reshape(n, k)
     t, (e1, e2, a, n2) = _T_GRID, (c[:, None] for c in cols)
     ceiling = t * e1 + (1.0 - t) * e2 + _H_GRID
-    cap = _delta_cap(t, t[_KNOTS], s_a, s_b, ceiling)
+    cap = _delta_cap(t, _KNOT_BELOW, t[_KNOTS], s_a, s_b, ceiling)
     values = _f_value(t, _H_GRID, e1, e2, a, n2, cap)
     allowance = _f_prefactor(t, a) / n2 * ENTROPY_ROUNDING * (1.0 + np.abs(ceiling))
-    values[:, _KNOTS] = on_grid(all_rows, _KNOTS, s_a, s_b)
-    todo = values - allowance <= values[:, _KNOTS].min(axis=1, keepdims=True)
-    todo[:, _KNOTS] = False
-    rows, i = np.nonzero(todo)
+    values[:, _KNOTS] = on_grid(all_rows[:, None], _KNOTS, s_a - s_b)
+    best = values[:, _KNOTS].min(axis=1)
+    doubt = values - allowance <= best[:, None]
+    doubt[:, _KNOTS] = False
+    rows, i = np.nonzero(doubt)
+    # the computed points as ascending keys row * size + index, and their entropies
+    keys, s_a, s_b = (all_rows[:, None] * size + _KNOTS).ravel(), s_a.ravel(), s_b.ravel()
+    for stride in PRUNE_STRIDES[1:]:
+        if not rows.size:
+            break
+        at = rows * size + i
+        mark = np.zeros(n * size, dtype=bool)  # the stride's points around each point in doubt
+        mark[at - i % stride] = mark[at + -i % stride] = True
+        mark[keys] = False
+        new = np.flatnonzero(mark)
+        new_rows, new_i = np.divmod(new, size)
+        new_a, new_b = stack.entropies(new_rows, t[new_i])
+        values[new_rows, new_i] = on_grid(new_rows, new_i, new_a - new_b)
+        np.minimum.at(best, new_rows, values[new_rows, new_i])
+        order = np.argsort(np.concatenate([keys, new]), kind="stable")
+        keys, s_a, s_b = (np.concatenate(x)[order] for x in ((keys, new), (s_a, new_a), (s_b, new_b)))
+        left = ~mark[at]
+        rows, i, at = rows[left], i[left], at[left]
+        j = np.searchsorted(keys, at) - 1
+        values[rows, i] = on_grid(rows, i, _delta_cap(t[i], j, t[keys % size], s_a, s_b, ceiling[rows, i]))
+        left = values[rows, i] - allowance[rows, i] <= best[rows]
+        rows, i = rows[left], i[left]
     if rows.size:
-        values[rows, i] = on_grid(rows, i, *stack.entropies(rows, _T_GRID[i]))
+        s_a, s_b = stack.entropies(rows, t[i])
+        values[rows, i] = on_grid(rows, i, s_a - s_b)
     found = _golden(objective, values)
-    delta = pinned[0] - pinned[1]  # t = |alpha|^2 takes the entropies at hand
-    _pin(lambda r, t: f(r, t, delta[r]), found, *_inside(alpha_sq))
-    _pin(objective, found, list(range(n)), [t for _, t in plain])
-    return list(zip(plain, found))
+    # the pins take the entropies at hand
+    _pin(lambda r, t: f(r, t, pin_a[r] - pin_b[r]), found, *_inside(alpha_sq))
+    _pin(lambda r, t: f(r, t, plain_a[r] - plain_b[r]), found, all_rows.tolist(), plain_t.tolist())
+    return list(zip(plain, found, zip(pin_a.tolist(), pin_b.tolist())))
 
 
 def _delta_cap(
-    t: np.ndarray, knots: np.ndarray, s_a: np.ndarray, s_b: np.ndarray, ceiling: np.ndarray
+    t: np.ndarray, j: np.ndarray, knots: np.ndarray, s_a: np.ndarray, s_b: np.ndarray,
+    ceiling: np.ndarray,
 ) -> np.ndarray:
-    """Upper bound on |S_A(t) - S_B(t)| from the side entropies, concave in t,
-    at ``knots`` and a ``ceiling`` >= each: each side lies above the chord of
-    t's knot interval and below the ceiling and the secants of the two
-    neighbouring intervals, extended into this one."""
-    last = knots.size - 2
-    j = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, last)
-    here, there, nxt = t - knots[j], t - knots[j + 1], np.minimum(j + 1, last)
+    """Upper bound on |S_A(t) - S_B(t)| from the side entropies s_a, s_b,
+    concave in t, at the weights ``knots`` and a ``ceiling`` >= each, where t
+    lies between knots[j] and knots[j + 1]: each side lies above the chord of
+    that interval and below the ceiling and the secants of the two
+    neighbouring intervals, extended into this one.  A neighbour counts where
+    the knots ascend into it, so ``knots`` may hold the ascending runs of
+    several problems end to end, s_a and s_b with it, or one run that the
+    rows of s_a and s_b share along their last axis."""
+    ahead = np.roll(knots, -1) - knots  # each knot's interval; a run's last one descends
+    nxt = (j + 1) % knots.shape[-1]
+    here, there = t - knots[j], t - knots[j + 1]
     lo, hi = [], []
     for s in (s_a, s_b):
-        slope = np.diff(s) / np.diff(knots)
+        slope = (np.roll(s, -1, axis=-1) - s) / ahead
         lo.append(s[..., j] + slope[..., j] * here)
-        left = np.where(j > 0, s[..., j] + slope[..., j - 1] * here, np.inf)
-        right = np.where(j < last, s[..., j + 1] + slope[..., nxt] * there, np.inf)
+        left = np.where(ahead[j - 1] > 0, s[..., j] + slope[..., j - 1] * here, np.inf)
+        right = np.where(ahead[nxt] > 0, s[..., j + 1] + slope[..., nxt] * there, np.inf)
         hi.append(np.minimum(np.minimum(left, right), ceiling))
     return np.clip(np.maximum(hi[0] - lo[1], hi[1] - lo[0]), 0.0, None)
 
@@ -645,16 +693,15 @@ def certify_many(problems: Sequence[SuperpositionProblem]) -> list[BoundReport]:
         np.array([getattr(p, name) for p in problems], dtype=float)
         for name in ("e_psi", "e_phi", "alpha_sq", "beta_sq", "gamma_norm_sq")
     )
-    pinned = stack.entropies(np.arange(len(problems)), asq)
-    upper = minimize_f_with_refinement(e_psi, e_phi, asq, n2, stack, pinned)
+    upper = minimize_f_with_refinement(e_psi, e_phi, asq, n2, stack)
     lower = _maximize_lower(e_psi, e_phi, asq / n2, bsq / n2)
-    found = zip(problems, pinned[0].tolist(), pinned[1].tolist(), upper, lower)
+    found = zip(problems, upper, lower)
     return [_report(stack, row, *args) for row, args in enumerate(found)]
 
 
-def _report(stack, row, p, s_a, s_b, upper, lower) -> BoundReport:
+def _report(stack, row, p, upper, lower) -> BoundReport:
     """Problem ``p``'s report from what ``certify_many`` found for row ``row`` of ``stack``."""
-    ((t3, t3_star), (t3r, _)), (raw, low_t, branch) = upper, lower
+    ((t3, t3_star), (t3r, _), (s_a, s_b)), (raw, low_t, branch) = upper, lower
     lps = lps_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
     t2 = theorem2_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=s_a - s_b)
     low = max(0.0, raw)

@@ -533,6 +533,15 @@ def _pruning_problems():
             math.sqrt(alpha_sq),
             math.sqrt(1.0 - alpha_sq),
         )
+    # pairs sharing a factor, psi = q0 (x) v and phi = q1 (x) v: S_A = h2(t)
+    # and S_B = 0, so the capped gap cancels the bracket's h2(t) and the
+    # refined f is flat within rounding, and points stay in doubt through
+    # every level to the last call
+    for dim_a, dim_b, alpha_sq in ((2, 3, 0.5), (4, 2, 0.05), (3, 3, 0.9)):
+        q = random_unitary(rng, dim_a)
+        v = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
+        psi, phi = (BipartiteState(np.outer(q[:, k], v / np.linalg.norm(v))) for k in (0, 1))
+        yield SuperpositionProblem.from_states(psi, phi, math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq))
 
 
 def _refine(problems):
@@ -542,26 +551,33 @@ def _refine(problems):
         np.array([getattr(p, name) for p in problems])
         for name in ("e_psi", "e_phi", "alpha_sq", "gamma_norm_sq")
     )
-    pinned = stack.entropies(np.arange(len(problems)), alpha_sq)
-    return minimize_f_with_refinement(e_psi, e_phi, alpha_sq, gamma_norm_sq, stack, pinned)
+    return minimize_f_with_refinement(e_psi, e_phi, alpha_sq, gamma_norm_sq, stack)
 
 
 def test_refined_pruning_matches_exhaustive_grid(monkeypatch):
-    seen = []
-    minimize = optimize.minimize_many
+    seen, calls = [], []
+    minimize, entropies = optimize.minimize_many, states.PairStack.entropies
 
     def spy(f, xs, grid_values):
-        seen.append(grid_values)
+        seen.append((grid_values, len(calls)))
         return minimize(f, xs, grid_values)
 
+    def counting(self, rows, t):
+        calls.append(rows)
+        return entropies(self, rows, t)
+
     monkeypatch.setattr(optimize, "minimize_many", spy)
+    monkeypatch.setattr(states.PairStack, "entropies", counting)
     problems = list(_pruning_problems())
     results = _refine(problems)
     # the plain f search runs first, then the refined one, each given the
-    # grid values of every problem
-    _, pruned_rows = seen
+    # grid values of every problem; before it, every grid level made its
+    # stacked call, the last one for the points still in doubt
+    _, (pruned_rows, grid_calls) = seen
+    assert grid_calls == len(bounds.PRUNE_STRIDES) + 1
+    assert all((optimize.DEFAULT_GRID_N - 1) % stride == 0 for stride in bounds.PRUNE_STRIDES)
     assert len(pruned_rows) == len(results) == len(problems)
-    for p, pruned, (_, result) in zip(problems, pruned_rows, results):
+    for p, pruned, (_, result, _) in zip(problems, pruned_rows, results):
         reference, expected = _reference_refined(p)
         assert int(np.argmin(pruned)) == int(np.argmin(reference))
         # every grid value is exact, or lies above the grid minimum
@@ -643,13 +659,32 @@ def test_delta_cap_bounds_entropy_gap(seed, kind, dim, alpha_sq):
     )
     t = np.asarray(optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N))
     s_a, s_b = _mixture_side_entropies(p, t)
-    knots = np.arange(0, t.size, bounds.PRUNE_STRIDE)
     m = t * p.e_psi + (1.0 - t) * p.e_phi
     s_ab = np.array([states.mixture_entropy(w, abs(p.overlap) ** 2) for w in t.tolist()])
     gap = np.abs(s_a - s_b) - bounds.ENTROPY_ROUNDING
+    # computed points as the levels leave them: uniform at each stride, and
+    # uneven, with both ends always in
+    ends = [0, t.size - 1]
+    runs = [np.append(np.arange(0, t.size - 1, stride), t.size - 1) for stride in bounds.PRUNE_STRIDES]
+    runs += [np.unique(np.append(rng.choice(t.size, size), ends)) for size in (0, 1, 3, 12, 60)]
+    runs.append(np.array(ends))
+    point = np.arange(t.size)
     # the refined search's ceiling is m + h2(t), above m + S_AB
     for s_ab_max in (s_ab, bounds._H_GRID):
-        assert np.all(bounds._delta_cap(t, t[knots], s_a[knots], s_b[knots], m + s_ab_max) >= gap)
+        ceiling = m + s_ab_max
+        shared = []
+        for run in runs:
+            j = np.clip(np.searchsorted(run, point, side="right") - 1, 0, run.size - 2)
+            shared.append(bounds._delta_cap(t, j, t[run], s_a[run], s_b[run], ceiling))
+            assert np.all(shared[-1] >= gap)
+        # the runs end to end, each point between two of its run's points
+        # bounded as from that run alone
+        keys = np.concatenate([r * t.size + run for r, run in enumerate(runs)])
+        knots = np.concatenate(runs)
+        rows, i = np.nonzero([~np.isin(point, run) for run in runs])
+        j = np.searchsorted(keys, rows * t.size + i) - 1
+        flat = bounds._delta_cap(t[i], j, t[knots], s_a[knots], s_b[knots], ceiling[i])
+        assert flat.tolist() == [shared[r][k] for r, k in zip(rows.tolist(), i.tolist())]
 
 
 def test_mixture_entropy_is_at_most_binary_entropy():
@@ -684,8 +719,9 @@ def test_refined_search_eigendecomposes_few_grid_points(d, monkeypatch):
         )
         stacked.clear()
         _refine([p])
-        # one stacked call per side for each batch of grid points
-        assert 0 < sum(stacked) // 2 <= 64
+        # one stacked call per side for each grid level: 13-16 weights here,
+        # t = |alpha|^2 and the plain minimizer among them
+        assert 0 < sum(stacked) // 2 <= 20
 
 
 # -- L1/L2 and their maximum -------------------------------------------------------
@@ -1094,19 +1130,19 @@ def test_certify_eigendecomposes_the_audit_in_few_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     harness.random_audit(64, 6, seed=7)
-    # trial by trial this is 5,632 calls for the same 9,174 matrices; in
-    # lockstep each step makes one call per distinct dimension, 220 in all
-    assert sum(matrices) == 9174
+    # in lockstep each step makes one call per distinct dimension, 220 in all
+    # for 7,284 matrices
+    assert sum(matrices) == 7284
     assert len(calls) <= 250
-    # a single problem makes the calls it made before the batch search: one
-    # per side for t = |alpha|^2, the knots and the unpruned grid points,
-    # and one per side at each golden-section point
+    # a single problem makes one call per side for each grid level, the
+    # first of them with t = |alpha|^2 and the plain minimizer, and one per
+    # side at each golden-section point
     calls.clear()
     certify(harness.haar_random_state(4, 4, 1), harness.haar_random_state(4, 4, 2), 0.6, 0.8)
     assert len(calls) <= 88
     # dense pairs, whose refined grid the certified floor mostly prunes; the
     # one-sided ones need the ceiling m + h2(t) to prune this much
-    for kind, recorded in (("one_sided", 546), ("haar", 556)):
+    for kind, recorded in (("one_sided", 432), ("haar", 440)):
         matrices.clear()
         for seed in range(4):
             if kind == "one_sided":

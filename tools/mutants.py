@@ -150,6 +150,22 @@ MUTANTS = (
         "so it can skip a grid point that holds the minimum",
     ),
     Mutant(
+        "pruned-best-over-bounds",
+        "bounds.py",
+        "best = values[:, _KNOTS].min(axis=1)",
+        "best = values.min(axis=1)",
+        "the refined search takes its best grid value over bounds as well as "
+        "computed values, so it rules out points that may hold the grid minimum",
+    ),
+    Mutant(
+        "pruned-stops-early",
+        "bounds.py",
+        "if rows.size:\n        s_a, s_b = stack.entropies(rows, t[i])",
+        "if False:\n        s_a, s_b = stack.entropies(rows, t[i])",
+        "the points still in doubt after the refined search's last level keep "
+        "their bounds as grid values, so the grid minimum can be a bound",
+    ),
+    Mutant(
         "lane-np-log",
         "rng.py",
         "log = np.fromiter(map(math.log, r2.tolist()), np.float64, r2.size)",
