@@ -13,15 +13,20 @@ LANE_MIN_VARIATES variates runs the polar method one pair at a time in
 Python (``gaussians``' loop, the reference).  A larger draw cuts the stream
 into lanes of LANE_STEPS outputs each: the state update is linear over
 GF(2), so the jump J = T^LANE_STEPS (T: one step) is a 256 x 256 bit matrix
-and lane i starts at J^i s.  Numpy steps every lane at once, the outputs
-are read back in stream order, and the polar method runs on whole arrays.
-Every float operation in it is exact or correctly rounded, so it gives the
-loop's floats; the logarithm is not (``np.log`` differs from ``math.log``
-in the last bit on about 0.35 % of arguments), so ``math.log`` is taken
-once per accepted pair.  The generator's state and spare end where the loop
-would leave them.  The jump products are XORs of table rows indexed by the
+and lane i starts at J^i s.  The starts double: while there are k of them,
+J^(2^l), for the largest 2^l <= k with l < JUMP_LEVELS, maps the last 2^l
+to the next 2^l, so past 128 starts J^128 adds whole blocks of 128.  Numpy
+steps every lane at once, the outputs are read back in stream order, and
+the polar method runs on whole arrays.  Every float operation in it is
+exact or correctly rounded, so it gives the loop's floats; the logarithm is
+not (``np.log`` differs from ``math.log`` in the last bit on about 0.35 %
+of arguments), so ``math.log`` is taken once per accepted pair.  A draw
+runs in passes of at most LANE_CHUNK variates, each planned for the pairs
+still wanted and resuming the stream just after the last pair the one
+before used, so the generator's state and spare end where the loop would
+leave them.  The jump products are XORs of table rows indexed by the
 state's 4-bit nibbles, not matrix products, so no BLAS call (and none of
-its threads) is involved; the tables (96 KiB) are built on the first lane
+its threads) is involved; the tables (256 KiB) are built on the first lane
 draw, in about 3 ms, never at import.
 """
 
@@ -53,19 +58,18 @@ LANE_MIN_VARIATES = 512
 # 0.65/0.93/7.55 ms at B = 16, 0.77/1.02/6.42 at 32, 1.09/1.31/6.34 at 64
 # and 1.70/1.97/6.78 at 128 (same host).
 LANE_STEPS = 32
-# Variates per lane pass (even, so a chunk leaves no spare but the last).
-# It bounds the temporaries: a full pass steps 1,337 lanes and holds about
-# 2 MB of arrays at once.  A 65,884-variate draw took 23.3, 16.6, 15.1,
-# 14.3 and 14.7 ms in chunks of 2^12 .. 2^16 (medians of 15).
+# Variates per lane pass, at most.  It bounds the temporaries: a full pass
+# steps 1,337 lanes and holds about 2 MB of arrays at once.  A
+# 65,884-variate draw took 23.3, 16.6, 15.1, 14.3 and 14.7 ms in chunks of
+# 2^12 .. 2^16 (medians of 15).
 LANE_CHUNK = 2**15
-# Lane starts come from LANE_LEVELS tables, of J, J^LANE_GROUP, J^(LANE_GROUP^2)
-# ...: the coarsest steps one start at a time, and each finer one fills the
-# gaps of all starts so far at once.  A full pass's 1,337 starts took
-# 1.51 ms with two tables (J, J^16; 64 KiB), 1.10 ms with three (J, J^8,
-# J^64; 96 KiB), 1.12 ms with four of J^(4^l) and 1.00 ms with five
-# (160 KiB) (medians of 25).
-LANE_GROUP = 8
-LANE_LEVELS = 3
+# Lane starts come from tables of J^(2^l), l < JUMP_LEVELS (32 KiB each),
+# so past 2^(JUMP_LEVELS - 1) = 128 starts each jump adds a block of 128.
+# A full pass's 1,337 starts took 1.14, 0.84, 0.75 and 1.00 ms with 6, 7, 8
+# and 9 tables (least of 50, median of 3 alternating rounds, same host):
+# a block's gathered table rows, 64 x 4 words per start, outgrow the cache
+# at 256 starts.  Eight tables fill the 256 KiB that the tests allow.
+JUMP_LEVELS = 8
 # A lane pass draws this many standard deviations of the polar method's
 # attempt count beyond its mean; when fewer pairs are accepted (about once
 # in 10^12 passes) a second pass draws the rest.
@@ -131,38 +135,36 @@ def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _jump_tables() -> tuple[np.ndarray, ...]:
-    """Lookup tables of J^(LANE_GROUP^l), l = 0 .. LANE_LEVELS - 1, with
+    """Lookup tables of J^(2^l), l = 0 .. JUMP_LEVELS - 1, with
     J = T^LANE_STEPS, built on the first lane draw: J's images of the 256
     state bits are those bits' states stepped LANE_STEPS times, and each
-    next table's images are the last one's mapped LANE_GROUP - 1 more times
-    by the last table."""
+    next table's images are the last one's mapped once more by the last
+    table."""
     bit = np.arange(256)
     state = np.zeros((4, 256), np.uint64)
     state[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
     _step_lanes(state, LANE_STEPS)
     images = state.T.copy()
     tables = [_nibble_table(images)]
-    for _ in range(LANE_LEVELS - 1):
-        for _ in range(LANE_GROUP - 1):
-            images = _apply(tables[-1], images)
+    for _ in range(JUMP_LEVELS - 1):
+        images = _apply(tables[-1], images)
         tables.append(_nibble_table(images))
     return tuple(tables)
 
 
 def _lane_starts(state: list[int], lanes: int) -> np.ndarray:
     """The states (lanes x 4 uint64) LANE_STEPS, 2 LANE_STEPS, ... outputs
-    apart, the first being ``state``.  From the coarsest table down, each
-    start so far is followed by the starts its table reaches in up to
-    LANE_GROUP - 1 jumps (the coarsest one jumps as often as it must)."""
-    starts = np.array([state], np.uint64)
-    for level, table in reversed(tuple(enumerate(_jump_tables()))):
-        count = -(-lanes // LANE_GROUP**level)
-        reach = count if len(starts) == 1 else LANE_GROUP
-        grown = np.empty((len(starts), reach, 4), np.uint64)
-        grown[:, 0] = starts
-        for a in range(1, reach):
-            grown[:, a] = _apply(table, grown[:, a - 1])
-        starts = grown.reshape(-1, 4)[:count]
+    apart, the first being ``state``.  While there are k starts, the table
+    of J^(2^l), for the largest 2^l <= k with l < JUMP_LEVELS, maps the last
+    2^l of them to the next 2^l (fewer at the end)."""
+    starts = np.empty((lanes, 4), np.uint64)
+    starts[0] = state
+    done = 1
+    while done < lanes:
+        level = min(done.bit_length(), JUMP_LEVELS) - 1
+        new = min(1 << level, lanes - done)
+        starts[done : done + new] = _apply(_jump_tables()[level], starts[done - (1 << level) :][:new])
+        done += new
     return starts
 
 
@@ -287,27 +289,17 @@ class Xoshiro256StarStar:
         return out
 
     def _lane_gaussians(self, n: int) -> np.ndarray:
-        """``gaussians(n)`` as an array, by lane passes of at most
-        LANE_CHUNK variates."""
-        out = np.empty(n)
-        start = 0
-        if self._spare_gaussian is not None:
-            out[0], self._spare_gaussian, start = self._spare_gaussian, None, 1
-        for lo in range(start, n, LANE_CHUNK):
-            m = min(LANE_CHUNK, n - lo)
-            pairs = self._lane_pairs((m + 1) // 2)
-            out[lo : lo + m] = pairs.ravel()[:m]
-            if m % 2:
-                self._spare_gaussian = float(pairs[-1, 1])
-        return out
-
-    def _lane_pairs(self, n_pairs: int) -> np.ndarray:
-        """The next ``n_pairs`` accepted polar pairs (n_pairs x 2), the
-        state left just after the last one's uniforms."""
-        pairs = np.empty((n_pairs, 2))
+        """``gaussians(n)`` as an array, by lane passes.  Each pass plans
+        the pairs still wanted, at most LANE_CHUNK / 2, and leaves the state
+        just after its last accepted pair if it has them all, else after its
+        last uniforms; so a pass that falls short and a chunk boundary are
+        the same case, and the next pass draws the rest."""
+        out = np.empty(n + 1)  # the last pair may end one past n: the spare
         done = 0
-        while done < n_pairs:
-            need = n_pairs - done
+        if self._spare_gaussian is not None:
+            out[0], self._spare_gaussian, done = self._spare_gaussian, None, 1
+        while done < n:
+            need = min((n - done + 1) // 2, LANE_CHUNK // 2)
             # attempts per pair: mean 1/p, standard deviation sqrt(1 - p)/p
             attempts = (need + OVERDRAW_SD * math.sqrt(need * (1.0 - _POLAR_ACCEPT))) / _POLAR_ACCEPT
             starts = _lane_starts(self._s, math.ceil(2.0 * attempts / LANE_STEPS))
@@ -317,14 +309,16 @@ class Xoshiro256StarStar:
             accepted = np.flatnonzero((r2 > 0.0) & (r2 < 1.0))[:need]
             r2 = r2[accepted]
             log = np.fromiter(map(math.log, r2.tolist()), np.float64, r2.size)
-            pairs[done : done + r2.size] = uv[accepted] * np.sqrt(-2.0 * log / r2)[:, None]
-            done += r2.size
-            used = 2 * (int(accepted[-1]) + 1) if done == n_pairs else 2 * len(uv)
+            out[done : done + 2 * r2.size] = (uv[accepted] * np.sqrt(-2.0 * log / r2)[:, None]).ravel()
+            done += 2 * r2.size
+            used = 2 * (int(accepted[-1]) + 1) if r2.size == need else 2 * len(uv)
             lane, steps = divmod(used, LANE_STEPS)
             self._s = [int(w) for w in (starts[lane] if lane < len(starts) else end)]
             for _ in range(steps):
                 self.next_u64()
-        return pairs
+        if done > n:
+            self._spare_gaussian = float(out[n])
+        return out[:n]
 
     def complex_gaussian_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Matrix of i.i.d. standard complex Gaussians (row-major draw order,

@@ -322,13 +322,18 @@ def test_f_domain_error():
         (minimize_f_scalar, (1.0, 1.0, 0.5, 1e-12)),
         (lower_value, (0.5, 1.0, 1.0, 1e12, 0.0, "L1")),
         (maximize_lower_scalar, (1.0, 1.0, 0.5, 1e12)),
+        # just past MAX_ENTANGLEMENT = 1e6, an entanglement and a delta_s
+        (f_upper_value, (0.5, 1.000000001e6, 1.0, 0.5, 1.0)),
+        (f_upper_value, (0.5, 1.0, 1.0, 0.5, 1.0, -1.000000001e6)),
+        (lower_value, (0.5, 1.0, 1.000000001e6, 0.5, 0.5, "L1")),
+        (bounds.theorem2_upper_value, (1.0, 1.0, 0.5, 1.0, 1.000000001e6)),
     ],
 )
 def test_bad_scalar_arguments_raise_domain_error(fn, args):
-    # entanglements finite and >= 0, N^2 finite and > 1e-12, |alpha|^2 a
-    # weight, a' and b' finite, >= 0 and < 1e12, t inside the window, all
-    # checked before any arithmetic: no ZeroDivisionError, no numpy warning,
-    # no NonFiniteObjective from inside a search
+    # entanglements finite, >= 0 and <= 1e6, N^2 finite and > 1e-12,
+    # |alpha|^2 a weight, a' and b' finite, >= 0 and < 1e12, t inside the
+    # window, all checked before any arithmetic: no ZeroDivisionError, no
+    # numpy warning, no NonFiniteObjective from inside a search
     with pytest.raises(DomainError):
         fn(*args)
 

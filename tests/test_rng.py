@@ -161,12 +161,43 @@ def test_a_lane_pass_that_falls_short_draws_the_rest(monkeypatch):
     assert [x.hex() for x in fast.gaussians(1001)] == [x.hex() for x in expected]
 
 
+# Lane counts at and next to the doublings of _lane_starts and its blocks of
+# 128 starts, and the largest pass's 1,337 lanes.
+JUMP_LANES = (1, 2, 3, 127, 128, 129, 255, 256, 257, 1337)
+
+
+def test_lane_starts_are_lane_steps_outputs_apart(monkeypatch):
+    for seed in (0, 5):
+        stepped = Xoshiro256StarStar(seed)
+        expected = []
+        for _ in range(max(JUMP_LANES)):
+            expected.append(stepped._s)
+            for _ in range(rng_module.LANE_STEPS):
+                stepped.next_u64()
+        state = Xoshiro256StarStar(seed)._s
+        for lanes in JUMP_LANES:
+            assert rng_module._lane_starts(state, lanes).tolist() == expected[:lanes], (seed, lanes)
+    # a pass of LANE_CHUNK variates, the largest, takes the last count
+    counts = []
+    lane_starts = rng_module._lane_starts
+
+    def counted(s, lanes):
+        counts.append(lanes)
+        return lane_starts(s, lanes)
+
+    monkeypatch.setattr(rng_module, "_lane_starts", counted)
+    Xoshiro256StarStar(1).gaussians(4 * rng_module.LANE_CHUNK)
+    assert max(counts) == JUMP_LANES[-1]
+
+
 def test_small_draws_build_no_jump_table():
+    # one cache entry of at most 256 KiB serves every lane draw
     code = (
         "from supent import harness, rng\n"
         "harness.haar_random_state(6, 6, 1)\n"
         "assert rng._jump_tables.cache_info().currsize == 0\n"
         "harness.haar_random_state(16, 16, 1)\n"
+        "harness.haar_random_state(128, 128, 1)\n"
         "assert rng._jump_tables.cache_info().currsize == 1\n"
         "assert sum(table.nbytes for table in rng._jump_tables()) <= 256 * 1024\n"
     )

@@ -176,7 +176,7 @@ MUTANTS = (
     Mutant(
         "lane-drops-spare",
         "rng.py",
-        "self._spare_gaussian = float(pairs[-1, 1])",
+        "self._spare_gaussian = float(out[n])",
         "self._spare_gaussian = None",
         "an odd lane draw drops the second variate of its last pair instead of "
         "keeping it for the next call",
@@ -184,10 +184,42 @@ MUTANTS = (
     Mutant(
         "lane-state-pair-short",
         "rng.py",
-        "used = 2 * (int(accepted[-1]) + 1) if done == n_pairs else 2 * len(uv)",
-        "used = 2 * int(accepted[-1]) if done == n_pairs else 2 * len(uv)",
+        "used = 2 * (int(accepted[-1]) + 1) if r2.size == need else 2 * len(uv)",
+        "used = 2 * int(accepted[-1]) if r2.size == need else 2 * len(uv)",
         "a lane draw leaves the generator's state one pair of outputs short, "
         "so the next draw repeats the last pair's uniforms",
+    ),
+    Mutant(
+        "lane-jump-late-block",
+        "rng.py",
+        "_apply(_jump_tables()[level], starts[done - (1 << level) :][:new])",
+        "_apply(_jump_tables()[level], starts[done - new : done])",
+        "a short last block of lane starts jumps from the last starts so far, not "
+        "the first of the last 2^l, so its lanes start at the wrong outputs",
+    ),
+    Mutant(
+        "entropy-rounding",
+        "bounds.py",
+        "ENTROPY_ROUNDING = 1e-9",
+        "ENTROPY_ROUNDING = 0.0",
+        "the refined search's pruning floor allows no rounding in the side "
+        "entropies, so it can rule out the grid point that holds the minimum",
+    ),
+    Mutant(
+        "lower-edge-rounding",
+        "bounds.py",
+        "LOWER_EDGE_ROUNDING = 1e-12",
+        "LOWER_EDGE_ROUNDING = 0.0",
+        "the lower search rules a branch out on a margin within rounding, so a "
+        "problem can get other bits than from searching both branches",
+    ),
+    Mutant(
+        "max-entanglement",
+        "bounds.py",
+        "MAX_ENTANGLEMENT = 1e6",
+        "MAX_ENTANGLEMENT = 1e300",
+        "the scalar layer takes entanglements and delta_s up to 1e300, where "
+        "its bounds overflow to inf",
     ),
 )
 
