@@ -705,7 +705,7 @@ def _report(stack, row, p, upper, lower) -> BoundReport:
     lps = lps_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq)
     t2 = theorem2_upper_value(p.e_psi, p.e_phi, p.alpha_sq, p.gamma_norm_sq, delta_s=s_a - s_b)
     low = max(0.0, raw)
-    one_sided = states.classify_orthogonality(stack, row).one_sided
+    one_sided = states.classify_orthogonality(stack, row)
     upper_min = min(lps, t2, t3, t3r)
     return BoundReport(
         exact_e=p.exact_e,

@@ -19,7 +19,6 @@ from .errors import DimMismatch, DomainError, NotNormalized, ZeroState
 
 __all__ = [
     "BipartiteState",
-    "OrthogonalityClass",
     "PairStack",
     "norm_squared",
     "inner_product",
@@ -92,27 +91,6 @@ class BipartiteState:
         mantissa, e = math.frexp(peak)
         scaled = np.ldexp(self.coeffs.view(float), -e).view(complex) / mantissa
         return BipartiteState(scaled / np.sqrt(np.vdot(scaled, scaled).real))
-
-
-@dataclass(frozen=True)
-class OrthogonalityClass:
-    """Orthogonality structure of a state pair.
-
-    ``one_sided_eq1``: the B-side reduced operators have orthogonal supports
-    (Tr[rho_B(psi) rho_B(phi)] = 0); ``one_sided_eq2`` likewise on the A
-    side; ``biorthogonal`` means both.
-    """
-
-    one_sided_eq1: bool
-    one_sided_eq2: bool
-
-    @property
-    def one_sided(self) -> bool:
-        return self.one_sided_eq1 or self.one_sided_eq2
-
-    @property
-    def biorthogonal(self) -> bool:
-        return self.one_sided_eq1 and self.one_sided_eq2
 
 
 class PairStack:
@@ -251,19 +229,18 @@ def entanglement_entropies(states) -> list[float]:
     return out
 
 
-def classify_orthogonality(stack: PairStack, row: int) -> OrthogonalityClass:
-    """Classify pair ``row`` of ``stack`` per the reduced-support overlap on
-    each side.
+def classify_orthogonality(stack: PairStack, row: int) -> bool:
+    """Whether pair (psi, phi) in row ``row`` of ``stack`` is one-sided
+    orthogonal: Tr[rho_B(psi) rho_B(phi)] = 0 (the paper's Eq. 1) or
+    Tr[rho_A(psi) rho_A(phi)] = 0 (Eq. 2), each trace overlap counting as 0
+    when it is at most ORTHOGONALITY_TOL.
 
-    A side counts as orthogonal when the trace overlap Tr[rho(psi) rho(phi)]
-    of its two reduced operators is at most ORTHOGONALITY_TOL.
-    One-sidedness on either side implies ordinary orthogonality of the
-    states themselves.
+    Either condition implies ordinary orthogonality of the states
+    themselves, and either gives Lemma 1's closed form.
     """
-    (a1, a2), (b1, b2) = stack.operators(row)
-    return OrthogonalityClass(
-        one_sided_eq1=_trace_overlap(b1, b2) <= ORTHOGONALITY_TOL,
-        one_sided_eq2=_trace_overlap(a1, a2) <= ORTHOGONALITY_TOL,
+    return any(
+        float(np.einsum("ij,ji->", rho1, rho2).real) <= ORTHOGONALITY_TOL
+        for rho1, rho2 in stack.operators(row)
     )
 
 
@@ -287,8 +264,3 @@ def _check_dims(s1: BipartiteState, s2: BipartiteState) -> None:
         raise DimMismatch(
             f"states live on {s1.coeffs.shape} vs {s2.coeffs.shape}"
         )
-
-
-def _trace_overlap(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Tr[rho1 rho2] of two reduced operators on the same side."""
-    return float(np.einsum("ij,ji->", rho1, rho2).real)

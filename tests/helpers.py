@@ -33,6 +33,15 @@ def entanglement_entropy(s):
     return states.entanglement_entropies([s])[0]
 
 
+def trace_overlaps(psi, phi):
+    """(Tr[rho_A(psi) rho_A(phi)], Tr[rho_B(psi) rho_B(phi)]), the per-side
+    facts behind ``states.classify_orthogonality``'s one flag."""
+    return tuple(
+        float(np.trace(states.reduced_density(psi, side) @ states.reduced_density(phi, side)).real)
+        for side in "AB"
+    )
+
+
 def serialize_state(state, label=None):
     """A state file's text for ``state``."""
     return json.dumps(harness.state_document(state, label), indent=2) + "\n"

@@ -15,6 +15,7 @@ from helpers import (
     random_sphere_pair,
     random_state,
     random_unitary,
+    trace_overlaps,
 )
 from supent import bounds, harness, optimize, qmath, states
 from supent.bounds import (
@@ -194,17 +195,22 @@ def test_exact_one_sided_matches_direct_entropy():
 @pytest.mark.parametrize("d", [32, 64])
 def test_one_sided_pair_in_a_rotated_basis_keeps_lemma1(d):
     # Haar unitaries on both sides move the pair off the computational basis;
-    # its B-side supports stay orthogonal, its A-side ones overlap by ~1/d
+    # its B-side supports stay orthogonal, its A-side ones overlap by ~1/d.
+    # The transposed pair is one-sided on the A side only.
     rng = np.random.default_rng(d)
     u_a, u_b = random_unitary(rng, d), random_unitary(rng, d)
     psi, phi = (
         BipartiteState(u_a @ s.coeffs @ u_b.T) for s in harness.generate_one_sided_pair(d // 2, d // 2, d, d)
     )
-    kind = states.classify_orthogonality(states.PairStack([(psi, phi)]), 0)
-    assert kind.one_sided_eq1 and not kind.one_sided_eq2
     alpha, beta = random_sphere_pair(rng)
-    report = certify(psi, phi, alpha, beta)
-    assert report.exact_one_sided == pytest.approx(report.exact_e, abs=1e-9)
+    transposed = BipartiteState(psi.coeffs.T), BipartiteState(phi.coeffs.T)
+    for pair, (orthogonal, overlapping) in (((psi, phi), (1, 0)), (transposed, (0, 1))):
+        overlaps = trace_overlaps(*pair)
+        assert overlaps[orthogonal] <= states.ORTHOGONALITY_TOL
+        assert 0.5 / d < overlaps[overlapping] < 2.0 / d
+        assert states.classify_orthogonality(states.PairStack([pair]), 0) is True
+        report = certify(*pair, alpha, beta)
+        assert report.exact_one_sided == pytest.approx(report.exact_e, abs=1e-9)
 
 
 def test_exact_one_sided_absent_for_overlapping_pairs():
@@ -212,7 +218,7 @@ def test_exact_one_sided_absent_for_overlapping_pairs():
     pairs = [harness.overlapping_triple_pair()]
     pairs += [(random_state(rng, 3, 4), random_state(rng, 3, 4)) for _ in range(3)]
     for psi, phi in pairs:
-        assert not states.classify_orthogonality(states.PairStack([(psi, phi)]), 0).one_sided
+        assert states.classify_orthogonality(states.PairStack([(psi, phi)]), 0) is False
         assert certify(psi, phi, INV_SQRT2, INV_SQRT2).exact_one_sided is None
 
 
@@ -970,6 +976,23 @@ def test_subspace_lower_random_pairs_below_exact_scan():
         assert value <= _exact_subspace_scan(psi, phi, grid_n) + 1e-6
 
 
+def test_subspace_lower_on_a_two_point_grid_keeps_the_ends():
+    # grid_n = 2 visits only psi and phi themselves (p = 0 and 1), so the scan
+    # never hits 0 and returns its least value: min(E(psi), E(phi)), less the
+    # window-edge loss (T_EPS / (1 - T_EPS)) E + h2(T_EPS), about 3.2e-8
+    omega = np.exp(2j * math.pi / 3.0)
+    pairs = [
+        (np.diag([1.0, 1.0]) / math.sqrt(2.0), np.diag([1.0, -1.0]) / math.sqrt(2.0)),
+        (np.eye(3) / math.sqrt(3.0), np.diag([1.0, omega, omega**2]) / math.sqrt(3.0)),
+    ]
+    for c1, c2 in pairs:
+        psi, phi = BipartiteState(c1), BipartiteState(c2)
+        least = min(entanglement_entropy(psi), entanglement_entropy(phi))
+        value = subspace_lower(psi, phi, 2)
+        assert 0.0 < value <= least
+        assert value == pytest.approx(least, abs=1e-7)
+
+
 def test_subspace_lower_takes_an_integer_grid_up_to_the_cap(monkeypatch):
     psi, phi = harness.bell_block_pair()
     assert subspace_lower(psi, phi, np.int64(3)) == subspace_lower(psi, phi, 3)
@@ -1202,6 +1225,76 @@ def test_phase_invariance_for_orthogonal_pairs():
                 assert getattr(rotated, field) == pytest.approx(
                     getattr(base, field), abs=1e-9
                 ), field
+
+
+# Budgets of the invariance tests below, those of the kernel-rounding
+# companions in test_report_bits.py: a report's floats (ebit) and its t* (a
+# flat optimum).  Over _invariance_quads' 60 pairs on a SkylakeX host, the
+# exchange moved values by at most 1.0e-14 and t*_upper by 1.2e-8, with
+# t*_lower identical; local unitaries moved values by at most 9.8e-15,
+# t*_upper by 1.1e-8 and t*_lower by 2.0e-9.
+INVARIANCE_VALUE_TOL = 1e-12
+INVARIANCE_T_STAR_TOL = 1e-6
+_REPORT_VALUES = [
+    f.name for f in dataclasses.fields(bounds.BoundReport) if f.name not in ("t_star_upper", "t_star_lower", "branch", "sane")
+]
+
+
+def _invariance_quads():
+    """60 Haar pairs with d_A, d_B in 2..8 and weights on the sphere, each
+    with Haar unitaries (U_A, U_B) for its side."""
+    rng = np.random.default_rng(5)
+    quads, unitaries = [], []
+    for _ in range(60):
+        dim_a, dim_b = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        quads.append((random_state(rng, dim_a, dim_b), random_state(rng, dim_a, dim_b), *random_sphere_pair(rng)))
+        unitaries.append((random_unitary(rng, dim_a), random_unitary(rng, dim_b)))
+    return quads, unitaries
+
+
+def _assert_same_values(report, other):
+    for name in _REPORT_VALUES:
+        mine, theirs = getattr(report, name), getattr(other, name)
+        if mine is None or theirs is None:
+            assert mine is theirs, name
+        else:
+            assert abs(mine - theirs) <= INVARIANCE_VALUE_TOL, name
+    assert report.sane == other.sane
+
+
+def test_exchanging_the_two_states_and_weights_keeps_every_bound():
+    # certify(phi, psi, beta, alpha) is the same superposition: t*_upper, the
+    # weight on the first state, maps to 1 - t*_upper, and L1 and L2 trade
+    # places, with the lower optimum at the same t
+    quads, _ = _invariance_quads()
+    reports = certify_many(SuperpositionProblem.from_states_many(quads))
+    exchanged = certify_many(
+        SuperpositionProblem.from_states_many([(phi, psi, beta, alpha) for psi, phi, alpha, beta in quads])
+    )
+    assert sum(r.lower_l > 0.0 for r in reports) > 0
+    for report, other in zip(reports, exchanged):
+        _assert_same_values(report, other)
+        assert abs(other.t_star_upper - (1.0 - report.t_star_upper)) <= INVARIANCE_T_STAR_TOL
+        assert abs(other.t_star_lower - report.t_star_lower) <= INVARIANCE_T_STAR_TOL
+        assert {report.branch, other.branch} == {"L1", "L2"}
+
+
+def test_local_unitaries_keep_every_bound():
+    quads, unitaries = _invariance_quads()
+    reports = certify_many(SuperpositionProblem.from_states_many(quads))
+    rotated = certify_many(
+        SuperpositionProblem.from_states_many(
+            [
+                (BipartiteState(u_a @ psi.coeffs @ u_b.T), BipartiteState(u_a @ phi.coeffs @ u_b.T), alpha, beta)
+                for (psi, phi, alpha, beta), (u_a, u_b) in zip(quads, unitaries)
+            ]
+        )
+    )
+    for report, other in zip(reports, rotated):
+        _assert_same_values(report, other)
+        assert abs(other.t_star_upper - report.t_star_upper) <= INVARIANCE_T_STAR_TOL
+        assert abs(other.t_star_lower - report.t_star_lower) <= INVARIANCE_T_STAR_TOL
+        assert other.branch == report.branch
 
 
 def test_certify_propagates_zero_state():

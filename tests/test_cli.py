@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from helpers import patch_reports, serialize_state
+import supent
 from supent import bounds, harness
 from supent.cli import cli_main
 from supent.harness import bell_block_pair
@@ -107,6 +112,32 @@ def test_unknown_command(capsys):
 
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
+    # and so does the module's entry point, main()
+    src = pathlib.Path(supent.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-m", "supent.cli", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert "usage" in run.stdout.lower()
+
+
+def test_malformed_number_flags_exit_1(block_pair_files, tmp_path, capsys):
+    psi_path, phi_path = block_pair_files
+    analyze = ["analyze", "--psi", psi_path, "--phi", phi_path, "--beta", "0"]
+    sweep = ["sweep", "--family", "example3", "--out", str(tmp_path / "sweep.csv")]
+    cases = (
+        (analyze + ["--alpha", "1,2,3"], "expected RE or RE,IM"),
+        (analyze + ["--alpha", "abc"], "bad complex number"),
+        (sweep + ["--dims", "a,b"], "bad dimension list"),
+        (sweep + ["--dims", ","], "dimension list is empty"),
+    )
+    for argv, message in cases:
+        code = cli_main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert f"error: argument --{argv[-2][2:]}: {message}" in err, argv
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_examples_command(capsys):

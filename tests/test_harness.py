@@ -14,6 +14,7 @@ from helpers import (
     family_state_probs,
     patch_reports,
     serialize_state,
+    trace_overlaps,
 )
 from supent import bounds, harness, qmath, states
 from supent.errors import DimError, DomainError, ParseError
@@ -87,6 +88,12 @@ def test_parse_rejects_bad_fields():
         parse_state_file(json.dumps({"dim_a": 2, "dim_b": 2, "entries": "nope"}))
     with pytest.raises(ParseError, match="entry 0"):
         parse_state_file(json.dumps({"dim_a": 2, "dim_b": 2, "entries": [[0, 0, 1.0]]}))
+    with pytest.raises(ParseError, match="top-level value must be an object"):
+        parse_state_file(json.dumps([{"dim_a": 2, "dim_b": 2, "entries": []}]))
+    with pytest.raises(ParseError, match="field 'label' must be a string"):
+        parse_state_file(json.dumps({"dim_a": 2, "dim_b": 2, "entries": [], "label": 7}))
+    with pytest.raises(ParseError, match="entry 0: indices must be integers"):
+        parse_state_file(json.dumps({"dim_a": 2, "dim_b": 2, "entries": [[0, 1.0, 1.0, 0.0]]}))
     # a bool is an int to Python, but no amplitude: [0, 0, true, false] is not 1
     for entry in ([0, 0, True, 0.0], [0, 0, 1.0, False]):
         with pytest.raises(ParseError, match="entry 1: amplitudes"):
@@ -140,8 +147,8 @@ def test_haar_ensemble_mean_matches_independent_sampler():
 def test_one_sided_generator_classification():
     for seed in range(10):
         psi, phi = generate_one_sided_pair(2, 3, 3, seed)
-        cls = states.classify_orthogonality(states.PairStack([(psi, phi)]), 0)
-        assert cls.one_sided_eq1
+        assert states.classify_orthogonality(states.PairStack([(psi, phi)]), 0) is True
+        assert trace_overlaps(psi, phi)[1] <= states.ORTHOGONALITY_TOL
         assert states.norm_squared(psi) == pytest.approx(1.0, abs=1e-9)
         assert states.norm_squared(phi) == pytest.approx(1.0, abs=1e-9)
 
@@ -152,7 +159,8 @@ def test_one_sided_generator_single_term_blocks():
     psi, phi = generate_one_sided_pair(1, 1, 2, seed=3)
     assert entanglement_entropy(psi) == pytest.approx(0.0, abs=1e-9)
     assert entanglement_entropy(phi) == pytest.approx(0.0, abs=1e-9)
-    assert states.classify_orthogonality(states.PairStack([(psi, phi)]), 0).one_sided_eq1
+    assert states.classify_orthogonality(states.PairStack([(psi, phi)]), 0) is True
+    assert trace_overlaps(psi, phi)[1] <= states.ORTHOGONALITY_TOL
 
 
 def test_one_sided_generator_block_structure():

@@ -165,3 +165,6 @@ def test_lockstep_non_finite_value_names_its_point():
     c = xs[1] - xs[1] * (math.sqrt(5.0) - 1.0) / 2.0
     with pytest.raises(NonFiniteObjective, match=re.escape(f"nan at x={c!r}") + "$"):
         minimize_many(f, xs, grid)
+    # a lone search steps on plain floats and names its point the same way
+    with pytest.raises(NonFiniteObjective, match=re.escape(f"nan at x={c!r}") + "$"):
+        minimize_many(lambda r, x: math.nan, xs, grid[1:])

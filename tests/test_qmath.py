@@ -75,6 +75,17 @@ def test_check_integer_takes_integers_in_range_only():
         check_integer(0, 3, NotNormalized, x=4)
 
 
+def test_matrix_checks_reject_1d_and_non_finite_input():
+    for check, shape_word in ((qmath.as_complex_matrix, "2-D matrix"), (singular_values, "stack of them")):
+        with pytest.raises(DomainError, match=shape_word):
+            check(np.ones(3))
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            m = np.eye(2, dtype=complex)
+            m[1, 0] = bad
+            with pytest.raises(DomainError, match="entries must be finite"):
+                check(m)
+
+
 def test_singular_values_bell_coefficients():
     sv = singular_values(np.eye(2) / math.sqrt(2.0))
     assert np.allclose(sv, [1 / math.sqrt(2)] * 2, atol=1e-12)

@@ -9,6 +9,7 @@ from helpers import (
     random_state,
     random_sphere_pair,
     random_unitary,
+    trace_overlaps,
 )
 from supent import harness, qmath, states
 from supent.errors import DimMismatch, DomainError, NotNormalized, ZeroState
@@ -253,31 +254,31 @@ def test_entanglement_local_unitary_invariant():
 
 def test_classify_biorthogonal_products():
     psi, phi = basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)
-    cls = classify_orthogonality(PairStack([(psi, phi)]), 0)
-    assert cls.biorthogonal and cls.one_sided_eq1 and cls.one_sided_eq2
+    assert classify_orthogonality(PairStack([(psi, phi)]), 0) is True
+    assert max(trace_overlaps(psi, phi)) <= states.ORTHOGONALITY_TOL
     assert abs(inner_product(psi, phi)) <= 1e-12
 
 
 def test_classify_block_pair_one_sided_only():
     psi, phi = harness.bell_block_pair()
-    cls = classify_orthogonality(PairStack([(psi, phi)]), 0)
-    assert cls.one_sided_eq1
-    assert not cls.one_sided_eq2
-    assert not cls.biorthogonal
+    assert classify_orthogonality(PairStack([(psi, phi)]), 0) is True
+    overlap_a, overlap_b = trace_overlaps(psi, phi)
+    assert overlap_b <= states.ORTHOGONALITY_TOL
+    assert overlap_a > states.ORTHOGONALITY_TOL
     assert abs(inner_product(psi, phi)) <= 1e-12
 
 
 def test_classify_identical_states():
-    cls = classify_orthogonality(PairStack([(bell_state(), bell_state())]), 0)
-    assert not cls.one_sided_eq1 and not cls.one_sided_eq2 and not cls.biorthogonal
+    assert classify_orthogonality(PairStack([(bell_state(), bell_state())]), 0) is False
+    assert min(trace_overlaps(bell_state(), bell_state())) > states.ORTHOGONALITY_TOL
     assert inner_product(bell_state(), bell_state()) == pytest.approx(1.0)
 
 
 def test_one_sided_implies_orthogonal():
     for seed in range(6):
         psi, phi = harness.generate_one_sided_pair(2, 3, 3, seed)
-        cls = classify_orthogonality(PairStack([(psi, phi)]), 0)
-        assert cls.one_sided_eq1
+        assert classify_orthogonality(PairStack([(psi, phi)]), 0) is True
+        assert trace_overlaps(psi, phi)[1] <= states.ORTHOGONALITY_TOL
         assert abs(inner_product(psi, phi)) <= 1e-9
 
 
@@ -565,5 +566,5 @@ def test_a_small_trace_overlap_on_both_sides_is_not_one_sided():
     eps = math.sqrt(1e-5)
     psi = BipartiteState(np.diag([1.0, 0.0]).astype(complex))
     phi = BipartiteState(np.diag([eps, math.sqrt(1.0 - eps**2)]).astype(complex))
-    cls = classify_orthogonality(PairStack([(psi, phi)]), 0)
-    assert (cls.one_sided_eq1, cls.one_sided_eq2) == (False, False)
+    assert classify_orthogonality(PairStack([(psi, phi)]), 0) is False
+    assert min(trace_overlaps(psi, phi)) > states.ORTHOGONALITY_TOL

@@ -106,6 +106,14 @@ MUTANTS = (
         "a side with a trace overlap up to 1e-3 counts as orthogonal",
     ),
     Mutant(
+        "one-sided-ignores-a-side",
+        "states.py",
+        "for rho1, rho2 in stack.operators(row)",
+        "for rho1, rho2 in stack.operators(row)[1:]",
+        "classify_orthogonality reads the B side only, so a pair one-sided on "
+        "the A side alone gets no Lemma 1 value",
+    ),
+    Mutant(
         "parallel-tol",
         "bounds.py",
         "PARALLEL_TOL = 1e-9",
@@ -118,6 +126,14 @@ MUTANTS = (
         "ZERO_NORM_SQ = 1e-12",
         "ZERO_NORM_SQ = 1e-6",
         "a superposition with N^2 up to 1e-6 counts as fully destructive",
+    ),
+    Mutant(
+        "subspace-returns-zero",
+        "bounds.py",
+        "                return 0.0\n    return best",
+        "                return 0.0\n    return 0.0",
+        "subspace_lower returns 0 when its scan never reaches 0, so it "
+        "certifies nothing on any span",
     ),
     Mutant(
         "no-cap",
