@@ -27,7 +27,7 @@ from . import bounds, qmath
 from .bounds import SuperpositionProblem
 from .errors import DimError, DomainError, ParseError
 from .qmath import binary_entropy, check_integer
-from .rng import Xoshiro256StarStar
+from .rng import LANE_MIN_VARIATES, Xoshiro256StarStar, _stream_gaussians
 from .states import BipartiteState
 
 __all__ = [
@@ -54,9 +54,10 @@ DEFAULT_SEED = 0x5EED
 # matrix takes 256 MiB.
 MAX_STATE_DIM = 4096
 
-# Most state coefficients (psi and phi) in one batch of audit trials; a larger
-# trial is its own batch.  At max-dim 6 a batch holds about 250 trials, whose
-# (trials x 257) grid arrays take 0.5 MiB each; 2^16 was only 4 % faster.
+# Most state coefficients (psi and phi) in one batch of audit trials, which
+# are drawn and certified together; a larger trial is its own batch.  At
+# max-dim 6 a batch holds about 250 trials, whose (trials x 257) grid arrays
+# take 0.5 MiB each; 2^16 was only 4 % faster.
 AUDIT_BATCH_COEFFS = 2**13
 
 # Largest sweep dimension d: a record peaks at about 8 d bytes (32 MiB).
@@ -186,7 +187,10 @@ def haar_random_state(dim_a: int, dim_b: int, seed: int) -> BipartiteState:
 
 
 def _haar_state(rng: Xoshiro256StarStar, dim_a: int, dim_b: int) -> BipartiteState:
-    g = rng.complex_gaussian_matrix(dim_a, dim_b)
+    return _unit_state(rng.complex_gaussian_matrix(dim_a, dim_b))
+
+
+def _unit_state(g: np.ndarray) -> BipartiteState:
     return BipartiteState(g / np.linalg.norm(g))
 
 
@@ -716,25 +720,71 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
 def _audit_draws(n_trials: int, max_dim: int, seed: int):
     """(trial, psi, phi, alpha, beta) of each trial, from its own stream.
 
-    The coefficients' norm is never 0.  The two Gaussians of z1 come from one
-    accepted polar pair (u, v) with 0 < u^2 + v^2 < 1: the stream is a fresh
-    ``spawn``, and each of the two matrix draws before z1 takes an even count
-    of Gaussians (2 rows cols, in even chunks), so no spare variate is left
-    over.  u and v are multiples of 2^-52, one of them nonzero, so it is at
-    least 2^-52 in size, and the polar factor sqrt(-2 ln(r2) / r2) with
-    r2 <= 1 - 2^-53 is at least 2^-26.  So |z1|^2 >= 2^-156 > 0.
+    Each trial's ``spawn`` stream gives d_A and d_B, then psi and phi, then
+    the Gaussians of z1 and z2, as ``gaussian()`` draws them: 2 d_A d_B + 2
+    accepted polar pairs.  The trials are drawn in the batches that
+    ``_certified`` certifies.  A batch's trials whose matrices the loop
+    draws (2 d_A d_B < LANE_MIN_VARIATES) are drawn together, one numpy
+    lane per stream (``rng._stream_gaussians``); a larger trial, or a
+    stream that comes up short, is drawn on its own.
+
+    The coefficients' norm is never 0.  z1 is the pair after psi's and
+    phi's pairs, one accepted polar pair (u, v) with 0 < u^2 + v^2 < 1, so
+    no spare variate is carried into it.  u and v are multiples of 2^-52,
+    one of them nonzero, so it is at least 2^-52 in size, and the polar
+    factor sqrt(-2 ln(r2) / r2) with r2 <= 1 - 2^-53 is at least 2^-26.  So
+    |z1|^2 >= 2^-156 > 0.
     """
     base = Xoshiro256StarStar(seed)
-    for trial in range(n_trials):
-        rng = base.spawn(trial)
-        dim_a = rng.randint(2, max_dim)
-        dim_b = rng.randint(2, max_dim)
-        psi = _haar_state(rng, dim_a, dim_b)
-        phi = _haar_state(rng, dim_a, dim_b)
-        z1 = complex(rng.gaussian(), rng.gaussian())
-        z2 = complex(rng.gaussian(), rng.gaussian())
-        norm = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2)
-        yield trial, psi, phi, z1 / norm, z2 / norm
+    streams = (_trial_stream(base, trial, max_dim) for trial in range(n_trials))
+    for batch in _batches(streams, lambda s: 2 * s[2] * s[3]):
+        lanes = [(trial, rng, a, b) for trial, rng, a, b in batch if 2 * a * b < LANE_MIN_VARIATES]
+        gaussians = _stream_gaussians([rng for _, rng, _, _ in lanes], [2 * a * b + 2 for _, _, a, b in lanes])
+        drawn = dict(zip((trial for trial, _, _, _ in lanes), gaussians))
+        for trial, rng, a, b in batch:
+            g = drawn.get(trial)
+            psi, phi, z1, z2 = _loop_draw(rng, a, b) if g is None else _trial_draw(g, a, b)
+            norm = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2)
+            yield trial, psi, phi, z1 / norm, z2 / norm
+
+
+def _trial_stream(base: Xoshiro256StarStar, trial: int, max_dim: int):
+    """(trial, stream, d_A, d_B): the trial's stream just after its two
+    dimensions."""
+    rng = base.spawn(trial)
+    return trial, rng, rng.randint(2, max_dim), rng.randint(2, max_dim)
+
+
+def _trial_draw(g: np.ndarray, dim_a: int, dim_b: int):
+    """(psi, phi, z1, z2) from a trial's 4 d_A d_B + 4 Gaussians."""
+    n = 2 * dim_a * dim_b
+    psi = _unit_state(g[:n].view(complex).reshape(dim_a, dim_b))
+    phi = _unit_state(g[n : 2 * n].view(complex).reshape(dim_a, dim_b))
+    re1, im1, re2, im2 = g[2 * n :].tolist()
+    return psi, phi, complex(re1, im1), complex(re2, im2)
+
+
+def _loop_draw(rng: Xoshiro256StarStar, dim_a: int, dim_b: int):
+    """(psi, phi, z1, z2) drawn from ``rng`` one draw at a time."""
+    psi = _haar_state(rng, dim_a, dim_b)
+    phi = _haar_state(rng, dim_a, dim_b)
+    z1 = complex(rng.gaussian(), rng.gaussian())
+    z2 = complex(rng.gaussian(), rng.gaussian())
+    return psi, phi, z1, z2
+
+
+def _batches(items, size):
+    """Lists of consecutive ``items`` of at most AUDIT_BATCH_COEFFS state
+    coefficients in all, by ``size(item)`` (or one item, if larger)."""
+    batch, held = [], 0
+    for item in items:
+        if batch and held + size(item) > AUDIT_BATCH_COEFFS:
+            yield batch
+            batch, held = [], 0
+        batch.append(item)
+        held += size(item)
+    if batch:
+        yield batch
 
 
 def _certified(draws):
@@ -743,15 +793,8 @@ def _certified(draws):
     batch's problems are built together
     (``SuperpositionProblem.from_states_many``) and certified together; a
     fully destructive draw gets report None."""
-    batch, held = [], 0
-    for draw in draws:
-        size = 2 * draw[1].coeffs.size
-        if batch and held + size > AUDIT_BATCH_COEFFS:
-            yield from _certified_batch(batch)
-            batch, held = [], 0
-        batch.append(draw)
-        held += size
-    yield from _certified_batch(batch)
+    for batch in _batches(draws, lambda d: 2 * d[1].coeffs.size):
+        yield from _certified_batch(batch)
 
 
 def _certified_batch(batch):

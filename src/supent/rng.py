@@ -28,6 +28,13 @@ leave them.  The jump products are XORs of table rows indexed by the
 state's 4-bit nibbles, not matrix products, so no BLAS call (and none of
 its threads) is involved; the tables (256 KiB) are built on the first lane
 draw, in about 3 ms, never at import.
+
+The audit draws many short streams, one per trial (``spawn``), each below
+LANE_MIN_VARIATES.  ``_stream_gaussians`` steps them together, one lane per
+stream, so no jump is needed: one pass of the attempts, with the overdraw,
+that the largest count of pairs takes, after which each stream takes its
+first accepted pairs.  A stream that comes up short gets none, and its
+caller draws it on the loop.
 """
 
 from __future__ import annotations
@@ -50,7 +57,8 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 # rounds of numpy calls, so on a 2-core x86 host (least of 31 draws) the
 # loop took 0.40 ms at 256 variates against the lanes' 0.60, tied at 384
 # (0.62 ms each) and lost at 512 (0.82 against 0.68 ms).  So a 16 x 16 Haar
-# state takes the lanes, and every audit draw (at most 72 variates) the loop.
+# state takes the lanes, and a 6 x 6 one (72 variates) the loop, unless its
+# audit trial's stream is stepped with the others (``_stream_gaussians``).
 LANE_MIN_VARIATES = 512
 # Outputs per lane (B in J = T^B).  Stepping costs B rounds of eight numpy
 # calls whatever the lane count, and each lane start a table lookup per
@@ -72,7 +80,8 @@ LANE_CHUNK = 2**15
 JUMP_LEVELS = 8
 # A lane pass draws this many standard deviations of the polar method's
 # attempt count beyond its mean; when fewer pairs are accepted (about once
-# in 10^12 passes) a second pass draws the rest.
+# in 10^12 passes) a second pass, or for a trial stream the loop, draws the
+# rest.
 OVERDRAW_SD = 7
 # The chance that a polar pair of uniforms lands inside the unit disc.
 _POLAR_ACCEPT = math.pi / 4
@@ -168,25 +177,67 @@ def _lane_starts(state: list[int], lanes: int) -> np.ndarray:
     return starts
 
 
-def _lane_uniforms(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The uniforms 2 (x >> 11) 2^-53 - 1 of the LANE_STEPS outputs x of
-    each start (lanes x 4 uint64), in stream order as (u, v) rows, and the
-    state after the last lane's outputs."""
-    state = starts.T.copy()
-    x = np.empty((LANE_STEPS, len(starts)), np.uint64)
-    _step_lanes(state, LANE_STEPS, x)
-    x = x.T.ravel()  # stream order
+def _stream_uniforms(state: np.ndarray, steps: int) -> np.ndarray:
+    """The uniforms 2 (x >> 11) 2^-53 - 1 of the next ``steps`` outputs x
+    of each column of ``state`` (4 x lanes uint64, stepped in place), one
+    row per lane in stream order."""
+    x = np.empty((steps, state.shape[1]), np.uint64)
+    _step_lanes(state, steps, x)
+    x = x.T.copy()  # stream order
     x *= 5  # next_u64's output: rotl(s1 * 5, 7) * 9
     high = x << 7
     x >>= 57
     x |= high
     x *= 9
     x >>= 11
-    uv = x.astype(np.float64).reshape(-1, 2)
-    uv *= 2.0**-53
-    uv *= 2.0
-    uv -= 1.0
-    return uv, state[:, -1]
+    u = x.astype(np.float64)
+    u *= 2.0**-53
+    u *= 2.0
+    u -= 1.0
+    return u
+
+
+def _lane_uniforms(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The uniforms of the LANE_STEPS outputs of each start (lanes x 4
+    uint64), in stream order as (u, v) rows, and the state after the last
+    lane's outputs."""
+    state = starts.T.copy()
+    return _stream_uniforms(state, LANE_STEPS).reshape(-1, 2), state[:, -1]
+
+
+def _attempts(pairs: int) -> float:
+    """The polar attempts that ``pairs`` accepted pairs take, OVERDRAW_SD
+    standard deviations beyond the mean: the attempts per pair have mean
+    1/p and standard deviation sqrt(1 - p)/p."""
+    return (pairs + OVERDRAW_SD * math.sqrt(pairs * (1.0 - _POLAR_ACCEPT))) / _POLAR_ACCEPT
+
+
+def _polar_variates(uv: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """The two Gaussians of each accepted pair (u, v) with u^2 + v^2 = r2,
+    a row each."""
+    log = np.fromiter(map(math.log, r2.tolist()), np.float64, r2.size)
+    return uv * np.sqrt(-2.0 * log / r2)[:, None]
+
+
+def _stream_gaussians(streams: list["Xoshiro256StarStar"], pairs: list[int]) -> list[np.ndarray | None]:
+    """Each stream's ``gaussians(2 * pairs[i])`` (a generator with no
+    spare, left as it is), or None for a stream that came up short.  One
+    pass steps every stream, one lane each, by the attempts of the largest
+    count, and each takes its first ``pairs[i]`` accepted pairs."""
+    if not streams:
+        return []
+    state = np.array([s._s for s in streams], np.uint64).T.copy()
+    uv = _stream_uniforms(state, 2 * math.ceil(_attempts(max(pairs)))).reshape(len(streams), -1, 2)
+    r2 = uv[..., 0] * uv[..., 0]
+    r2 += uv[..., 1] * uv[..., 1]
+    inside = (r2 > 0.0) & (r2 < 1.0)
+    rank = np.cumsum(inside, axis=1)
+    want = np.array(pairs)
+    short = rank[:, -1] < want
+    taken = inside & (rank <= want[:, None]) & ~short[:, None]
+    g = _polar_variates(uv[taken], r2[taken]).ravel()
+    ends = np.cumsum(2 * want * ~short).tolist()
+    return [None if cut else g[end - 2 * n : end] for cut, end, n in zip(short.tolist(), ends, pairs)]
 
 
 class Xoshiro256StarStar:
@@ -300,16 +351,13 @@ class Xoshiro256StarStar:
             out[0], self._spare_gaussian, done = self._spare_gaussian, None, 1
         while done < n:
             need = min((n - done + 1) // 2, LANE_CHUNK // 2)
-            # attempts per pair: mean 1/p, standard deviation sqrt(1 - p)/p
-            attempts = (need + OVERDRAW_SD * math.sqrt(need * (1.0 - _POLAR_ACCEPT))) / _POLAR_ACCEPT
-            starts = _lane_starts(self._s, math.ceil(2.0 * attempts / LANE_STEPS))
+            starts = _lane_starts(self._s, math.ceil(2.0 * _attempts(need) / LANE_STEPS))
             uv, end = _lane_uniforms(starts)
             r2 = uv[:, 0] * uv[:, 0]
             r2 += uv[:, 1] * uv[:, 1]
             accepted = np.flatnonzero((r2 > 0.0) & (r2 < 1.0))[:need]
             r2 = r2[accepted]
-            log = np.fromiter(map(math.log, r2.tolist()), np.float64, r2.size)
-            out[done : done + 2 * r2.size] = (uv[accepted] * np.sqrt(-2.0 * log / r2)[:, None]).ravel()
+            out[done : done + 2 * r2.size] = _polar_variates(uv[accepted], r2).ravel()
             done += 2 * r2.size
             used = 2 * (int(accepted[-1]) + 1) if r2.size == need else 2 * len(uv)
             lane, steps = divmod(used, LANE_STEPS)

@@ -6,8 +6,10 @@ larger shapes, the sha256 of those strings joined by spaces) of
 ``haar_random_state`` coefficients, and the generator's next ``next_u64()``
 after an odd number of Gaussians, which covers the spare Gaussian a polar
 draw carries to the next call.  They were recorded before the Gaussian loop
-was rewritten, and the 181 x 182 digest before large draws moved to numpy
-lanes; pure integer and float arithmetic makes them platform-independent.
+was rewritten.  The 181 x 182 digest pins a raw draw, not a normalized
+state, whose norm depends on OpenBLAS's thread count; it was recorded from
+the lane path and matches the one-at-a-time polar method below.  Pure
+integer and float arithmetic makes them platform-independent.
 """
 
 import hashlib
@@ -17,11 +19,13 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from supent import harness, rng as rng_module
 from supent.errors import DomainError
 from supent.rng import Xoshiro256StarStar
+from supent.states import BipartiteState
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -63,13 +67,25 @@ def test_haar_state_bits(shape, seed, recorded):
         ((5, 6), 6, "b4a8961f62b6bb4adbfdec8d86bde77e0d9e7c7f5100da8afa7904729d679f35"),
         ((6, 5), 7, "ef3843148864ba6081d1c8242e8700f1d4f69c02f117b9d8de8d920be62b744f"),
         ((64, 64), 3, "524834e3c938cb968ca26baafa3f9315915d829e9a1ee48172f43345d589ece0"),
-        # 65,884 variates: two full lane chunks and part of a third
-        ((181, 182), 2026, "648649dbbdfd5d5aa47abe7790e73014c15c8a328125a7105db5b14f5ee2e9db"),
     ],
 )
 def test_haar_state_digests(shape, seed, digest):
+    # each state has at most 10,000 entries: above that, OpenBLAS runs the
+    # ddot of np.linalg.norm threaded, and the norm's last bit can follow
+    # the thread count
     text = " ".join(_hexes(harness.haar_random_state(*shape, seed)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_a_three_pass_lane_draw_digest():
+    # 65,884 variates: two full lane chunks and part of a third.  The draw
+    # is pinned before normalizing, which calls no BLAS, so it holds at any
+    # thread count.
+    g = Xoshiro256StarStar(2026).complex_gaussian_matrix(181, 182)
+    text = " ".join(x.hex() for x in g.view(float).ravel())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ef2158f38c8151dab78b77f801b5218581acc5448875d8988addaec8af336253"
+    )
 
 
 @pytest.mark.parametrize(
@@ -188,6 +204,97 @@ def test_lane_starts_are_lane_steps_outputs_apart(monkeypatch):
     monkeypatch.setattr(rng_module, "_lane_starts", counted)
     Xoshiro256StarStar(1).gaussians(4 * rng_module.LANE_CHUNK)
     assert max(counts) == JUMP_LANES[-1]
+
+
+def _one_at_a_time_trials(n_trials, max_dim, seed):
+    """The audit's trials, every Gaussian of a trial's stream drawn by the
+    one-at-a-time polar method: psi, phi, then z1 and z2."""
+    base = Xoshiro256StarStar(seed)
+    for trial in range(n_trials):
+        rng = base.spawn(trial)
+        a, b = rng.randint(2, max_dim), rng.randint(2, max_dim)
+        g, _ = _polar_gaussians(rng, 4 * a * b + 4, None)
+        n = 2 * a * b
+        states = [np.array(g[k * n : (k + 1) * n]).view(complex).reshape(a, b) for k in (0, 1)]
+        psi, phi = (BipartiteState(c / np.linalg.norm(c)) for c in states)
+        z1, z2 = complex(*g[2 * n : 2 * n + 2]), complex(*g[2 * n + 2 :])
+        norm = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2)
+        yield trial, psi, phi, z1 / norm, z2 / norm
+
+
+def _trial_bits(draws):
+    return [
+        (trial, _hexes(psi), _hexes(phi), [x.hex() for x in (alpha.real, alpha.imag, beta.real, beta.imag)])
+        for trial, psi, phi, alpha, beta in draws
+    ]
+
+
+def _spy_streams(monkeypatch):
+    """The results of every ``_stream_gaussians`` call of the audit draws."""
+    passes = []
+    stream_gaussians = harness._stream_gaussians
+
+    def spy(streams, pairs):
+        passes.append(stream_gaussians(streams, pairs))
+        return passes[-1]
+
+    monkeypatch.setattr(harness, "_stream_gaussians", spy)
+    return passes
+
+
+# Up to max-dim 12 every trial is drawn in the lanes of one pass; at 16
+# and 20 some trials' matrices take LANE_MIN_VARIATES or more variates
+# (2 d_A d_B >= 512), and those are drawn on their own.
+AUDIT_DRAW_CASES = [(n, max_dim) for max_dim in range(2, 13) for n in (1, 5, 40)] + [(30, 16), (12, 20)]
+
+
+def test_audit_stream_draws_match_the_one_at_a_time_polar_method(monkeypatch):
+    passes = _spy_streams(monkeypatch)
+    large = 0
+    for n_trials, max_dim in AUDIT_DRAW_CASES:
+        for seed in (0, 7, 24301):
+            got = _trial_bits(harness._audit_draws(n_trials, max_dim, seed))
+            expected = _trial_bits(_one_at_a_time_trials(n_trials, max_dim, seed))
+            assert got == expected, (n_trials, max_dim, seed)
+            large += sum(2 * len(t[1]) >= rng_module.LANE_MIN_VARIATES for t in got)
+    assert large > 0
+    # the overdraw leaves no stream short (about once in 10^12 a pass is)
+    assert all(g is not None for drawn in passes for g in drawn)
+
+
+def test_an_audit_stream_that_falls_short_is_drawn_on_the_loop(monkeypatch):
+    # planning for every attempt to be accepted leaves the streams with the
+    # most pairs short
+    monkeypatch.setattr(rng_module, "_POLAR_ACCEPT", 1.0)
+    passes = _spy_streams(monkeypatch)
+    for seed in range(4):
+        got = _trial_bits(harness._audit_draws(40, 8, seed))
+        assert got == _trial_bits(_one_at_a_time_trials(40, 8, seed)), seed
+    drawn = [g for p in passes for g in p]
+    assert any(g is None for g in drawn) and any(g is not None for g in drawn)
+
+
+def test_audit_lanes_hold_one_certify_batch_at_most(monkeypatch):
+    passes = _spy_streams(monkeypatch)
+    batches = []
+    certified_batch = harness._certified_batch
+
+    def spy(batch):
+        batches.append(sum(2 * d[1].coeffs.size < rng_module.LANE_MIN_VARIATES for d in batch))
+        return certified_batch(batch)
+
+    monkeypatch.setattr(harness, "_certified_batch", spy)
+    for coeffs in (1, 300, harness.AUDIT_BATCH_COEFFS):
+        monkeypatch.setattr(harness, "AUDIT_BATCH_COEFFS", coeffs)
+        for max_dim in (6, 20):
+            passes.clear()
+            batches.clear()
+            harness.random_audit(24, max_dim, seed=3)
+            # one pass per batch, holding the batch's lane trials
+            assert [len(p) for p in passes] == batches, (coeffs, max_dim)
+        if coeffs == 1:
+            assert len(batches) == 24
+    assert max(batches) > 1
 
 
 def test_small_draws_build_no_jump_table():

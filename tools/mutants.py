@@ -206,6 +206,31 @@ MUTANTS = (
         "so the next draw repeats the last pair's uniforms",
     ),
     Mutant(
+        "stream-no-overdraw",
+        "rng.py",
+        "2 * math.ceil(_attempts(max(pairs)))",
+        "2 * max(pairs)",
+        "the audit's stream pass draws as many attempts as the largest stream "
+        "wants pairs, so the streams that want the most come up short and are "
+        "drawn again on the loop",
+    ),
+    Mutant(
+        "stream-pairs-one-short",
+        "rng.py",
+        "taken = inside & (rank <= want[:, None]) & ~short[:, None]",
+        "taken = inside & (rank < want[:, None]) & ~short[:, None]",
+        "each audit stream takes one accepted pair fewer than its trial needs, "
+        "so the trials' variates are cut in the wrong places",
+    ),
+    Mutant(
+        "stream-short-taken",
+        "rng.py",
+        "short = rank[:, -1] < want",
+        "short = rank[:, -1] < 0",
+        "an audit stream that comes up short is taken as drawn, not finished "
+        "on the loop, so its trial lacks variates",
+    ),
+    Mutant(
         "lane-jump-late-block",
         "rng.py",
         "_apply(_jump_tables()[level], starts[done - (1 << level) :][:new])",
