@@ -27,7 +27,7 @@ from . import bounds, qmath
 from .bounds import SuperpositionProblem
 from .errors import DimError, DomainError, ParseError
 from .qmath import binary_entropy, check_integer
-from .rng import LANE_MIN_VARIATES, Xoshiro256StarStar, _stream_gaussians
+from .rng import Xoshiro256StarStar, _stream_gaussians
 from .states import BipartiteState
 
 __all__ = [
@@ -663,8 +663,8 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
     lower_margins: list[float] = []
     worst: dict = {}
     worst_margin = math.inf
-    draws = _audit_draws(n_trials, max_dim, seed)
-    for (trial, psi, phi, alpha, beta), report in _certified(draws):
+    reports = (pair for batch in _audit_draws(n_trials, max_dim, seed) for pair in _certified_batch(batch))
+    for (trial, psi, phi, alpha, beta), report in reports:
         if report is None:
             skipped += 1
             continue
@@ -718,34 +718,19 @@ def random_audit(n_trials: int, max_dim: int, seed: int = DEFAULT_SEED) -> Audit
 
 
 def _audit_draws(n_trials: int, max_dim: int, seed: int):
-    """(trial, psi, phi, alpha, beta) of each trial, from its own stream.
+    """Lists of (trial, psi, phi, alpha, beta), one per certify batch of at
+    most AUDIT_BATCH_COEFFS state coefficients (or one trial, if larger),
+    each trial from its own stream.
 
     Each trial's ``spawn`` stream gives d_A and d_B, then psi and phi, then
-    the Gaussians of z1 and z2, as ``gaussian()`` draws them: 2 d_A d_B + 2
-    accepted polar pairs.  The trials are drawn in the batches that
-    ``_certified`` certifies.  A batch's trials whose matrices the loop
-    draws (2 d_A d_B < LANE_MIN_VARIATES) are drawn together, one numpy
-    lane per stream (``rng._stream_gaussians``); a larger trial, or a
-    stream that comes up short, is drawn on its own.
-
-    The coefficients' norm is never 0.  z1 is the pair after psi's and
-    phi's pairs, one accepted polar pair (u, v) with 0 < u^2 + v^2 < 1, so
-    no spare variate is carried into it.  u and v are multiples of 2^-52,
-    one of them nonzero, so it is at least 2^-52 in size, and the polar
-    factor sqrt(-2 ln(r2) / r2) with r2 <= 1 - 2^-53 is at least 2^-26.  So
-    |z1|^2 >= 2^-156 > 0.
+    the Gaussians of z1 and z2: 2 d_A d_B + 2 accepted polar pairs, which
+    one ``rng._stream_gaussians`` call draws for the whole batch.
     """
     base = Xoshiro256StarStar(seed)
     streams = (_trial_stream(base, trial, max_dim) for trial in range(n_trials))
     for batch in _batches(streams, lambda s: 2 * s[2] * s[3]):
-        lanes = [(trial, rng, a, b) for trial, rng, a, b in batch if 2 * a * b < LANE_MIN_VARIATES]
-        gaussians = _stream_gaussians([rng for _, rng, _, _ in lanes], [2 * a * b + 2 for _, _, a, b in lanes])
-        drawn = dict(zip((trial for trial, _, _, _ in lanes), gaussians))
-        for trial, rng, a, b in batch:
-            g = drawn.get(trial)
-            psi, phi, z1, z2 = _loop_draw(rng, a, b) if g is None else _trial_draw(g, a, b)
-            norm = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2)
-            yield trial, psi, phi, z1 / norm, z2 / norm
+        gaussians = _stream_gaussians([rng for _, rng, _, _ in batch], [2 * a * b + 2 for _, _, a, b in batch])
+        yield [(trial, *_trial_draw(g, a, b)) for (trial, _, a, b), g in zip(batch, gaussians)]
 
 
 def _trial_stream(base: Xoshiro256StarStar, trial: int, max_dim: int):
@@ -756,21 +741,23 @@ def _trial_stream(base: Xoshiro256StarStar, trial: int, max_dim: int):
 
 
 def _trial_draw(g: np.ndarray, dim_a: int, dim_b: int):
-    """(psi, phi, z1, z2) from a trial's 4 d_A d_B + 4 Gaussians."""
+    """(psi, phi, alpha, beta) from a trial's 4 d_A d_B + 4 Gaussians:
+    psi, phi, then z1 and z2, divided by their norm.
+
+    The norm is never 0.  z1 is the pair after psi's and phi's pairs, one
+    accepted polar pair (u, v) with 0 < u^2 + v^2 < 1, so no spare variate
+    is carried into it.  u and v are multiples of 2^-52, one of them
+    nonzero, so it is at least 2^-52 in size, and the polar factor
+    sqrt(-2 ln(r2) / r2) with r2 <= 1 - 2^-53 is at least 2^-26.  So
+    |z1|^2 >= 2^-156 > 0.
+    """
     n = 2 * dim_a * dim_b
     psi = _unit_state(g[:n].view(complex).reshape(dim_a, dim_b))
     phi = _unit_state(g[n : 2 * n].view(complex).reshape(dim_a, dim_b))
     re1, im1, re2, im2 = g[2 * n :].tolist()
-    return psi, phi, complex(re1, im1), complex(re2, im2)
-
-
-def _loop_draw(rng: Xoshiro256StarStar, dim_a: int, dim_b: int):
-    """(psi, phi, z1, z2) drawn from ``rng`` one draw at a time."""
-    psi = _haar_state(rng, dim_a, dim_b)
-    phi = _haar_state(rng, dim_a, dim_b)
-    z1 = complex(rng.gaussian(), rng.gaussian())
-    z2 = complex(rng.gaussian(), rng.gaussian())
-    return psi, phi, z1, z2
+    z1, z2 = complex(re1, im1), complex(re2, im2)
+    norm = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2)
+    return psi, phi, z1 / norm, z2 / norm
 
 
 def _batches(items, size):
@@ -787,18 +774,11 @@ def _batches(items, size):
         yield batch
 
 
-def _certified(draws):
-    """(draw, report) for each audit draw, in order, in batches of at most
-    AUDIT_BATCH_COEFFS state coefficients (or one draw, if larger).  A
+def _certified_batch(batch):
+    """(draw, report) for each audit draw of one batch, in order.  The
     batch's problems are built together
     (``SuperpositionProblem.from_states_many``) and certified together; a
     fully destructive draw gets report None."""
-    for batch in _batches(draws, lambda d: 2 * d[1].coeffs.size):
-        yield from _certified_batch(batch)
-
-
-def _certified_batch(batch):
-    """(draw, report) for each draw of one batch of ``_certified``."""
     problems = SuperpositionProblem.from_states_many(d[1:] for d in batch)
     reports = iter(bounds.certify_many([p for p in problems if p is not None]))
     for draw, problem in zip(batch, problems):

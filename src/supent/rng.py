@@ -29,12 +29,13 @@ state's 4-bit nibbles, not matrix products, so no BLAS call (and none of
 its threads) is involved; the tables (256 KiB) are built on the first lane
 draw, in about 3 ms, never at import.
 
-The audit draws many short streams, one per trial (``spawn``), each below
-LANE_MIN_VARIATES.  ``_stream_gaussians`` steps them together, one lane per
-stream, so no jump is needed: one pass of the attempts, with the overdraw,
-that the largest count of pairs takes, after which each stream takes its
-first accepted pairs.  A stream that comes up short gets none, and its
-caller draws it on the loop.
+The audit draws many short streams, one per trial (``spawn``), and
+``_stream_gaussians`` gives each its Gaussians.  The streams of at most
+LANE_MIN_VARIATES pairs, whose matrices the loop would draw, are stepped
+together, one lane per stream, so no jump is needed: one pass of the
+attempts, with the overdraw, that the largest count of pairs takes, after
+which each stream takes its first accepted pairs.  Every other stream, and
+one that comes up short, draws itself with ``gaussians``.
 """
 
 from __future__ import annotations
@@ -80,11 +81,16 @@ LANE_CHUNK = 2**15
 JUMP_LEVELS = 8
 # A lane pass draws this many standard deviations of the polar method's
 # attempt count beyond its mean; when fewer pairs are accepted (about once
-# in 10^12 passes) a second pass, or for a trial stream the loop, draws the
-# rest.
+# in 10^12 passes) a second pass draws the rest, or a trial stream draws
+# itself anew.
 OVERDRAW_SD = 7
 # The chance that a polar pair of uniforms lands inside the unit disc.
 _POLAR_ACCEPT = math.pi / 4
+# Most integers in a randint range.  random() takes the 2^53 multiples of
+# 2^-53, so int(random() * span) can reach every integer below the span
+# only while span <= 2^53: a wider range would leave integers out, and past
+# about 2^1024 the product overflows.
+RANDINT_MAX_SPAN = 2**53
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -197,14 +203,6 @@ def _stream_uniforms(state: np.ndarray, steps: int) -> np.ndarray:
     return u
 
 
-def _lane_uniforms(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The uniforms of the LANE_STEPS outputs of each start (lanes x 4
-    uint64), in stream order as (u, v) rows, and the state after the last
-    lane's outputs."""
-    state = starts.T.copy()
-    return _stream_uniforms(state, LANE_STEPS).reshape(-1, 2), state[:, -1]
-
-
 def _attempts(pairs: int) -> float:
     """The polar attempts that ``pairs`` accepted pairs take, OVERDRAW_SD
     standard deviations beyond the mean: the attempts per pair have mean
@@ -219,25 +217,30 @@ def _polar_variates(uv: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return uv * np.sqrt(-2.0 * log / r2)[:, None]
 
 
-def _stream_gaussians(streams: list["Xoshiro256StarStar"], pairs: list[int]) -> list[np.ndarray | None]:
-    """Each stream's ``gaussians(2 * pairs[i])`` (a generator with no
-    spare, left as it is), or None for a stream that came up short.  One
-    pass steps every stream, one lane each, by the attempts of the largest
-    count, and each takes its first ``pairs[i]`` accepted pairs."""
-    if not streams:
-        return []
-    state = np.array([s._s for s in streams], np.uint64).T.copy()
-    uv = _stream_uniforms(state, 2 * math.ceil(_attempts(max(pairs)))).reshape(len(streams), -1, 2)
-    r2 = uv[..., 0] * uv[..., 0]
-    r2 += uv[..., 1] * uv[..., 1]
-    inside = (r2 > 0.0) & (r2 < 1.0)
-    rank = np.cumsum(inside, axis=1)
-    want = np.array(pairs)
-    short = rank[:, -1] < want
-    taken = inside & (rank <= want[:, None]) & ~short[:, None]
-    g = _polar_variates(uv[taken], r2[taken]).ravel()
-    ends = np.cumsum(2 * want * ~short).tolist()
-    return [None if cut else g[end - 2 * n : end] for cut, end, n in zip(short.tolist(), ends, pairs)]
+def _stream_gaussians(streams: list["Xoshiro256StarStar"], pairs: list[int]) -> list[np.ndarray]:
+    """Each stream's ``gaussians(2 * pairs[i])``, for generators with no
+    spare.  One pass steps the streams of at most LANE_MIN_VARIATES pairs,
+    one lane each and left as they are, by the attempts of the largest
+    count, and each takes its first ``pairs[i]`` accepted pairs.  Every
+    other stream, and one that came up short, draws itself with
+    ``gaussians``, from its untouched state."""
+    counts = np.array(pairs, dtype=np.int64)
+    lane = counts <= LANE_MIN_VARIATES
+    g = np.empty(0)
+    if lane.any():
+        want = counts[lane]
+        state = np.array([s._s for s, x in zip(streams, lane) if x], np.uint64).T.copy()
+        uv = _stream_uniforms(state, 2 * math.ceil(_attempts(want.max()))).reshape(want.size, -1, 2)
+        r2 = uv[..., 0] * uv[..., 0]
+        r2 += uv[..., 1] * uv[..., 1]
+        inside = (r2 > 0.0) & (r2 < 1.0)
+        rank = np.cumsum(inside, axis=1)
+        short = rank[:, -1] < want
+        taken = inside & (rank <= want[:, None]) & ~short[:, None]
+        g = _polar_variates(uv[taken], r2[taken]).ravel()
+        lane[lane] = ~short
+    drawn = iter(np.split(g, np.cumsum(2 * counts[lane])[:-1]))
+    return [next(drawn) if x else s.gaussians(2 * n) for s, n, x in zip(streams, pairs, lane.tolist())]
 
 
 class Xoshiro256StarStar:
@@ -279,13 +282,15 @@ class Xoshiro256StarStar:
         if hi < lo:
             raise DomainError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
+        if span > RANDINT_MAX_SPAN:
+            raise DomainError("randint range holds more than 2^53 integers")
         return lo + int(self.random() * span) % span
 
     def gaussian(self) -> float:
         """Standard normal variate (Marsaglia polar method)."""
-        return self.gaussians(1)[0]
+        return float(self.gaussians(1)[0])
 
-    def gaussians(self, n: int) -> list[float]:
+    def gaussians(self, n: int) -> np.ndarray:
         """The next ``n`` standard normal variates (Marsaglia polar method).
 
         Each accepted pair of uniforms gives two variates; one that ``n``
@@ -297,7 +302,7 @@ class Xoshiro256StarStar:
         """
         check_integer(0, n=n)
         if n >= LANE_MIN_VARIATES:
-            return self._lane_gaussians(n).tolist()
+            return self._lane_gaussians(n)
         out = []
         spare = self._spare_gaussian
         if spare is not None and n > 0:
@@ -337,7 +342,7 @@ class Xoshiro256StarStar:
                     spare = v * factor
         self._s = [s0, s1, s2, s3]
         self._spare_gaussian = spare
-        return out
+        return np.array(out)
 
     def _lane_gaussians(self, n: int) -> np.ndarray:
         """``gaussians(n)`` as an array, by lane passes.  Each pass plans
@@ -352,7 +357,8 @@ class Xoshiro256StarStar:
         while done < n:
             need = min((n - done + 1) // 2, LANE_CHUNK // 2)
             starts = _lane_starts(self._s, math.ceil(2.0 * _attempts(need) / LANE_STEPS))
-            uv, end = _lane_uniforms(starts)
+            state = starts.T.copy()
+            uv = _stream_uniforms(state, LANE_STEPS).reshape(-1, 2)
             r2 = uv[:, 0] * uv[:, 0]
             r2 += uv[:, 1] * uv[:, 1]
             accepted = np.flatnonzero((r2 > 0.0) & (r2 < 1.0))[:need]
@@ -361,7 +367,7 @@ class Xoshiro256StarStar:
             done += 2 * r2.size
             used = 2 * (int(accepted[-1]) + 1) if r2.size == need else 2 * len(uv)
             lane, steps = divmod(used, LANE_STEPS)
-            self._s = [int(w) for w in (starts[lane] if lane < len(starts) else end)]
+            self._s = [int(w) for w in (starts[lane] if lane < len(starts) else state[:, -1])]
             for _ in range(steps):
                 self.next_u64()
         if done > n:
@@ -372,9 +378,7 @@ class Xoshiro256StarStar:
         """Matrix of i.i.d. standard complex Gaussians (row-major draw order,
         real part first)."""
         check_integer(0, rows=rows, cols=cols)
-        n = 2 * rows * cols
-        g = self._lane_gaussians(n) if n >= LANE_MIN_VARIATES else np.array(self.gaussians(n), dtype=float)
-        return g.view(complex).reshape(rows, cols)
+        return self.gaussians(2 * rows * cols).view(complex).reshape(rows, cols)
 
     def spawn(self, index: int) -> "Xoshiro256StarStar":
         """Independent child stream derived from the base seed and an index.

@@ -1,7 +1,10 @@
 """Shared test utilities: seeded random states and unitaries, dense oracles
-of what the package computes in stacks or in run form, and injected faults."""
+of what the package computes in stacks or in run form, injected faults, and
+the environment the exact pins were recorded under."""
 
+import ctypes
 import json
+import pathlib
 
 import numpy as np
 
@@ -71,3 +74,37 @@ def patch_reports(monkeypatch, change):
     """Make ``bounds.certify_many`` return change(report) for each report."""
     certify_many = bounds.certify_many
     monkeypatch.setattr(bounds, "certify_many", lambda problems: [change(r) for r in certify_many(problems)])
+
+
+# What the exact report pins (tests/test_report_bits.py) and criterion 5's
+# audit digest were recorded under: eigvalsh and svd round differently under
+# other OpenBLAS kernels, and np.log2 under numpy's other dispatch targets,
+# so elsewhere their last bits may move.
+RECORDED_ENVIRONMENT = "numpy 2.4.6, scipy-openblas 0.3.31.188.0, core SkylakeX, numpy dispatch up to AVX512_SPR"
+
+
+def _openblas_core():
+    """The kernel set numpy's scipy-openblas picked, or "unknown"."""
+    for path in sorted((pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def running_environment():
+    """The running environment in RECORDED_ENVIRONMENT's form: numpy's
+    version, its BLAS and version, the OpenBLAS core, and the highest SIMD
+    target numpy dispatches to."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    found = config["SIMD Extensions"]["found"] or ["baseline"]
+    return f"numpy {np.__version__}, {blas['name']} {blas['version']}, core {_openblas_core()}, numpy dispatch up to {found[-1]}"
+
+
+def pin_environments():
+    """An exact pin's mismatch note: the recording and the running environment."""
+    return f"recorded under {RECORDED_ENVIRONMENT}; running under {running_environment()}"

@@ -17,6 +17,7 @@ from helpers import (
     entanglement_entropy,
     family_gamma_probs,
     family_state_probs,
+    pin_environments,
     random_state,
     random_sphere_pair,
 )
@@ -203,10 +204,10 @@ def test_criterion_05_ordering_audit_1000_trials():
     )
     assert ok
     # the summary's bits, recorded before the audit's draws and searches
-    # were batched (numpy 2.4, OpenBLAS 0.3); JSON writes each float as its
-    # repr, which keeps every bit
+    # were batched (under helpers.RECORDED_ENVIRONMENT); JSON writes each
+    # float as its repr, which keeps every bit
     digest = hashlib.sha256(json.dumps(dataclasses.asdict(summary)).encode()).hexdigest()
-    assert digest == "5d7c1aaaf9ce2690064a61a8f1a2b39afaf6d511261c0c6fb33fed2c6a637e29"
+    assert digest == "5d7c1aaaf9ce2690064a61a8f1a2b39afaf6d511261c0c6fb33fed2c6a637e29", pin_environments()
 
 
 def test_criterion_06_one_sided_exactness_100_draws():

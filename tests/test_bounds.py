@@ -828,7 +828,7 @@ def _lower_columns():
     cols = [
         (p.e_psi, p.e_phi, p.alpha_sq / p.gamma_norm_sq, p.beta_sq / p.gamma_norm_sq)
         for p in SuperpositionProblem.from_states_many(
-            draw[1:] for draw in harness._audit_draws(120, 6, 7)
+            draw[1:] for batch in harness._audit_draws(120, 6, 7) for draw in batch
         )
     ]
     for e in (0.0, 1e-30, 0.7, 30.0):

@@ -4,8 +4,9 @@ Speed-ups to the searches must leave every reported number unchanged, bit
 for bit.  The literals below are ``float.hex`` strings of a seeded audit
 summary and of ``certify`` on six fixed problems (three Haar pairs, one of
 them with |alpha|^2 = 1e-6 and a non-vacuous lower bound, and three
-one-sided pairs), recorded with numpy 2.4 on OpenBLAS 0.3.  A change that
-moves any of them fails here.  A different LAPACK build may move the last
+one-sided pairs), recorded under ``helpers.RECORDED_ENVIRONMENT``, which a
+mismatch prints beside the running one.  A change that moves any of them
+fails here.  A different LAPACK build may move the last
 bits of the eigen- and singular values; the literals are then re-recorded
 from an unchanged tree with that build, never from the changed one.
 
@@ -20,6 +21,7 @@ float 1e-12 and each t* 1e-6, and hold every other value exact.
 import dataclasses
 import math
 
+from helpers import pin_environments
 from supent import bounds, harness
 
 
@@ -80,7 +82,7 @@ def _problems():
 
 
 def test_audit_summary_bits():
-    assert _hexed(dataclasses.asdict(harness.random_audit(200, 6, seed=7))) == AUDIT
+    assert _hexed(dataclasses.asdict(harness.random_audit(200, 6, seed=7))) == AUDIT, pin_environments()
 
 
 def test_audit_summary_within_kernel_rounding():
@@ -90,7 +92,7 @@ def test_audit_summary_within_kernel_rounding():
 def test_certify_report_bits():
     got = [_hexed(dataclasses.asdict(bounds.certify(*p))) for p in _problems()]
     for i, (report, recorded) in enumerate(zip(got, REPORTS)):
-        assert report == recorded, i
+        assert report == recorded, f"report {i}: {pin_environments()}"
     assert len(got) == len(REPORTS)
 
 

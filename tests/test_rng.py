@@ -222,6 +222,11 @@ def _one_at_a_time_trials(n_trials, max_dim, seed):
         yield trial, psi, phi, z1 / norm, z2 / norm
 
 
+def _audit_trials(n_trials, max_dim, seed):
+    """The audit's draws, its batches joined."""
+    return [draw for batch in harness._audit_draws(n_trials, max_dim, seed) for draw in batch]
+
+
 def _trial_bits(draws):
     return [
         (trial, _hexes(psi), _hexes(phi), [x.hex() for x in (alpha.real, alpha.imag, beta.real, beta.imag)])
@@ -229,72 +234,116 @@ def _trial_bits(draws):
     ]
 
 
-def _spy_streams(monkeypatch):
-    """The results of every ``_stream_gaussians`` call of the audit draws."""
-    passes = []
-    stream_gaussians = harness._stream_gaussians
+def _fresh_streams(n_trials, max_dim, seed):
+    """{trial: (state, 2 d_A d_B)}: each audit trial's stream state just
+    after its two dimensions, and its matrices' variate count."""
+    base = Xoshiro256StarStar(seed)
+    trials = (harness._trial_stream(base, trial, max_dim) for trial in range(n_trials))
+    return {trial: (rng._s, 2 * a * b) for trial, rng, a, b in trials}
 
-    def spy(streams, pairs):
-        passes.append(stream_gaussians(streams, pairs))
-        return passes[-1]
 
-    monkeypatch.setattr(harness, "_stream_gaussians", spy)
-    return passes
+def _spy_draws(monkeypatch):
+    """Spies on the audit's draws: ``passes`` gets the lane states (each a
+    stream's ``_s``) of every pass of ``_stream_gaussians``, and ``alone``
+    the (state, spare, n) of every stream that draws itself with
+    ``gaussians(n)``; the lane passes inside such a draw are its own and
+    are not recorded."""
+    passes, alone, inside = [], [], []
+    stream_uniforms, gaussians = rng_module._stream_uniforms, Xoshiro256StarStar.gaussians
+
+    def spy_pass(state, steps):
+        if not inside:
+            passes.append(state.T.tolist())
+        return stream_uniforms(state, steps)
+
+    def spy_alone(self, n):
+        alone.append((self._s, self._spare_gaussian, n))
+        inside.append(n)
+        try:
+            return gaussians(self, n)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(rng_module, "_stream_uniforms", spy_pass)
+    monkeypatch.setattr(Xoshiro256StarStar, "gaussians", spy_alone)
+    return passes, alone
 
 
 # Up to max-dim 12 every trial is drawn in the lanes of one pass; at 16
 # and 20 some trials' matrices take LANE_MIN_VARIATES or more variates
-# (2 d_A d_B >= 512), and those are drawn on their own.
+# (2 d_A d_B >= 512), and those streams draw themselves.
 AUDIT_DRAW_CASES = [(n, max_dim) for max_dim in range(2, 13) for n in (1, 5, 40)] + [(30, 16), (12, 20)]
 
 
 def test_audit_stream_draws_match_the_one_at_a_time_polar_method(monkeypatch):
-    passes = _spy_streams(monkeypatch)
+    _, alone = _spy_draws(monkeypatch)
     large = 0
     for n_trials, max_dim in AUDIT_DRAW_CASES:
         for seed in (0, 7, 24301):
-            got = _trial_bits(harness._audit_draws(n_trials, max_dim, seed))
+            alone.clear()
+            got = _trial_bits(_audit_trials(n_trials, max_dim, seed))
             expected = _trial_bits(_one_at_a_time_trials(n_trials, max_dim, seed))
             assert got == expected, (n_trials, max_dim, seed)
-            large += sum(2 * len(t[1]) >= rng_module.LANE_MIN_VARIATES for t in got)
+            # the overdraw leaves no stream short (about once in 10^12 a
+            # pass is): the streams that draw themselves are the large
+            # ones, 4 d_A d_B + 4 variates each, and up to max-dim 12 none
+            variates = [len(t[1]) for t in got]
+            large_draws = sorted(2 * v + 4 for v in variates if v >= rng_module.LANE_MIN_VARIATES)
+            assert sorted(n for _, _, n in alone) == large_draws, (n_trials, max_dim, seed)
+            assert max_dim > 12 or not alone, (n_trials, max_dim, seed)
+            large += len(large_draws)
     assert large > 0
-    # the overdraw leaves no stream short (about once in 10^12 a pass is)
-    assert all(g is not None for drawn in passes for g in drawn)
 
 
 def test_an_audit_stream_that_falls_short_is_drawn_on_the_loop(monkeypatch):
     # planning for every attempt to be accepted leaves the streams with the
-    # most pairs short
+    # most pairs short; each then draws itself, by the loop (4 d_A d_B + 4
+    # <= 260 variates), from the state the lane pass left untouched
     monkeypatch.setattr(rng_module, "_POLAR_ACCEPT", 1.0)
-    passes = _spy_streams(monkeypatch)
+    passes, alone = _spy_draws(monkeypatch)
+    short = 0
     for seed in range(4):
-        got = _trial_bits(harness._audit_draws(40, 8, seed))
+        passes.clear()
+        alone.clear()
+        got = _trial_bits(_audit_trials(40, 8, seed))
         assert got == _trial_bits(_one_at_a_time_trials(40, 8, seed)), seed
-    drawn = [g for p in passes for g in p]
-    assert any(g is None for g in drawn) and any(g is not None for g in drawn)
+        fresh = _fresh_streams(40, 8, seed)
+        assert passes == [[state for state, _ in fresh.values()]], seed
+        untouched = {tuple(state): 2 * v + 4 for state, v in fresh.values()}
+        assert all(spare is None and untouched[tuple(state)] == n for state, spare, n in alone), seed
+        assert len(alone) < 40, seed
+        short += len(alone)
+    assert short > 0
 
 
 def test_audit_lanes_hold_one_certify_batch_at_most(monkeypatch):
-    passes = _spy_streams(monkeypatch)
+    passes, _ = _spy_draws(monkeypatch)
     batches = []
     certified_batch = harness._certified_batch
 
     def spy(batch):
-        batches.append(sum(2 * d[1].coeffs.size < rng_module.LANE_MIN_VARIATES for d in batch))
+        batches.append([draw[0] for draw in batch])
         return certified_batch(batch)
 
     monkeypatch.setattr(harness, "_certified_batch", spy)
+    widest = 0
     for coeffs in (1, 300, harness.AUDIT_BATCH_COEFFS):
         monkeypatch.setattr(harness, "AUDIT_BATCH_COEFFS", coeffs)
         for max_dim in (6, 20):
             passes.clear()
             batches.clear()
             harness.random_audit(24, max_dim, seed=3)
-            # one pass per batch, holding the batch's lane trials
-            assert [len(p) for p in passes] == batches, (coeffs, max_dim)
+            # each pass steps exactly its certify batch's trials with
+            # 2 d_A d_B < LANE_MIN_VARIATES, one lane each, from their
+            # streams' states
+            fresh = _fresh_streams(24, max_dim, 3)
+            lanes = [[fresh[t][0] for t in batch if fresh[t][1] < rng_module.LANE_MIN_VARIATES] for batch in batches]
+            assert passes == [lane for lane in lanes if lane], (coeffs, max_dim)
+            assert max_dim == 6 or any(len(lane) < len(batch) for lane, batch in zip(lanes, batches))
+            widest = max(widest, *map(len, passes))
         if coeffs == 1:
             assert len(batches) == 24
-    assert max(batches) > 1
+    assert widest > 1
 
 
 def test_small_draws_build_no_jump_table():
@@ -326,6 +375,9 @@ def test_bad_generator_arguments_raise_domain_error():
         lambda: rng.randint(0.5, 3),
         lambda: rng.randint(0, 3.0),
         lambda: rng.randint(3, 2),
+        lambda: rng.randint(0, 2**53),
+        lambda: rng.randint(0, 2**1100),
+        lambda: rng.randint(-(2**1100), 0),
         lambda: rng.spawn(1.5),
     ]
     for call in bad:

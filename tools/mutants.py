@@ -208,11 +208,20 @@ MUTANTS = (
     Mutant(
         "stream-no-overdraw",
         "rng.py",
-        "2 * math.ceil(_attempts(max(pairs)))",
-        "2 * max(pairs)",
+        "2 * math.ceil(_attempts(want.max()))",
+        "2 * want.max()",
         "the audit's stream pass draws as many attempts as the largest stream "
-        "wants pairs, so the streams that want the most come up short and are "
-        "drawn again on the loop",
+        "wants pairs, so the streams that want the most come up short and "
+        "draw themselves again",
+    ),
+    Mutant(
+        "stream-all-lanes",
+        "rng.py",
+        "lane = counts <= LANE_MIN_VARIATES",
+        "lane = counts > 0",
+        "every audit stream joins the lane pass, however many pairs it wants: "
+        "the bits stay, but each lane of a batch with a large trial is stepped "
+        "as far as that trial needs",
     ),
     Mutant(
         "stream-pairs-one-short",
@@ -227,8 +236,8 @@ MUTANTS = (
         "rng.py",
         "short = rank[:, -1] < want",
         "short = rank[:, -1] < 0",
-        "an audit stream that comes up short is taken as drawn, not finished "
-        "on the loop, so its trial lacks variates",
+        "an audit stream that comes up short is taken as drawn, not drawn "
+        "again by itself, so its trial lacks variates",
     ),
     Mutant(
         "lane-jump-late-block",
