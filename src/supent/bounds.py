@@ -28,6 +28,7 @@ drops below max over t of these, and also never below zero.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -89,10 +90,21 @@ MAX_ENTANGLEMENT = 1e6
 # Rounding slack, relative to 1 + |bracket|, for the computed entropies when
 # the refined search rules out grid points.  eigvalsh leaves an absolute
 # error of a few u = 2^-53 on each eigenvalue of a unit-trace operator, which
-# moves its entropy by about d u log2(1/u), or 6e-15 d; the secant
-# extrapolations below at most triple that.  1e-9 covers it with room to
-# spare at any dimension a dense eigendecomposition can reach.
+# moves its entropy by about d u log2(1/u), or 6e-15 d.  A secant of an
+# interval w wide, extended a distance x past it, multiplies that by
+# 1 + 2 x / w, so the bounds below extend none further than SECANT_REACH w:
+# at most 5 times.  1e-9 covers it with room to spare at any dimension a
+# dense eigendecomposition can reach.
 ENTROPY_ROUNDING = 1e-9
+
+# Farthest a neighbouring interval's secant is extended into the next, in
+# widths of its own interval.  The grid stage never reaches it: a point it
+# bounds lies within one stride of its interval's knots, and every interval
+# beside it is at least one stride wide.  But a golden-section point may
+# land within rounding of a grid point, and the secant of so narrow an
+# interval, extended across the next, would carry its rounding far past
+# ENTROPY_ROUNDING.
+SECANT_REACH = 2.0
 
 # Rounding allowance, relative to the size of L1's and L2's terms at the
 # window's right edge, when ``_maximize_lower`` rules a branch out: each
@@ -374,14 +386,15 @@ def minimize_f_with_refinement(
     2. Each S_X is concave in t, because entropy is concave and rho_X(t) is
        affine in t.  So between two computed points S_X lies above their
        chord L_X and below the secants of the two neighbouring intervals
-       between computed points, extended.  And since the Holevo quantity
-       does not grow under partial trace, S_X <= m + S_AB <= m + h2(t), the
-       ceiling, where m = t E(psi) + (1-t) E(phi) and S_AB is the entropy of
-       the rank-2 mixture: its top eigenvalue is at least
-       <psi|rho|psi> >= t, and likewise 1 - t.  With U_X the lower of the
-       two secants and the ceiling, cap = clip(max(U_A - L_B, U_B - L_A), 0,
-       inf) >= Delta, and LB = pref (m + h2(t) - min(cap, h2(t))) / N^2 is at
-       most the refined f (``_delta_cap``).
+       between computed points, extended (SECANT_REACH).  And since the
+       Holevo quantity does not grow under partial trace,
+       S_X <= m + S_AB <= m + h2(t), the ceiling, where
+       m = t E(psi) + (1-t) E(phi) and S_AB is the entropy of the rank-2
+       mixture: its top eigenvalue is at least <psi|rho|psi> >= t, and
+       likewise 1 - t.  With U_X the lower of the two secants and the
+       ceiling, cap = clip(max(U_A - L_B, U_B - L_A), 0, inf) >= Delta, and
+       LB = pref (m + h2(t) - min(cap, h2(t))) / N^2 is at most the refined
+       f (``_delta_cap``).
        S_X >= m and Araki-Lieb's Delta <= h2(t) would rule out no more
        points: the chord lies above the affine m, which S_X exceeds at the
        computed points, so U_A - L_B <= (m + h2(t)) - m already.
@@ -397,14 +410,18 @@ def minimize_f_with_refinement(
        final ``best``, the least computed value: it cannot be the grid
        minimum, and the grid argmin, the golden-section path and the result
        are those of a full-grid evaluation, bit for bit.
+    5. A search stepping alone gets LB - allowance as the floor of
+       ``optimize.minimize_many``, its cap taken from every point its row
+       has computed, grid points and its earlier golden-section points
+       alike (``_cap_at``): a golden-section point whose floor lies above
+       the value it is compared with is not eigendecomposed, and the path
+       and the result keep every bit.  This cap leaves out the ceiling,
+       which holds only when e_psi and e_phi are the states' entanglements,
+       so that a lone search keeps the lockstep bits for any arguments.
     """
     cols = (e_psi, e_phi, alpha_sq, gamma_norm_sq)
     plain = _minimize_f(*cols)
     f = _pointwise(_f_value, cols)
-
-    def objective(rows, t):
-        s_a, s_b = stack.entropies(rows, t)
-        return f(rows, t, s_a - s_b)
 
     def on_grid(rows, i, delta):
         return _f_value(_T_GRID[i], _H_GRID[i], *(c[rows] for c in cols), delta)
@@ -424,7 +441,7 @@ def minimize_f_with_refinement(
     ceiling = t * e1 + (1.0 - t) * e2 + _H_GRID
     cap = _delta_cap(t, _KNOT_BELOW, t[_KNOTS], s_a, s_b, ceiling)
     values = _f_value(t, _H_GRID, e1, e2, a, n2, cap)
-    allowance = _f_prefactor(t, a) / n2 * ENTROPY_ROUNDING * (1.0 + np.abs(ceiling))
+    allowance = _allowance(t, a, n2, ceiling)
     values[:, _KNOTS] = on_grid(all_rows[:, None], _KNOTS, s_a - s_b)
     best = values[:, _KNOTS].min(axis=1)
     doubt = values - allowance <= best[:, None]
@@ -453,9 +470,38 @@ def minimize_f_with_refinement(
         left = values[rows, i] - allowance[rows, i] <= best[rows]
         rows, i = rows[left], i[left]
     if rows.size:
-        s_a, s_b = stack.entropies(rows, t[i])
-        values[rows, i] = on_grid(rows, i, s_a - s_b)
-    found = _golden(objective, values)
+        last_a, last_b = stack.entropies(rows, t[i])
+        values[rows, i] = on_grid(rows, i, last_a - last_b)
+        keys, s_a, s_b = (np.concatenate(x) for x in ((keys, rows * size + i), (s_a, last_a), (s_b, last_b)))
+
+    lone = {}  # row: its computed weights ascending, their S_A and S_B, and its params
+
+    def computed(r):
+        if r not in lone:
+            mine = np.flatnonzero(keys // size == r)
+            mine = mine[np.argsort(keys[mine])]
+            params = tuple(c[r].item() for c in cols)
+            lone[r] = (t[keys[mine] % size].tolist(), s_a[mine].tolist(), s_b[mine].tolist(), params)
+        return lone[r]
+
+    def floor(r, x):
+        ts, sa, sb, (e_psi_r, e_phi_r, a_r, n2_r) = computed(r)
+        h = binary_entropy(x)
+        bound = _f_value(x, h, e_psi_r, e_phi_r, a_r, n2_r, _cap_at(x, ts, sa, sb))
+        return bound - _allowance(x, a_r, n2_r, x * e_psi_r + (1.0 - x) * e_phi_r + h)
+
+    def objective(rows, x):
+        x_a, x_b = stack.entropies(rows, x)
+        if type(rows) is int:  # a lone search's point tightens its later floors
+            ts, sa, sb, _ = computed(rows)
+            j = bisect.bisect_left(ts, x)
+            if j == len(ts) or ts[j] != x:
+                ts.insert(j, x)
+                sa.insert(j, x_a)
+                sb.insert(j, x_b)
+        return f(rows, x, x_a - x_b)
+
+    found = _golden(objective, values, floor=floor)
     # the pins take the entropies at hand
     _pin(lambda r, t: f(r, t, pin_a[r] - pin_b[r]), found, *_inside(alpha_sq))
     _pin(lambda r, t: f(r, t, plain_a[r] - plain_b[r]), found, all_rows.tolist(), plain_t.tolist())
@@ -471,9 +517,10 @@ def _delta_cap(
     lies between knots[j] and knots[j + 1]: each side lies above the chord of
     that interval and below the ceiling and the secants of the two
     neighbouring intervals, extended into this one.  A neighbour counts where
-    the knots ascend into it, so ``knots`` may hold the ascending runs of
-    several problems end to end, s_a and s_b with it, or one run that the
-    rows of s_a and s_b share along their last axis."""
+    t lies within SECANT_REACH of its widths of it, which leaves out one the
+    knots descend into, so ``knots`` may hold the ascending runs of several
+    problems end to end, s_a and s_b with it, or one run that the rows of
+    s_a and s_b share along their last axis."""
     ahead = np.roll(knots, -1) - knots  # each knot's interval; a run's last one descends
     nxt = (j + 1) % knots.shape[-1]
     here, there = t - knots[j], t - knots[j + 1]
@@ -481,10 +528,35 @@ def _delta_cap(
     for s in (s_a, s_b):
         slope = (np.roll(s, -1, axis=-1) - s) / ahead
         lo.append(s[..., j] + slope[..., j] * here)
-        left = np.where(ahead[j - 1] > 0, s[..., j] + slope[..., j - 1] * here, np.inf)
-        right = np.where(ahead[nxt] > 0, s[..., j + 1] + slope[..., nxt] * there, np.inf)
+        left = np.where(here <= SECANT_REACH * ahead[j - 1], s[..., j] + slope[..., j - 1] * here, np.inf)
+        right = np.where(-there <= SECANT_REACH * ahead[nxt], s[..., j + 1] + slope[..., nxt] * there, np.inf)
         hi.append(np.minimum(np.minimum(left, right), ceiling))
     return np.clip(np.maximum(hi[0] - lo[1], hi[1] - lo[0]), 0.0, None)
+
+
+def _cap_at(t: float, ts: list, s_a: list, s_b: list) -> float:
+    """``_delta_cap`` at the one weight t, in floats and without the ceiling,
+    from the side entropies s_a, s_b at the distinct ascending weights
+    ``ts``, ts[0] <= t <= ts[-1]: concavity alone, so it holds whatever
+    E(psi) and E(phi) a problem carries."""
+    j = min(bisect.bisect_right(ts, t), len(ts) - 1) - 1
+    lo, hi = [], []
+    for s in (s_a, s_b):
+        lo.append(s[j] + (s[j + 1] - s[j]) / (ts[j + 1] - ts[j]) * (t - ts[j]))
+        up = math.inf
+        if j > 0 and t - ts[j] <= SECANT_REACH * (ts[j] - ts[j - 1]):
+            up = min(up, s[j] + (s[j] - s[j - 1]) / (ts[j] - ts[j - 1]) * (t - ts[j]))
+        if j + 2 < len(ts) and ts[j + 1] - t <= SECANT_REACH * (ts[j + 2] - ts[j + 1]):
+            up = min(up, s[j + 1] + (s[j + 2] - s[j + 1]) / (ts[j + 2] - ts[j + 1]) * (t - ts[j + 1]))
+        hi.append(up)
+    return max(hi[0] - lo[1], hi[1] - lo[0], 0.0)
+
+
+def _allowance(t, alpha_sq, gamma_norm_sq, bracket):
+    """pref ENTROPY_ROUNDING (1 + |bracket|) / N^2: the rounding allowance of
+    a lower bound on the refined f at t whose bracket before the gap is
+    ``bracket`` = t E(psi) + (1-t) E(phi) + h2(t)."""
+    return _f_prefactor(t, alpha_sq) / gamma_norm_sq * ENTROPY_ROUNDING * (1.0 + abs(bracket))
 
 
 def maximize_lower_scalar(
@@ -568,9 +640,11 @@ def _pointwise(formula, cols):
     return f
 
 
-def _golden(f, grid_values: np.ndarray) -> list[tuple[float, float]]:
-    """(value, t_star) of each row's grid + golden-section search on the window."""
-    results = optimize.minimize_many(f, _T_POINTS, grid_values)
+def _golden(f, grid_values: np.ndarray, **floor) -> list[tuple[float, float]]:
+    """(value, t_star) of each row's grid + golden-section search on the
+    window, a search stepping alone taking any ``floor`` of
+    ``optimize.minimize_many``."""
+    results = optimize.minimize_many(f, _T_POINTS, grid_values, **floor)
     return [(r.value, r.x_star) for r in results]
 
 

@@ -7,7 +7,9 @@ interval endpoints, so nothing in this module uses derivatives.
 searches in lockstep and ``minimize_scalar`` is its n = 1 case.  Its
 objective ``f(rows, x)`` takes an int and a float when one search steps, so
 a single search runs on plain floats, and an int array and a float array
-when several do.
+when several do.  A search stepping alone may take a certified floor of f
+in place of f at a golden-section point, when the floor alone decides the
+step.
 """
 
 from __future__ import annotations
@@ -72,8 +74,26 @@ def _value(f: Callable, row: int, x: float) -> float:
     return v
 
 
+def _floored(floor: Callable) -> Callable:
+    """``_value`` for a search stepping alone, taking ``floor(row, x)`` in
+    place of f where it lies strictly above ``bar``, the least value f has
+    given: at or above the least value sent so far, so the floor may stand in
+    for f (``_golden_section``)."""
+    bar = math.inf
+
+    def value(f: Callable, row: int, x: float) -> float:
+        nonlocal bar
+        v = floor(row, x)
+        if not v > bar:  # f decides this step; a NaN floor never stands in
+            v = _value(f, row, x)
+            bar = min(bar, v)
+        return v
+
+    return value
+
+
 def minimize_many(
-    f: Callable, xs: tuple[float, ...], grid_values: np.ndarray
+    f: Callable, xs: tuple[float, ...], grid_values: np.ndarray, floor: Callable | None = None
 ) -> list[OptimizerResult]:
     """Minimize n objectives on [xs[0], xs[-1]] in lockstep, row r of the
     (n, G) array ``grid_values`` holding search r's values on the G ascending
@@ -81,11 +101,18 @@ def minimize_many(
 
     Each search refines the bracket around its best grid point (the first of
     equal minima) until it is narrower than TOL; one on the edge starts one
-    grid step wide and finishes early.  Each step is one call ``f(rows, x)``
-    for the searches still going, and each search gets the bits it gets alone.
-    Each grid value must be ``f`` there or above its row's grid minimum of
-    ``f``, which leaves the best grid point, and with it the whole search,
-    unchanged.
+    grid step wide and finishes early.  While several searches go, each step
+    is one call ``f(rows, x)`` for all of them, and each search gets the bits
+    it gets alone.  Each grid value must be ``f`` there or above its row's
+    grid minimum of ``f``, which leaves the best grid point, and with it the
+    whole search, unchanged.
+
+    ``floor(r, x)``, if given, is a lower bound on ``f(r, x)``, or NaN,
+    which is never taken.  A search stepping alone asks it first at each
+    point and takes it in place of f when it lies strictly above the least
+    value f has given that search alone, and so above the value the point is
+    compared with (``_golden_section``): f is called only where its value
+    decides the step.
     """
     vals = np.asarray(grid_values, dtype=float)
     n, grid_n = vals.shape
@@ -112,9 +139,11 @@ def minimize_many(
         active, probes = going, next_probes
     if active:  # the last search steps alone, with less overhead per step
         (r,), (x,) = active, probes
+        # a search without a floor pays nothing for the floor's bookkeeping
+        value = _value if floor is None else _floored(floor)
         try:
             while True:
-                x = searches[r].send(_value(f, r, x))
+                x = searches[r].send(value(f, r, x))
         except StopIteration as stop:
             results[r] = stop.value
     return results
@@ -123,7 +152,17 @@ def minimize_many(
 def _golden_section(lo: float, hi: float, best_x: float, best_v: float):
     """Golden-section search of [lo, hi] from the best point (best_x, best_v),
     as a generator: it yields each point it needs, is sent f there, and
-    returns the OptimizerResult."""
+    returns the OptimizerResult.
+
+    Each point after the first is compared with one other inner point: the
+    first, or the better of the step before's two (the upper one on a tie).
+    So that point's value is the least sent so far, and best_v is at or
+    below it when the new point is compared with best_v.  The value sent
+    for such a point may therefore be any floor of f there strictly above
+    the least value sent so far: the point loses the step's comparison as
+    f's value would, never becomes the best and is dropped, so the path and
+    the result keep every bit.
+    """
     c = hi - (hi - lo) * _INV_PHI
     d = lo + (hi - lo) * _INV_PHI
     fc = yield c

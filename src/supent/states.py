@@ -98,7 +98,8 @@ class PairStack:
 
     Each of a pair's four operators rho_X(s) is built once and held only in
     the one stack of its dimension, A side and B side alike; ``operators``
-    gives a row's as views of those stacks.
+    gives a row's as views of those stacks.  A square row's A and B members
+    are next to each other in their stack.
     """
 
     def __init__(self, pairs):
@@ -113,6 +114,7 @@ class PairStack:
         self._index = np.empty_like(self._dims)  # each (row, side)'s place in its stack
         self._stacks = {}  # dim: (s1 operators, s2 operators) of its (row, side) members
         self._views = [[None, None] for _ in pairs]  # each row's operators on each side
+        self._square = [None] * len(pairs)  # a square row's (2, d, d) slices of s1's and s2's
         for d in sorted(set(self._dims.ravel().tolist())):
             members = np.argwhere(self._dims == d).tolist()  # [row, side], row by row
             x1, x2 = (
@@ -123,6 +125,8 @@ class PairStack:
             for j, (k, side) in enumerate(members):
                 self._index[k, side] = j
                 self._views[k][side] = x1[j], x2[j]
+                if side == 1 and self._dims[k, 0] == d:
+                    self._square[k] = x1[j - 1 : j + 1], x2[j - 1 : j + 1]
 
     def operators(self, row: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Pair ``row``'s [(rho_A(s1), rho_A(s2)), (rho_B(s1), rho_B(s2))], as
@@ -133,18 +137,22 @@ class PairStack:
         """(S_A, S_B) of t |s1><s1| + (1-t) |s2><s2| for the pair in row ``rows``.
 
         ``rows`` is a row number (an integer, not a bool) and ``t`` a number,
-        giving two floats from that row's operators, or ``rows`` a 1-D integer
-        array of row numbers and ``t`` an array of weights of its shape,
-        giving two arrays from one stacked eigendecomposition per distinct
-        dimension among the requested sides (per side for a one-row store);
-        both give each pair the same bits.  Raises DomainError for rows of
-        any other kind or outside the stack, and for a weight outside [0, 1]
-        or NaN: the mixture would not be a state.
+        giving two floats, or ``rows`` a 1-D integer array of row numbers and
+        ``t`` an array of weights of its shape, giving two arrays.  Either
+        takes one stacked eigendecomposition per distinct dimension among the
+        requested sides, so one for a square row, except that a one-row
+        store given arrays takes one per side, broadcast over the weights;
+        all give each pair the same bits.  Raises DomainError for rows of any
+        other kind or outside the stack, and for a weight outside [0, 1] or
+        NaN: the mixture would not be a state.
         """
         n = len(self._views)
         if isinstance(rows, numbers.Integral) and not isinstance(rows, bool) and 0 <= rows < n:
             if not (isinstance(t, numbers.Real) and 0.0 <= t <= 1.0):
                 raise DomainError(f"a mixture weight must be a number in [0, 1], got {t!r}")
+            if self._square[rows] is not None:
+                x, y = self._square[rows]
+                return tuple(qmath.psd_entropy(t * x + (1.0 - t) * y).tolist())
             return tuple(qmath.psd_entropy(t * x + (1.0 - t) * y) for x, y in self.operators(rows))
         if not (
             isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.ndim == 1

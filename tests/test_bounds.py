@@ -569,9 +569,9 @@ def test_refined_pruning_matches_exhaustive_grid(monkeypatch):
     seen, calls = [], []
     minimize, entropies = optimize.minimize_many, states.PairStack.entropies
 
-    def spy(f, xs, grid_values):
+    def spy(f, xs, grid_values, **floor):
         seen.append((grid_values, len(calls)))
-        return minimize(f, xs, grid_values)
+        return minimize(f, xs, grid_values, **floor)
 
     def counting(self, rows, t):
         calls.append(rows)
@@ -713,15 +713,14 @@ def test_mixture_entropy_is_at_most_binary_entropy():
 @pytest.mark.parametrize("d", [4, 16, 32])
 def test_refined_search_eigendecomposes_few_grid_points(d, monkeypatch):
     stacked = []
-    eigvalsh = np.linalg.eigvalsh
+    entropies = states.PairStack.entropies
 
-    def counting(a, *args, **kwargs):
-        a = np.asarray(a)
-        if a.ndim == 3:
-            stacked.append(a.shape[0])
-        return eigvalsh(a, *args, **kwargs)
+    def counting(self, rows, t):
+        if isinstance(rows, np.ndarray):  # a grid level's call; golden section's take an int
+            stacked.append(rows.size)
+        return entropies(self, rows, t)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(states.PairStack, "entropies", counting)
     rng = np.random.default_rng(d)
     for _ in range(3):
         alpha, beta = random_sphere_pair(rng)
@@ -730,9 +729,9 @@ def test_refined_search_eigendecomposes_few_grid_points(d, monkeypatch):
         )
         stacked.clear()
         _refine([p])
-        # one stacked call per side for each grid level: 13-16 weights here,
+        # one stacked call for each grid level: 13-16 weights here,
         # t = |alpha|^2 and the plain minimizer among them
-        assert 0 < sum(stacked) // 2 <= 20
+        assert 0 < sum(stacked) <= 20
 
 
 # -- L1/L2 and their maximum -------------------------------------------------------
@@ -1163,14 +1162,14 @@ def test_certify_eigendecomposes_the_audit_in_few_calls(monkeypatch):
     assert sum(matrices) == 7284
     assert len(calls) <= 250
     # a single problem makes one call per side for each grid level, the
-    # first of them with t = |alpha|^2 and the plain minimizer, and one per
-    # side at each golden-section point
+    # first of them with t = |alpha|^2 and the plain minimizer, and one for
+    # both sides at each golden-section point whose floor does not decide it
     calls.clear()
     certify(harness.haar_random_state(4, 4, 1), harness.haar_random_state(4, 4, 2), 0.6, 0.8)
-    assert len(calls) <= 88
+    assert len(calls) <= 42
     # dense pairs, whose refined grid the certified floor mostly prunes; the
     # one-sided ones need the ceiling m + h2(t) to prune this much
-    for kind, recorded in (("one_sided", 432), ("haar", 440)):
+    for kind, recorded in (("one_sided", 396), ("haar", 390)):
         matrices.clear()
         for seed in range(4):
             if kind == "one_sided":
@@ -1180,6 +1179,78 @@ def test_certify_eigendecomposes_the_audit_in_few_calls(monkeypatch):
                 phi = harness.haar_random_state(32, 32, seed + 100)
             certify(psi, phi, 0.6, 0.8)
         assert sum(matrices) == recorded, kind
+
+
+def _floor_draws(kind):
+    """(psi, phi, alpha, beta) of one kind of problem for the lone refined
+    search: Haar pairs, one-sided pairs, pairs sharing a factor (whose
+    refined f is flat within rounding) and |alpha|^2 within a grid step of
+    either end of the window."""
+    rng = np.random.default_rng(109)
+    if kind == "haar":
+        for dim_a, dim_b in ((2, 2), (3, 5), (8, 8), (32, 32)):
+            yield random_state(rng, dim_a, dim_b), random_state(rng, dim_a, dim_b), *random_sphere_pair(rng)
+    elif kind == "one_sided":
+        for seed, (d1, d2, dim_a) in enumerate(((1, 1, 2), (2, 3, 6), (3, 2, 5), (8, 8, 16))):
+            yield *harness.generate_one_sided_pair(d1, d2, dim_a, 800 + seed), *random_sphere_pair(rng)
+    elif kind == "shared_factor":
+        for dim_a, dim_b, alpha_sq in ((2, 3, 0.5), (4, 2, 0.05), (3, 3, 0.9), (5, 3, 0.7)):
+            q = random_unitary(rng, dim_a)
+            v = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
+            psi, phi = (BipartiteState(np.outer(q[:, k], v / np.linalg.norm(v))) for k in (0, 1))
+            yield psi, phi, math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)
+    else:
+        for alpha_sq in (T_EPS, 1e-6, 2e-3, 1.0 - 2e-3, 1.0 - 1e-6, 1.0 - T_EPS):
+            yield random_state(rng, 3, 4), random_state(rng, 3, 4), math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)
+
+
+@pytest.mark.parametrize("kind", ["haar", "one_sided", "shared_factor", "window_edge"])
+def test_lone_refined_floor_keeps_every_bit(kind, monkeypatch):
+    # certify's refined search steps alone, taking a floor for f where it
+    # decides the step; with the floor switched off every report keeps its
+    # bits, and only the eigendecompositions grow, except for a flat refined
+    # f, where no floor clears its rounding allowance
+    draws = list(_floor_draws(kind))
+    matrices = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    floored = [_hexed(certify(*draw)) for draw in draws]
+    with_floor = sum(matrices)
+    matrices.clear()
+    minimize = optimize.minimize_many
+    monkeypatch.setattr(optimize, "minimize_many", lambda f, xs, grid_values, **floor: minimize(f, xs, grid_values))
+    assert [_hexed(certify(*draw)) for draw in draws] == floored
+    assert sum(matrices) > with_floor or kind == "shared_factor" and sum(matrices) == with_floor
+
+
+def test_lone_cap_is_the_delta_cap_without_ceiling():
+    rng = np.random.default_rng(113)
+    for size in (2, 3, 5, 40):
+        ts = np.sort(rng.uniform(0.0, 1.0, size))
+        s_a, s_b = rng.uniform(0.0, 3.0, (2, size))
+        for t in np.concatenate([ts, rng.uniform(ts[0], ts[-1], 20)]).tolist():
+            j = min(int(np.searchsorted(ts, t, side="right")), size - 1) - 1
+            want = bounds._delta_cap(t, j, ts, s_a, s_b, math.inf)
+            assert bounds._cap_at(t, ts.tolist(), s_a.tolist(), s_b.tolist()) == float(want)
+
+
+def test_cap_extends_no_secant_past_its_reach():
+    # a golden-section point 1e-9 past a grid point: the secant of that
+    # sliver, its ends off by 1e-13, is 2e-4 too shallow, and extended into
+    # the next interval it would fall below S_A, by up to 2e-10 at 1e-6
+    # further on, and the cap below Delta
+    ts = np.array([0.2, 0.5, 0.5 + 1e-9, 0.7, 0.9])
+    s_a = binary_entropy(ts) + np.array([0.0, 1e-13, -1e-13, 0.0, 0.0])
+    s_b = 0.1 * ts
+    for t in (0.5 + np.geomspace(3e-9, 1e-2, 50)).tolist():
+        gap = binary_entropy(t) - 0.1 * t
+        assert gap - 1e-12 <= bounds._cap_at(t, ts.tolist(), s_a.tolist(), s_b.tolist()) < math.inf
+        assert gap - 1e-12 <= bounds._delta_cap(t, 2, ts, s_a, s_b, math.inf) < math.inf
 
 
 def test_certify_haar_random():

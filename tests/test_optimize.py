@@ -67,6 +67,42 @@ def test_minimize_many_rejects_grid_points_of_another_count():
             minimize_many(g, points, grid)
 
 
+def _wiggle():
+    """A wiggly objective on a 101-point grid of [0, 3] and its plain search."""
+    f = lambda x: math.sin(13.0 * x) + 0.3 * x
+    g, xs, grid = _on_grid(f, 0.0, 3.0, 101)
+    return f, xs, grid, minimize_many(g, xs, grid)[0]
+
+
+def test_a_lone_search_with_a_strict_floor_keeps_its_result():
+    # floors an ulp and 1e-9 below f stand in for some of its values
+    f, xs, grid, plain = _wiggle()
+    for below in (lambda v: math.nextafter(v, -math.inf), lambda v: v - 1e-9):
+        calls = []
+
+        def counted(r, x):
+            calls.append(x)
+            return f(x)
+
+        assert minimize_many(counted, xs, grid, lambda r, x: below(f(x))) == [plain]
+        assert 2 <= len(calls) < 2 + plain.iterations
+
+
+def test_a_floor_equal_to_the_compared_value_is_not_taken():
+    # a floor equal to the least value f has given, where f lies above it,
+    # stays unused: taken, it would tie the value its point is compared
+    # with, and a new upper point would keep the other side of the bracket
+    f, xs, grid, plain = _wiggle()
+    given = []
+
+    def recorded(r, x):
+        given.append(f(x))
+        return given[-1]
+
+    assert minimize_many(recorded, xs, grid, lambda r, x: min([f(x), *given])) == [plain]
+    assert len(given) == 2 + plain.iterations
+
+
 def test_maximize_with_grid_values_matches_scalar_grid():
     f = lambda x: math.cos(7.0 * x) - (x - 0.4) ** 2
     (res,) = minimize_many(*_on_grid(lambda x: -f(x), 0.0, 2.0, DEFAULT_GRID_N))

@@ -503,6 +503,14 @@ def test_pair_stack_eigendecomposes_once_per_dimension(monkeypatch):
         dims = {ops[0].shape[0] for r in rows.tolist() for ops in stack.operators(r)}
         assert sorted(shape[-1] for shape in calls) == sorted(dims)
         assert sum(shape[0] for shape in calls) == 2 * rows.size
+    # a row alone makes one call per distinct dimension among its sides, so
+    # one for the square row 1, and each gets the bits of a row in an array
+    for r in range(6):
+        calls.clear()
+        s_a, s_b = stack.entropies(r, 0.3)
+        dims = [ops[0].shape[0] for ops in stack.operators(r)]
+        assert calls == ([(2, dims[0], dims[0])] if dims[0] == dims[1] else [(d, d) for d in dims])
+        assert [s_a, s_b] == [s[0] for s in stack.entropies(np.array([r]), np.array([0.3]))]
     # a one-row store broadcasts its pair over the weights: one call per side
     calls.clear()
     PairStack(_mixed_pairs(rng)[1:2]).entropies(np.zeros(5, dtype=int), np.linspace(0, 1, 5))

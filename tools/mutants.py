@@ -176,8 +176,8 @@ MUTANTS = (
     Mutant(
         "pruned-stops-early",
         "bounds.py",
-        "if rows.size:\n        s_a, s_b = stack.entropies(rows, t[i])",
-        "if False:\n        s_a, s_b = stack.entropies(rows, t[i])",
+        "if rows.size:\n        last_a, last_b = stack.entropies(rows, t[i])",
+        "if False:\n        last_a, last_b = stack.entropies(rows, t[i])",
         "the points still in doubt after the refined search's last level keep "
         "their bounds as grid values, so the grid minimum can be a bound",
     ),
@@ -254,6 +254,31 @@ MUTANTS = (
         "ENTROPY_ROUNDING = 0.0",
         "the refined search's pruning floor allows no rounding in the side "
         "entropies, so it can rule out the grid point that holds the minimum",
+    ),
+    Mutant(
+        "floor-at-tie",
+        "optimize.py",
+        "if not v > bar:",
+        "if not v >= bar:",
+        "a lone search takes a floor equal to the value its point is compared "
+        "with, so a tie the floor makes can keep the wrong side of the bracket",
+    ),
+    Mutant(
+        "floor-no-rounding",
+        "bounds.py",
+        "return bound - _allowance(x, a_r, n2_r, x * e_psi_r + (1.0 - x) * e_phi_r + h)",
+        "return bound",
+        "the lone refined search's floor allows no rounding in the side "
+        "entropies, so it can stand in for a lower value and turn a step",
+    ),
+    Mutant(
+        "secant-any-reach",
+        "bounds.py",
+        "SECANT_REACH = 2.0",
+        "SECANT_REACH = math.inf",
+        "the refined search's gap cap extends a neighbour's secant however far "
+        "past its interval, so the secant of a golden-section point's sliver "
+        "beside a grid point carries its rounding across the next interval",
     ),
     Mutant(
         "lower-edge-rounding",
