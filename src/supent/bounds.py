@@ -385,22 +385,16 @@ def minimize_f_with_refinement(
        least refined f among the grid points computed so far.
     2. Each S_X is concave in t, because entropy is concave and rho_X(t) is
        affine in t.  So between two computed points S_X lies above their
-       chord L_X and below the secants of the two neighbouring intervals
-       between computed points, extended (SECANT_REACH).  And since the
-       Holevo quantity does not grow under partial trace,
-       S_X <= m + S_AB <= m + h2(t), the ceiling, where
-       m = t E(psi) + (1-t) E(phi) and S_AB is the entropy of the rank-2
-       mixture: its top eigenvalue is at least <psi|rho|psi> >= t, and
-       likewise 1 - t.  With U_X the lower of the two secants and the
-       ceiling, cap = clip(max(U_A - L_B, U_B - L_A), 0, inf) >= Delta, and
-       LB = pref (m + h2(t) - min(cap, h2(t))) / N^2 is at most the refined
-       f (``_delta_cap``).
-       S_X >= m and Araki-Lieb's Delta <= h2(t) would rule out no more
-       points: the chord lies above the affine m, which S_X exceeds at the
-       computed points, so U_A - L_B <= (m + h2(t)) - m already.
+       chord L_X and below U_X, the lower of the secants of the two
+       neighbouring intervals between computed points, extended
+       (SECANT_REACH).  So cap = clip(max(U_A - L_B, U_B - L_A), 0, inf)
+       >= Delta (``_delta_cap``), and LB, the refined f with Delta replaced
+       by cap, is at most the refined f.  This needs nothing of E(psi) and
+       E(phi), so it holds for any arguments.
     3. A point is in doubt while LB - allowance <= best, where
-       allowance = pref ENTROPY_ROUNDING (1 + |m + h2(t)|) / N^2 absorbs
-       rounding in the computed entropies.  Each later level computes, in
+       allowance = pref ENTROPY_ROUNDING (1 + |m + h2(t)|) / N^2, with
+       m = t E(psi) + (1-t) E(phi), absorbs rounding in the computed
+       entropies (``_allowance``).  Each later level computes, in
        one stacked call, the points of its stride on either side of each
        point in doubt, once each, and bounds what is still in doubt from
        its row's nearest computed points.  After the last level, one call
@@ -415,9 +409,7 @@ def minimize_f_with_refinement(
        has computed, grid points and its earlier golden-section points
        alike (``_cap_at``): a golden-section point whose floor lies above
        the value it is compared with is not eigendecomposed, and the path
-       and the result keep every bit.  This cap leaves out the ceiling,
-       which holds only when e_psi and e_phi are the states' entanglements,
-       so that a lone search keeps the lockstep bits for any arguments.
+       and the result keep every bit.
     """
     cols = (e_psi, e_phi, alpha_sq, gamma_norm_sq)
     plain = _minimize_f(*cols)
@@ -437,11 +429,9 @@ def minimize_f_with_refinement(
         )
     )
     s_a, s_b = s_a.reshape(n, k), s_b.reshape(n, k)
-    t, (e1, e2, a, n2) = _T_GRID, (c[:, None] for c in cols)
-    ceiling = t * e1 + (1.0 - t) * e2 + _H_GRID
-    cap = _delta_cap(t, _KNOT_BELOW, t[_KNOTS], s_a, s_b, ceiling)
-    values = _f_value(t, _H_GRID, e1, e2, a, n2, cap)
-    allowance = _allowance(t, a, n2, ceiling)
+    t, params = _T_GRID, [c[:, None] for c in cols]
+    values = _f_value(t, _H_GRID, *params, _delta_cap(t, _KNOT_BELOW, t[_KNOTS], s_a, s_b))
+    allowance = _allowance(t, _H_GRID, *params)
     values[:, _KNOTS] = on_grid(all_rows[:, None], _KNOTS, s_a - s_b)
     best = values[:, _KNOTS].min(axis=1)
     doubt = values - allowance <= best[:, None]
@@ -466,7 +456,7 @@ def minimize_f_with_refinement(
         left = ~mark[at]
         rows, i, at = rows[left], i[left], at[left]
         j = np.searchsorted(keys, at) - 1
-        values[rows, i] = on_grid(rows, i, _delta_cap(t[i], j, t[keys % size], s_a, s_b, ceiling[rows, i]))
+        values[rows, i] = on_grid(rows, i, _delta_cap(t[i], j, t[keys % size], s_a, s_b))
         left = values[rows, i] - allowance[rows, i] <= best[rows]
         rows, i = rows[left], i[left]
     if rows.size:
@@ -485,10 +475,9 @@ def minimize_f_with_refinement(
         return lone[r]
 
     def floor(r, x):
-        ts, sa, sb, (e_psi_r, e_phi_r, a_r, n2_r) = computed(r)
+        ts, sa, sb, params = computed(r)
         h = binary_entropy(x)
-        bound = _f_value(x, h, e_psi_r, e_phi_r, a_r, n2_r, _cap_at(x, ts, sa, sb))
-        return bound - _allowance(x, a_r, n2_r, x * e_psi_r + (1.0 - x) * e_phi_r + h)
+        return _f_value(x, h, *params, _cap_at(x, ts, sa, sb)) - _allowance(x, h, *params)
 
     def objective(rows, x):
         x_a, x_b = stack.entropies(rows, x)
@@ -509,18 +498,17 @@ def minimize_f_with_refinement(
 
 
 def _delta_cap(
-    t: np.ndarray, j: np.ndarray, knots: np.ndarray, s_a: np.ndarray, s_b: np.ndarray,
-    ceiling: np.ndarray,
+    t: np.ndarray, j: np.ndarray, knots: np.ndarray, s_a: np.ndarray, s_b: np.ndarray
 ) -> np.ndarray:
     """Upper bound on |S_A(t) - S_B(t)| from the side entropies s_a, s_b,
-    concave in t, at the weights ``knots`` and a ``ceiling`` >= each, where t
-    lies between knots[j] and knots[j + 1]: each side lies above the chord of
-    that interval and below the ceiling and the secants of the two
-    neighbouring intervals, extended into this one.  A neighbour counts where
-    t lies within SECANT_REACH of its widths of it, which leaves out one the
-    knots descend into, so ``knots`` may hold the ascending runs of several
-    problems end to end, s_a and s_b with it, or one run that the rows of
-    s_a and s_b share along their last axis."""
+    concave in t, at the weights ``knots``, where t lies between knots[j]
+    and knots[j + 1]: each side lies above the chord of that interval and
+    below the secants of the two neighbouring intervals, extended into this
+    one.  A neighbour counts where t lies within SECANT_REACH of its widths
+    of it, which leaves out one the knots descend into, so ``knots`` may
+    hold the ascending runs of several problems end to end, s_a and s_b
+    with it, or one run that the rows of s_a and s_b share along their last
+    axis."""
     ahead = np.roll(knots, -1) - knots  # each knot's interval; a run's last one descends
     nxt = (j + 1) % knots.shape[-1]
     here, there = t - knots[j], t - knots[j + 1]
@@ -530,15 +518,14 @@ def _delta_cap(
         lo.append(s[..., j] + slope[..., j] * here)
         left = np.where(here <= SECANT_REACH * ahead[j - 1], s[..., j] + slope[..., j - 1] * here, np.inf)
         right = np.where(-there <= SECANT_REACH * ahead[nxt], s[..., j + 1] + slope[..., nxt] * there, np.inf)
-        hi.append(np.minimum(np.minimum(left, right), ceiling))
+        hi.append(np.minimum(left, right))
     return np.clip(np.maximum(hi[0] - lo[1], hi[1] - lo[0]), 0.0, None)
 
 
 def _cap_at(t: float, ts: list, s_a: list, s_b: list) -> float:
-    """``_delta_cap`` at the one weight t, in floats and without the ceiling,
-    from the side entropies s_a, s_b at the distinct ascending weights
-    ``ts``, ts[0] <= t <= ts[-1]: concavity alone, so it holds whatever
-    E(psi) and E(phi) a problem carries."""
+    """``_delta_cap`` at the one weight t, in floats, from the side
+    entropies s_a, s_b at the distinct ascending weights ``ts``,
+    ts[0] <= t <= ts[-1]."""
     j = min(bisect.bisect_right(ts, t), len(ts) - 1) - 1
     lo, hi = [], []
     for s in (s_a, s_b):
@@ -552,10 +539,11 @@ def _cap_at(t: float, ts: list, s_a: list, s_b: list) -> float:
     return max(hi[0] - lo[1], hi[1] - lo[0], 0.0)
 
 
-def _allowance(t, alpha_sq, gamma_norm_sq, bracket):
-    """pref ENTROPY_ROUNDING (1 + |bracket|) / N^2: the rounding allowance of
-    a lower bound on the refined f at t whose bracket before the gap is
-    ``bracket`` = t E(psi) + (1-t) E(phi) + h2(t)."""
+def _allowance(t, h, e_psi, e_phi, alpha_sq, gamma_norm_sq):
+    """pref ENTROPY_ROUNDING (1 + |bracket|) / N^2, with h = h2(t) and
+    bracket = t E(psi) + (1-t) E(phi) + h, f's bracket before the gap: the
+    rounding allowance of a lower bound on the refined f at t."""
+    bracket = t * e_psi + (1.0 - t) * e_phi + h
     return _f_prefactor(t, alpha_sq) / gamma_norm_sq * ENTROPY_ROUNDING * (1.0 + abs(bracket))
 
 

@@ -579,7 +579,7 @@ def test_refined_pruning_matches_exhaustive_grid(monkeypatch):
 
     monkeypatch.setattr(optimize, "minimize_many", spy)
     monkeypatch.setattr(states.PairStack, "entropies", counting)
-    problems = list(_pruning_problems())
+    problems = list(_pruning_problems()) + list(_stationary_at_alpha_sq())
     results = _refine(problems)
     # the plain f search runs first, then the refined one, each given the
     # grid values of every problem; before it, every grid level made its
@@ -670,8 +670,6 @@ def test_delta_cap_bounds_entropy_gap(seed, kind, dim, alpha_sq):
     )
     t = np.asarray(optimize.grid_points(T_EPS, 1.0 - T_EPS, optimize.DEFAULT_GRID_N))
     s_a, s_b = _mixture_side_entropies(p, t)
-    m = t * p.e_psi + (1.0 - t) * p.e_phi
-    s_ab = np.array([states.mixture_entropy(w, abs(p.overlap) ** 2) for w in t.tolist()])
     gap = np.abs(s_a - s_b) - bounds.ENTROPY_ROUNDING
     # computed points as the levels leave them: uniform at each stride, and
     # uneven, with both ends always in
@@ -680,22 +678,19 @@ def test_delta_cap_bounds_entropy_gap(seed, kind, dim, alpha_sq):
     runs += [np.unique(np.append(rng.choice(t.size, size), ends)) for size in (0, 1, 3, 12, 60)]
     runs.append(np.array(ends))
     point = np.arange(t.size)
-    # the refined search's ceiling is m + h2(t), above m + S_AB
-    for s_ab_max in (s_ab, bounds._H_GRID):
-        ceiling = m + s_ab_max
-        shared = []
-        for run in runs:
-            j = np.clip(np.searchsorted(run, point, side="right") - 1, 0, run.size - 2)
-            shared.append(bounds._delta_cap(t, j, t[run], s_a[run], s_b[run], ceiling))
-            assert np.all(shared[-1] >= gap)
-        # the runs end to end, each point between two of its run's points
-        # bounded as from that run alone
-        keys = np.concatenate([r * t.size + run for r, run in enumerate(runs)])
-        knots = np.concatenate(runs)
-        rows, i = np.nonzero([~np.isin(point, run) for run in runs])
-        j = np.searchsorted(keys, rows * t.size + i) - 1
-        flat = bounds._delta_cap(t[i], j, t[knots], s_a[knots], s_b[knots], ceiling[i])
-        assert flat.tolist() == [shared[r][k] for r, k in zip(rows.tolist(), i.tolist())]
+    shared = []
+    for run in runs:
+        j = np.clip(np.searchsorted(run, point, side="right") - 1, 0, run.size - 2)
+        shared.append(bounds._delta_cap(t, j, t[run], s_a[run], s_b[run]))
+        assert np.all(shared[-1] >= gap)
+    # the runs end to end, each point between two of its run's points
+    # bounded as from that run alone
+    keys = np.concatenate([r * t.size + run for r, run in enumerate(runs)])
+    knots = np.concatenate(runs)
+    rows, i = np.nonzero([~np.isin(point, run) for run in runs])
+    j = np.searchsorted(keys, rows * t.size + i) - 1
+    flat = bounds._delta_cap(t[i], j, t[knots], s_a[knots], s_b[knots])
+    assert flat.tolist() == [shared[r][k] for r, k in zip(rows.tolist(), i.tolist())]
 
 
 def test_mixture_entropy_is_at_most_binary_entropy():
@@ -1158,8 +1153,8 @@ def test_certify_eigendecomposes_the_audit_in_few_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     harness.random_audit(64, 6, seed=7)
     # in lockstep each step makes one call per distinct dimension, 220 in all
-    # for 7,284 matrices
-    assert sum(matrices) == 7284
+    # for 7,286 matrices
+    assert sum(matrices) == 7286
     assert len(calls) <= 250
     # a single problem makes one call per side for each grid level, the
     # first of them with t = |alpha|^2 and the plain minimizer, and one for
@@ -1167,9 +1162,9 @@ def test_certify_eigendecomposes_the_audit_in_few_calls(monkeypatch):
     calls.clear()
     certify(harness.haar_random_state(4, 4, 1), harness.haar_random_state(4, 4, 2), 0.6, 0.8)
     assert len(calls) <= 42
-    # dense pairs, whose refined grid the certified floor mostly prunes; the
-    # one-sided ones need the ceiling m + h2(t) to prune this much
-    for kind, recorded in (("one_sided", 396), ("haar", 390)):
+    # dense pairs, whose refined grid the certified floor mostly prunes, on
+    # concavity alone
+    for kind, recorded in (("one_sided", 406), ("haar", 390)):
         matrices.clear()
         for seed in range(4):
             if kind == "one_sided":
@@ -1228,14 +1223,14 @@ def test_lone_refined_floor_keeps_every_bit(kind, monkeypatch):
     assert sum(matrices) > with_floor or kind == "shared_factor" and sum(matrices) == with_floor
 
 
-def test_lone_cap_is_the_delta_cap_without_ceiling():
+def test_lone_cap_is_the_delta_cap():
     rng = np.random.default_rng(113)
     for size in (2, 3, 5, 40):
         ts = np.sort(rng.uniform(0.0, 1.0, size))
         s_a, s_b = rng.uniform(0.0, 3.0, (2, size))
         for t in np.concatenate([ts, rng.uniform(ts[0], ts[-1], 20)]).tolist():
             j = min(int(np.searchsorted(ts, t, side="right")), size - 1) - 1
-            want = bounds._delta_cap(t, j, ts, s_a, s_b, math.inf)
+            want = bounds._delta_cap(t, j, ts, s_a, s_b)
             assert bounds._cap_at(t, ts.tolist(), s_a.tolist(), s_b.tolist()) == float(want)
 
 
@@ -1250,7 +1245,7 @@ def test_cap_extends_no_secant_past_its_reach():
     for t in (0.5 + np.geomspace(3e-9, 1e-2, 50)).tolist():
         gap = binary_entropy(t) - 0.1 * t
         assert gap - 1e-12 <= bounds._cap_at(t, ts.tolist(), s_a.tolist(), s_b.tolist()) < math.inf
-        assert gap - 1e-12 <= bounds._delta_cap(t, 2, ts, s_a, s_b, math.inf) < math.inf
+        assert gap - 1e-12 <= bounds._delta_cap(t, 2, ts, s_a, s_b) < math.inf
 
 
 def test_certify_haar_random():

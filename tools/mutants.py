@@ -166,6 +166,15 @@ MUTANTS = (
         "so it can skip a grid point that holds the minimum",
     ),
     Mutant(
+        "cap-under-chord",
+        "bounds.py",
+        "hi.append(np.minimum(left, right))",
+        "hi.append(np.minimum(np.minimum(left, right), lo[-1]))",
+        "the refined search's gap cap bounds each side entropy from above by "
+        "its chord, a ceiling below the entropy, so it can skip a grid point "
+        "that holds the minimum",
+    ),
+    Mutant(
         "pruned-best-over-bounds",
         "bounds.py",
         "best = values[:, _KNOTS].min(axis=1)",
@@ -266,8 +275,8 @@ MUTANTS = (
     Mutant(
         "floor-no-rounding",
         "bounds.py",
-        "return bound - _allowance(x, a_r, n2_r, x * e_psi_r + (1.0 - x) * e_phi_r + h)",
-        "return bound",
+        "return _f_value(x, h, *params, _cap_at(x, ts, sa, sb)) - _allowance(x, h, *params)",
+        "return _f_value(x, h, *params, _cap_at(x, ts, sa, sb))",
         "the lone refined search's floor allows no rounding in the side "
         "entropies, so it can stand in for a lower value and turn a step",
     ),
