@@ -207,14 +207,18 @@ def binary_entropy(x):
     ``x`` is a number, giving a float, or an array, giving the elementwise
     h2.  Each entry of an array goes through the float arithmetic of a
     number, logs from ``math.log2`` included, so a weight gets the same bits
-    either way.  Raises DomainError for NaN or for a value outside [0, 1] by
-    more than H2_DOMAIN_SLACK.
+    either way.  Raises DomainError for NaN, for a value outside [0, 1] by
+    more than H2_DOMAIN_SLACK, and for anything but a real number or array
+    (a bool included), by ``check_numbers``' rule.
     """
     if isinstance(x, np.ndarray):
-        if not np.all((x >= -H2_DOMAIN_SLACK) & (x <= 1.0 + H2_DOMAIN_SLACK)):
-            raise DomainError("binary entropy argument outside [0, 1]")
+        real = x.dtype.kind in "iuf"
+        if not (real and np.all((x >= -H2_DOMAIN_SLACK) & (x <= 1.0 + H2_DOMAIN_SLACK))):
+            raise DomainError("binary entropy argument is not a real array in [0, 1]")
         return np.fromiter(map(_h2, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    if not -H2_DOMAIN_SLACK <= x <= 1.0 + H2_DOMAIN_SLACK:
+    if type(x) is not float:  # a float skips check_numbers, as slow as the rest
+        check_numbers(-H2_DOMAIN_SLACK, 1.0 + H2_DOMAIN_SLACK, **{"binary entropy argument": x})
+    elif not -H2_DOMAIN_SLACK <= x <= 1.0 + H2_DOMAIN_SLACK:
         raise DomainError(f"binary entropy argument {x!r} outside [0, 1]")
     return _h2(x)
 

@@ -8,30 +8,32 @@ polar method.  Derived per-trial streams are obtained by mixing the base
 seed with the trial index, so parallel and serial execution orders draw
 identical numbers.
 
-A Gaussian draw has two paths with the same bits.  A draw of fewer than
-LANE_MIN_VARIATES variates runs the polar method one pair at a time in
-Python (``gaussians``' loop, the reference).  A larger draw cuts the stream
-into lanes of LANE_STEPS outputs each: the state update is linear over
-GF(2), so the jump J = T^LANE_STEPS (T: one step) is a 256 x 256 bit matrix
-and lane i starts at J^i s.  The starts double: while there are k of them,
-J^(2^l), for the largest 2^l <= k with l < JUMP_LEVELS, maps the last 2^l
-to the next 2^l, so past 128 starts J^128 adds whole blocks of 128.  Numpy
-steps every lane at once, the outputs are read back in stream order, and
-the polar method runs on whole arrays.  Every float operation in it is
-exact or correctly rounded, so it gives the loop's floats; the logarithm is
-not (``np.log`` differs from ``math.log`` in the last bit on about 0.35 %
-of arguments), so ``math.log`` is taken once per accepted pair.  A draw
-runs in passes of at most LANE_CHUNK variates, each planned for the pairs
-still wanted and resuming the stream just after the last pair the one
-before used, so the generator's state and spare end where the loop would
-leave them.  The jump products are XORs of table rows indexed by the
-state's 4-bit nibbles, not matrix products, so no BLAS call (and none of
-its threads) is involved; the tables (256 KiB) are built on the first lane
-draw, in about 3 ms, never at import.
+A Gaussian draw has one driver, ``gaussians``, and two sources of polar
+pairs with the same bits.  A draw of fewer than LANE_MIN_VARIATES variates
+takes each pair from two ``random()`` calls, the polar method as written.
+A larger draw cuts the stream into lanes of LANE_STEPS outputs each: the
+state update is linear over GF(2), so the jump J = T^LANE_STEPS (T: one
+step) is a 256 x 256 bit matrix and lane i starts at J^i s.  The starts
+double: while there are k of them, J^(2^l), for the largest 2^l <= k with
+l < JUMP_LEVELS, maps the last 2^l to the next 2^l, so past 128 starts
+J^128 adds whole blocks of 128.  Numpy steps every lane at once, the
+outputs are read back in stream order, and the polar method runs on whole
+arrays.  Every float operation in it is exact or correctly rounded, so it
+gives the floats of a pair at a time; the logarithm is not (``np.log``
+differs from ``math.log`` in the last bit on about 0.35 % of arguments),
+so ``math.log`` is taken once per accepted pair.  A draw runs in passes of
+at most LANE_CHUNK variates, each planned for the pairs still wanted and
+resuming the stream just after the last pair the one before used, so the
+generator's state ends where a pair at a time would leave it.  Either way
+the driver keeps the spare, the second variate of a last pair that ends
+past ``n``, for the next call.  The jump products are XORs of table rows
+indexed by the state's 4-bit nibbles, not matrix products, so no BLAS call
+(and none of its threads) is involved; the tables (256 KiB) are built on
+the first lane draw, in about 3 ms, never at import.
 
 The audit draws many short streams, one per trial (``spawn``), and
 ``_stream_gaussians`` gives each its Gaussians.  The streams of at most
-LANE_MIN_VARIATES pairs, whose matrices the loop would draw, are stepped
+LANE_MIN_VARIATES pairs, most of which would draw pair by pair, are stepped
 together, one lane per stream, so no jump is needed: one pass of the
 attempts, with the overdraw, that the largest count of pairs takes, after
 which each stream takes its first accepted pairs.  Every other stream, and
@@ -53,13 +55,17 @@ __all__ = ["Xoshiro256StarStar"]
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
-# Draws of at least this many variates take the lane path: the smallest
-# power of two at which the lanes win.  Their cost has a floor, LANE_STEPS
-# rounds of numpy calls, so on a 2-core x86 host (least of 31 draws) the
-# loop took 0.40 ms at 256 variates against the lanes' 0.60, tied at 384
-# (0.62 ms each) and lost at 512 (0.82 against 0.68 ms).  So a 16 x 16 Haar
-# state takes the lanes, and a 6 x 6 one (72 variates) the loop, unless its
-# audit trial's stream is stepped with the others (``_stream_gaussians``).
+# Two roles: draws of at least this many variates take their pairs from
+# lane passes, smaller ones from two random() calls a pair, and an audit
+# stream that wants at most this many pairs joins ``_stream_gaussians``'
+# pass.  A lane pass costs at least LANE_STEPS rounds of numpy calls, so
+# on a 2-core x86 host (two runs, each the least of 21 means of 20 draws)
+# the pairs took 264-268 us at 192 variates against the lanes' 270-281,
+# 347 against 285 at 256 and 530 against 307 at 384: the lanes win from
+# about 200 variates.  The value stays 512 because of the second role,
+# which no benchmark above max-dim 6 measures.  So a 16 x 16 Haar state
+# takes the lanes, and a 6 x 6 one (72 variates) two random() calls a
+# pair, unless its audit trial's stream is stepped with the others.
 LANE_MIN_VARIATES = 512
 # Outputs per lane (B in J = T^B).  Stepping costs B rounds of eight numpy
 # calls whatever the lane count, and each lane start a table lookup per
@@ -294,67 +300,30 @@ class Xoshiro256StarStar:
         """The next ``n`` standard normal variates (Marsaglia polar method).
 
         Each accepted pair of uniforms gives two variates; one that ``n``
-        leaves over is kept and comes first in the next call.  The stream
-        is that of the polar method drawn one variate at a time.  Below
-        LANE_MIN_VARIATES this loop draws it, the reference for the lane
-        path; it keeps the state in locals and steps the generator inline,
-        which halves its cost per variate.
+        leaves over is the spare, kept for the next call, which returns it
+        first.  The stream is that of the polar method drawn one variate at
+        a time.  The pairs come from one source, chosen by ``n``: below
+        LANE_MIN_VARIATES two ``random()`` calls a pair, else lane passes.
+        Each pass plans the pairs still wanted, at most LANE_CHUNK / 2, and
+        leaves the state just after its last accepted pair if it has them
+        all, else after its last uniforms; so a pass that falls short and a
+        chunk boundary are the same case, and the next pass draws the rest.
         """
         check_integer(0, n=n)
-        if n >= LANE_MIN_VARIATES:
-            return self._lane_gaussians(n)
-        out = []
-        spare = self._spare_gaussian
-        if spare is not None and n > 0:
-            out.append(spare)
-            spare = None
-        s0, s1, s2, s3 = self._s
-        mask, scale, log, sqrt = _MASK64, 2.0**-53, math.log, math.sqrt
-        while len(out) < n:
-            # two steps of next_u64(), inlined, give the uniforms u and v
-            x = (s1 * 5) & mask
-            u = ((((x << 7) | (x >> 57)) & mask) * 9) & mask
-            t = (s1 << 17) & mask
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & mask
-            x = (s1 * 5) & mask
-            v = ((((x << 7) | (x >> 57)) & mask) * 9) & mask
-            t = (s1 << 17) & mask
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & mask
-            u = 2.0 * ((u >> 11) * scale) - 1.0
-            v = 2.0 * ((v >> 11) * scale) - 1.0
-            r2 = u * u + v * v
-            if 0.0 < r2 < 1.0:
-                factor = sqrt(-2.0 * log(r2) / r2)
-                out.append(u * factor)
-                if len(out) < n:
-                    out.append(v * factor)
-                else:
-                    spare = v * factor
-        self._s = [s0, s1, s2, s3]
-        self._spare_gaussian = spare
-        return np.array(out)
-
-    def _lane_gaussians(self, n: int) -> np.ndarray:
-        """``gaussians(n)`` as an array, by lane passes.  Each pass plans
-        the pairs still wanted, at most LANE_CHUNK / 2, and leaves the state
-        just after its last accepted pair if it has them all, else after its
-        last uniforms; so a pass that falls short and a chunk boundary are
-        the same case, and the next pass draws the rest."""
         out = np.empty(n + 1)  # the last pair may end one past n: the spare
         done = 0
         if self._spare_gaussian is not None:
             out[0], self._spare_gaussian, done = self._spare_gaussian, None, 1
+        lanes = n >= LANE_MIN_VARIATES
         while done < n:
+            if not lanes:
+                u, v = 2.0 * self.random() - 1.0, 2.0 * self.random() - 1.0
+                r2 = u * u + v * v
+                if 0.0 < r2 < 1.0:
+                    factor = math.sqrt(-2.0 * math.log(r2) / r2)
+                    out[done], out[done + 1] = u * factor, v * factor
+                    done += 2
+                continue
             need = min((n - done + 1) // 2, LANE_CHUNK // 2)
             starts = _lane_starts(self._s, math.ceil(2.0 * _attempts(need) / LANE_STEPS))
             state = starts.T.copy()

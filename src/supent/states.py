@@ -130,7 +130,9 @@ class PairStack:
 
     def operators(self, row: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Pair ``row``'s [(rho_A(s1), rho_A(s2)), (rho_B(s1), rho_B(s2))], as
-        views of the stacks."""
+        views of the stacks.  Raises DomainError unless ``row`` is an integer
+        (not a bool) from 0 to the last row."""
+        qmath.check_integer(0, len(self._views) - 1, row=row)
         return self._views[row]
 
     def entropies(self, rows, t):
@@ -148,12 +150,14 @@ class PairStack:
         """
         n = len(self._views)
         if isinstance(rows, numbers.Integral) and not isinstance(rows, bool) and 0 <= rows < n:
-            if not (isinstance(t, numbers.Real) and 0.0 <= t <= 1.0):
+            # check_numbers' rule; a float skips the ABC check
+            real = type(t) is float or isinstance(t, numbers.Real) and not isinstance(t, bool)
+            if not (real and 0.0 <= t <= 1.0):
                 raise DomainError(f"a mixture weight must be a number in [0, 1], got {t!r}")
             if self._square[rows] is not None:
                 x, y = self._square[rows]
                 return tuple(qmath.psd_entropy(t * x + (1.0 - t) * y).tolist())
-            return tuple(qmath.psd_entropy(t * x + (1.0 - t) * y) for x, y in self.operators(rows))
+            return tuple(qmath.psd_entropy(t * x + (1.0 - t) * y) for x, y in self._views[rows])
         if not (
             isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.ndim == 1
             and isinstance(t, np.ndarray) and t.dtype.kind in "iuf" and t.shape == rows.shape
@@ -166,7 +170,7 @@ class PairStack:
             raise DomainError(f"mixture weights must lie in [0, 1], got {t!r}")
         if n == 1 and rows.size:  # one pair: broadcast over the weights, not copied per weight
             w = t[:, None, None]
-            return tuple(qmath.psd_entropy(w * x + (1.0 - w) * y) for x, y in self.operators(0))
+            return tuple(qmath.psd_entropy(w * x + (1.0 - w) * y) for x, y in self._views[0])
         out = np.empty((2, rows.size))
         dims = self._dims[rows]
         for d, (x1, x2) in self._stacks.items():
@@ -244,7 +248,8 @@ def classify_orthogonality(stack: PairStack, row: int) -> bool:
     when it is at most ORTHOGONALITY_TOL.
 
     Either condition implies ordinary orthogonality of the states
-    themselves, and either gives Lemma 1's closed form.
+    themselves, and either gives Lemma 1's closed form.  Raises DomainError
+    for a row that ``stack.operators`` refuses.
     """
     return any(
         float(np.einsum("ij,ji->", rho1, rho2).real) <= ORTHOGONALITY_TOL

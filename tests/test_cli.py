@@ -229,9 +229,10 @@ def test_exceptions_other_than_bad_input_exit_2(monkeypatch, capsys):
 
 def test_oversized_audit_dimension_is_rejected_before_drawing(monkeypatch, capsys):
     def refuse(*args):
-        raise AssertionError(f"state drawn with {args!r}")
+        raise AssertionError(f"audit drawn with {args!r}")
 
-    monkeypatch.setattr(harness, "_haar_state", refuse)
+    # every audit trial is drawn through _audit_draws
+    monkeypatch.setattr(harness, "_audit_draws", refuse)
     for size in (harness.MAX_STATE_DIM + 1, 10**12):
         code = cli_main(["audit", "--trials", "1", "--max-dim", str(size), "--seed", "7"])
         err = capsys.readouterr().err
@@ -346,7 +347,8 @@ def test_oversized_state_file_is_rejected_before_allocating(
 
 
 def test_oversized_sweep_dimension_is_rejected_before_allocating(tmp_path, monkeypatch, capsys):
-    _refuse(monkeypatch, "full")
+    # a record's first d-length array is a repeat of the family's runs
+    _refuse(monkeypatch, "repeat")
     out_path = tmp_path / "sweep.csv"
     for size in (harness.MAX_FAMILY_DIM + 1, 2**40):
         code = cli_main(

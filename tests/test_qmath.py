@@ -279,6 +279,15 @@ def test_binary_entropy_domain():
     for nan in (math.nan, np.array([0.3, math.nan])):
         with pytest.raises(DomainError):
             binary_entropy(nan)
+    # check_numbers' rule: no bools, only reals, in both forms
+    for bad in (
+        True, False, np.bool_(True), "a", None, 0.3j, [0.3],
+        np.array(["a"]), np.array([True]), np.array([0.3j]),
+    ):
+        with pytest.raises(DomainError):
+            binary_entropy(bad)
+    assert binary_entropy(1) == binary_entropy(np.int64(0)) == 0.0
+    assert binary_entropy(np.float64(0.3)) == binary_entropy(0.3)
     # within slack
     assert binary_entropy(-1e-13) == 0.0
     assert binary_entropy(np.array([-1e-13, 1.0 + 1e-13])).tolist() == [0.0, 0.0]

@@ -139,7 +139,10 @@ def test_gaussian_loop_matches_the_one_at_a_time_polar_method():
     for seed in range(40):
         fast, slow = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
         spare = None
-        for n in (1, 4, 3, 0, 7, 2, 5, 1):
+        # odd draws below and above LANE_MIN_VARIATES (512) carry a spare
+        # from a pair at a time into a lane draw (511 -> 513, 1 -> 1025) and
+        # back (513 -> 0 -> 511)
+        for n in (1, 4, 3, 0, 7, 2, 5, 1, 1, 511, 513, 1, 1025, 513, 0, 511, 3):
             expected, spare = _polar_gaussians(slow, n, spare)
             assert [x.hex() for x in fast.gaussians(n)] == [x.hex() for x in expected]
             assert fast.next_u64() == slow.next_u64()

@@ -418,11 +418,19 @@ def test_pair_stack_entropies_take_any_integer_row_alone():
     ]
 
 
+def _assert_operators_refuse(stack, row):
+    # operators, and so classify_orthogonality, take the checked rows only
+    for read in (stack.operators, lambda r: classify_orthogonality(stack, r)):
+        with pytest.raises(DomainError, match="row = "):
+            read(row)
+
+
 def test_pair_stack_entropies_reject_a_bool_row():
     stack = PairStack(_mixed_pairs(np.random.default_rng(43)))
     for row in (True, False, np.bool_(True), np.array([True, False])):
         with pytest.raises(DomainError, match="rows="):
             stack.entropies(row, 0.3 if np.ndim(row) == 0 else np.array([0.3, 0.4]))
+        _assert_operators_refuse(stack, row)
 
 
 def test_pair_stack_entropies_reject_rows_outside_the_stack():
@@ -430,6 +438,12 @@ def test_pair_stack_entropies_reject_rows_outside_the_stack():
     for row in (-1, 6, np.int64(-1), np.int64(6), 10**30):
         with pytest.raises(DomainError, match="rows="):
             stack.entropies(row, 0.3)
+        _assert_operators_refuse(stack, row)
+    # a wrapped row would answer for another: row 0 is orthogonal, row 1 not
+    two = PairStack([(basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)), (bell_state(), bell_state())])
+    assert [classify_orthogonality(two, row) for row in (0, 1, np.int64(1))] == [True, False, False]
+    for row in (-1, -2, 2, 1.0, "0", None):
+        _assert_operators_refuse(two, row)
     for rows in (np.array([0, -1]), np.array([6, 0])):
         with pytest.raises(DomainError, match="rows="):
             stack.entropies(rows, np.array([0.3, 0.4]))
@@ -445,7 +459,7 @@ def test_pair_stack_entropies_reject_weights_not_shaped_like_the_rows():
     ):
         with pytest.raises(DomainError, match="rows="):
             stack.entropies(rows, t)
-    for t in (np.array([0.3]), [0.3], "0.3", None):
+    for t in (np.array([0.3]), [0.3], "0.3", None, True, False, np.bool_(True), 0.3j):
         with pytest.raises(DomainError, match="weight must be a number"):
             stack.entropies(0, t)
 

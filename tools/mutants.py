@@ -92,6 +92,14 @@ MUTANTS = (
         "the examples' t* rows pass any t* in the window",
     ),
     Mutant(
+        "audit-any-max-dim",
+        "harness.py",
+        "check_integer(2, MAX_STATE_DIM, max_dim=max_dim)",
+        "check_integer(2, math.inf, max_dim=max_dim)",
+        "random_audit takes any max_dim, so an oversized one draws and "
+        "certifies states of that width instead of failing at once",
+    ),
+    Mutant(
         "sanity-slack",
         "bounds.py",
         "SANITY_SLACK = 1e-8",
@@ -112,6 +120,14 @@ MUTANTS = (
         "for rho1, rho2 in stack.operators(row)[1:]",
         "classify_orthogonality reads the B side only, so a pair one-sided on "
         "the A side alone gets no Lemma 1 value",
+    ),
+    Mutant(
+        "operators-wrapped-row",
+        "states.py",
+        "qmath.check_integer(0, len(self._views) - 1, row=row)",
+        "qmath.check_integer(-len(self._views), len(self._views) - 1, row=row)",
+        "PairStack.operators takes a negative row, so classify_orthogonality "
+        "answers for the row that Python's list indexing wraps it to",
     ),
     Mutant(
         "parallel-tol",
@@ -203,8 +219,8 @@ MUTANTS = (
         "rng.py",
         "self._spare_gaussian = float(out[n])",
         "self._spare_gaussian = None",
-        "an odd lane draw drops the second variate of its last pair instead of "
-        "keeping it for the next call",
+        "an odd draw, a pair at a time or in lanes, drops the second variate "
+        "of its last pair instead of keeping it for the next call",
     ),
     Mutant(
         "lane-state-pair-short",
