@@ -173,9 +173,10 @@ class SuperpositionProblem:
 
         The coefficient pair must lie on the unit sphere within PROB_SLACK;
         it is rescaled onto it exactly so downstream identities hold to
-        machine precision.  Raises DomainError for a coefficient that is not
-        a number, not finite or overflowing, and ZeroState when the
-        superposition is fully destructive (squared norm at most ZERO_NORM_SQ).
+        machine precision.  Raises DomainError unless psi and phi are
+        BipartiteStates, DomainError for a coefficient that is not a number,
+        not finite or overflowing, and ZeroState when the superposition is
+        fully destructive (squared norm at most ZERO_NORM_SQ).
         """
         (problem,) = cls.from_states_many([(psi, phi, alpha, beta)])
         if problem is None:
@@ -194,6 +195,7 @@ class SuperpositionProblem:
         """
         held = []  # (psi, phi, alpha, beta, gamma, gamma_norm_sq) or None
         for psi, phi, alpha, beta in quads:
+            _check_states(psi=psi, phi=phi)
             psi_n = psi.normalized()
             phi_n = phi.normalized()
             sphere = _weight("alpha", alpha) + _weight("beta", beta)
@@ -709,9 +711,10 @@ def subspace_lower(psi: BipartiteState, phi: BipartiteState, grid_n: int) -> flo
     superposition, and minimizes the optimized lower bound over the grid.
     The result lower-bounds the minimum exact entanglement over the same
     grid, up to grid resolution.  Raises DomainError unless grid_n is an
-    integer in [2, MAX_SUBSPACE_GRID].
+    integer in [2, MAX_SUBSPACE_GRID] and psi and phi are BipartiteStates.
     """
     check_integer(2, MAX_SUBSPACE_GRID, grid_n=grid_n)
+    _check_states(psi=psi, phi=phi)
     psi_n = psi.normalized()
     phi_n = phi.normalized()
     c = states.inner_product(psi_n, phi_n)
@@ -799,6 +802,13 @@ def _one_sided_value(p: SuperpositionProblem, s_a: float, s_b: float) -> float:
     t = p.alpha_sq
     s_ab = states.mixture_entropy(t, abs(p.overlap) ** 2)
     return t * p.e_psi + (1.0 - t) * p.e_phi + s_ab - abs(s_a - s_b)
+
+
+def _check_states(**named) -> None:
+    """Raise DomainError unless each named value is a BipartiteState."""
+    for name, s in named.items():
+        if not isinstance(s, BipartiteState):
+            raise DomainError(f"{name} is of type {type(s).__name__}, not a BipartiteState")
 
 
 def _weight(name: str, c: complex) -> float:

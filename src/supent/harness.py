@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -577,9 +578,13 @@ SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 
 def dimension_sweep(d_list, family: str) -> list[SweepRecord]:
-    """Evaluate every bound for the diagonal family at each dimension."""
+    """Evaluate every bound for the diagonal family at each dimension.
+
+    Raises DomainError, before any evaluation, for an unknown family, a
+    ``d_list`` that is not iterable, or a dimension ``_family_dim`` refuses.
+    """
     alpha, beta = family_coefficients(family)
-    d_list = [_family_dim(d) for d in d_list]
+    d_list = [_family_dim(d) for d in _listed("d_list", d_list)]
     return [_sweep_record(d, alpha, beta) for d in d_list]
 
 
@@ -610,7 +615,15 @@ def _sweep_record(d: int, alpha: float, beta: float) -> SweepRecord:
 
 
 def sweep_csv(records) -> str:
-    """Render sweep records as CSV, floats with 12 significant digits."""
+    """Render sweep records as CSV, floats with 12 significant digits.
+
+    Raises DomainError, before rendering any, unless ``records`` is an
+    iterable of SweepRecords.
+    """
+    records = _listed("records", records)
+    for r in records:
+        if not isinstance(r, SweepRecord):
+            raise DomainError(f"records holds {r!r:.80}, not a SweepRecord")
     lines = [",".join(SWEEP_COLUMNS)]
     for r in records:
         values = [f"{r.d}"] + [
@@ -618,6 +631,13 @@ def sweep_csv(records) -> str:
         ]
         lines.append(",".join(values))
     return "\n".join(lines) + "\n"
+
+
+def _listed(name: str, items) -> list:
+    """``items`` as a list; raises DomainError, naming it ``name``, unless it is iterable."""
+    if not isinstance(items, Iterable):
+        raise DomainError(f"{name} = {items!r:.80} is not iterable")
+    return list(items)
 
 
 # ---------------------------------------------------------------------------

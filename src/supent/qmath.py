@@ -74,7 +74,7 @@ class Spectrum:
 
 def as_complex_matrix(matrix) -> np.ndarray:
     """Validate and coerce input to a finite 2-D complex array."""
-    m = np.asarray(matrix, dtype=complex)
+    m = _as_numbers("matrix", matrix, complex)
     if m.ndim != 2:
         raise DomainError(f"expected a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -90,9 +90,15 @@ def psd_entropy(rho):
     contribute nothing.  Each matrix of a stack gets the same bits as it
     would alone, so a value never depends on how the calls were batched.
 
-    Raises ``NoConvergence`` if the diagonalization fails, and DomainError
-    if an eigenvalue is NaN (a matrix with a non-finite entry).
+    Raises DomainError, before any work, unless ``rho`` is a numpy array of
+    numbers (not bools) with at least two axes, the last two of one length;
+    ``NoConvergence`` if the diagonalization of such an array fails; and
+    DomainError if an eigenvalue is NaN (a matrix with a non-finite entry).
     """
+    square = isinstance(rho, np.ndarray) and rho.ndim >= 2 and rho.shape[-1] == rho.shape[-2]
+    if not (square and rho.dtype.kind in "iufc"):
+        got = f"shape {rho.shape}, dtype {rho.dtype}" if isinstance(rho, np.ndarray) else type(rho).__name__
+        raise DomainError(f"rho must be a numeric (..., d, d) array, got {got}")
     try:
         w = np.linalg.eigvalsh(rho)
     except np.linalg.LinAlgError as exc:
@@ -111,10 +117,10 @@ def singular_values(matrix) -> np.ndarray:
     Returns min(rows, cols) values per matrix; their squares sum to the
     squared Frobenius norm of that matrix.  A stack takes one LAPACK call,
     and each of its matrices gets the bits it gets alone.  Raises DomainError
-    for fewer than two axes or a non-finite entry, and NoConvergence if the
-    iteration fails.
+    for input numpy cannot read as complex numbers, for fewer than two axes
+    or a non-finite entry, and NoConvergence if the iteration fails.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = _as_numbers("matrix", matrix, complex)
     if m.ndim < 2:
         raise DomainError(f"expected a matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -132,14 +138,15 @@ def shannon_entropy(p):
     ``p`` is a ``Spectrum`` or a 1-D array-like of probabilities, giving a
     float, or an array of shape (..., n) of spectra, giving an array of
     shape (...).  Each spectrum must sum to 1 and be >= 0, each within
-    PROB_SLACK; the first that fails raises.  Entries at or below zero
+    PROB_SLACK; the first that fails raises, and DomainError is raised for
+    input numpy cannot read as floats.  Entries at or below zero
     contribute nothing: only a spectrum with some has its positive entries
     compressed into a copy, so that the sum over them runs as it would alone.
     All-positive spectra are summed as they are, with one temporary their
     size.  Each spectrum of a stack gets the bits it gets alone, and the
     input is never written to.
     """
-    values = p.values if isinstance(p, Spectrum) else np.asarray(p, dtype=float)
+    values = p.values if isinstance(p, Spectrum) else _as_numbers("p", p, float)
     one = values.ndim <= 1
     rows = values.reshape(1, -1) if one else values.reshape(math.prod(values.shape[:-1]), values.shape[-1])
     low = rows.min(axis=1, initial=math.inf).tolist()
@@ -158,6 +165,15 @@ def shannon_entropy(p):
     if one:
         return max(0.0, float(s[0]))
     return np.where(s > 0.0, s, 0.0).reshape(values.shape[:-1])
+
+
+def _as_numbers(name: str, x, dtype) -> np.ndarray:
+    """``np.asarray(x, dtype=dtype)``, raising DomainError, which names ``x``
+    as ``name``, where numpy cannot convert it."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} = {x!r:.80} is not an array of numbers: {exc}") from exc
 
 
 def _run_entropy(values: np.ndarray, counts) -> float:

@@ -9,7 +9,6 @@ entropy of the squared Schmidt coefficients of the normalized state.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,37 +102,35 @@ class PairStack:
     """
 
     def __init__(self, pairs):
-        """Raises DimMismatch for a pair on different spaces and NotNormalized
-        unless each squared norm is 1 within qmath.PROB_SLACK."""
+        """Raises DomainError for an entry that is not a pair of
+        BipartiteStates, DimMismatch for a pair on different spaces and
+        NotNormalized unless each squared norm is 1 within qmath.PROB_SLACK."""
         pairs = list(pairs)
-        for s1, s2 in pairs:
-            _check_dims(s1, s2)
-            if any(abs(norm_squared(s) - 1.0) > qmath.PROB_SLACK for s in (s1, s2)):
+        for k, pair in enumerate(pairs):
+            _check_dims(pair, f"pairs[{k}]")
+            if any(abs(norm_squared(s) - 1.0) > qmath.PROB_SLACK for s in pair):
                 raise NotNormalized("a pair stack needs normalized states")
         self._dims = np.array([s1.coeffs.shape for s1, _ in pairs], dtype=int).reshape(-1, 2)
         self._index = np.empty_like(self._dims)  # each (row, side)'s place in its stack
         self._stacks = {}  # dim: (s1 operators, s2 operators) of its (row, side) members
-        self._views = [[None, None] for _ in pairs]  # each row's operators on each side
-        self._square = [None] * len(pairs)  # a square row's (2, d, d) slices of s1's and s2's
         for d in sorted(set(self._dims.ravel().tolist())):
             members = np.argwhere(self._dims == d).tolist()  # [row, side], row by row
-            x1, x2 = (
+            self._stacks[d] = tuple(
                 np.stack([reduced_density(pairs[k][i], "AB"[side]) for k, side in members])
                 for i in (0, 1)
             )
-            self._stacks[d] = x1, x2
             for j, (k, side) in enumerate(members):
                 self._index[k, side] = j
-                self._views[k][side] = x1[j], x2[j]
-                if side == 1 and self._dims[k, 0] == d:
-                    self._square[k] = x1[j - 1 : j + 1], x2[j - 1 : j + 1]
 
     def operators(self, row: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Pair ``row``'s [(rho_A(s1), rho_A(s2)), (rho_B(s1), rho_B(s2))], as
         views of the stacks.  Raises DomainError unless ``row`` is an integer
         (not a bool) from 0 to the last row."""
-        qmath.check_integer(0, len(self._views) - 1, row=row)
-        return self._views[row]
+        qmath.check_integer(0, len(self._dims) - 1, row=row)
+        return [
+            (self._stacks[d][0][j], self._stacks[d][1][j])
+            for d, j in zip(self._dims[row].tolist(), self._index[row].tolist())
+        ]
 
     def entropies(self, rows, t):
         """(S_A, S_B) of t |s1><s1| + (1-t) |s2><s2| for the pair in row ``rows``.
@@ -148,20 +145,18 @@ class PairStack:
         other kind or outside the stack, and for a weight outside [0, 1] or
         NaN: the mixture would not be a state.
         """
-        n = len(self._views)
-        if isinstance(rows, numbers.Integral) and not isinstance(rows, bool) and 0 <= rows < n:
-            # check_numbers' rule; a float skips the ABC check
-            real = type(t) is float or isinstance(t, numbers.Real) and not isinstance(t, bool)
-            if not (real and 0.0 <= t <= 1.0):
-                raise DomainError(f"a mixture weight must be a number in [0, 1], got {t!r}")
-            if self._square[rows] is not None:
-                x, y = self._square[rows]
-                return tuple(qmath.psd_entropy(t * x + (1.0 - t) * y).tolist())
-            return tuple(qmath.psd_entropy(t * x + (1.0 - t) * y) for x, y in self._views[rows])
+        n = len(self._dims)
+        if not isinstance(rows, np.ndarray):
+            qmath.check_integer(0, n - 1, rows=rows)
+            qmath.check_numbers(0.0, 1.0, t=t)
+            (d_a, d_b), (j, _) = self._dims[rows].tolist(), self._index[rows].tolist()
+            if d_a == d_b:  # both sides are members j and j + 1 of one stack
+                x1, x2 = self._stacks[d_a]
+                return tuple(qmath.psd_entropy(t * x1[j : j + 2] + (1.0 - t) * x2[j : j + 2]).tolist())
+            return tuple(qmath.psd_entropy(t * x + (1.0 - t) * y) for x, y in self.operators(rows))
         if not (
-            isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.ndim == 1
-            and isinstance(t, np.ndarray) and t.dtype.kind in "iuf" and t.shape == rows.shape
-            and np.all((rows >= 0) & (rows < n))
+            rows.dtype.kind in "iu" and rows.ndim == 1 and isinstance(t, np.ndarray) and t.dtype.kind in "iuf"
+            and t.shape == rows.shape and np.all((rows >= 0) & (rows < n))
         ):
             raise DomainError(
                 f"rows={rows!r} is no row of the {n}, nor an array of them shaped like t"
@@ -170,7 +165,7 @@ class PairStack:
             raise DomainError(f"mixture weights must lie in [0, 1], got {t!r}")
         if n == 1 and rows.size:  # one pair: broadcast over the weights, not copied per weight
             w = t[:, None, None]
-            return tuple(qmath.psd_entropy(w * x + (1.0 - w) * y) for x, y in self._views[0])
+            return tuple(qmath.psd_entropy(w * x + (1.0 - w) * y) for x, y in self.operators(0))
         out = np.empty((2, rows.size))
         dims = self._dims[rows]
         for d, (x1, x2) in self._stacks.items():
@@ -188,13 +183,13 @@ def norm_squared(s: BipartiteState) -> float:
 
 def inner_product(s1: BipartiteState, s2: BipartiteState) -> complex:
     """<s1|s2> = sum conj(s1_ij) s2_ij."""
-    _check_dims(s1, s2)
+    _check_dims((s1, s2), "(s1, s2)")
     return complex(np.vdot(s1.coeffs, s2.coeffs))
 
 
 def superpose(alpha: complex, s1: BipartiteState, beta: complex, s2: BipartiteState) -> BipartiteState:
     """Entrywise alpha * s1 + beta * s2; the result may be unnormalized."""
-    _check_dims(s1, s2)
+    _check_dims((s1, s2), "(s1, s2)")
     return BipartiteState(alpha * s1.coeffs + beta * s2.coeffs)
 
 
@@ -272,8 +267,12 @@ def mixture_entropy(t: float, overlap_sq: float) -> float:
     return qmath.binary_entropy(0.5 * (1.0 + r))
 
 
-def _check_dims(s1: BipartiteState, s2: BipartiteState) -> None:
-    if s1.coeffs.shape != s2.coeffs.shape:
-        raise DimMismatch(
-            f"states live on {s1.coeffs.shape} vs {s2.coeffs.shape}"
-        )
+def _check_dims(pair, name: str) -> None:
+    """Raise DomainError unless ``pair``, named ``name``, is a tuple or list
+    of two BipartiteStates, and DimMismatch unless they share one space."""
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+            and all(isinstance(s, BipartiteState) for s in pair)):
+        kinds = [type(s).__name__ for s in pair] if isinstance(pair, (tuple, list)) else type(pair).__name__
+        raise DomainError(f"{name} is {kinds}, not a pair of BipartiteStates")
+    if pair[0].coeffs.shape != pair[1].coeffs.shape:
+        raise DimMismatch(f"states live on {pair[0].coeffs.shape} vs {pair[1].coeffs.shape}")

@@ -188,6 +188,7 @@ def test_criterion_04_example4_t_star_reference():
     assert ok, "; ".join(details) + f"; expected within 0.01 of 25/28 = {25/28:.6f}"
 
 
+@pytest.mark.kernel_pinned
 def test_criterion_05_ordering_audit_1000_trials():
     summary = harness.random_audit(1000, 6, seed=harness.DEFAULT_SEED)
     ok = (

@@ -109,6 +109,15 @@ def test_certify_rejects_coefficients_that_are_not_numbers(alpha):
         certify(psi, phi, alpha, 0.8)
 
 
+def test_certify_and_subspace_lower_reject_arguments_that_are_not_states():
+    psi, phi = harness.bell_block_pair()
+    for args, name in (((1, 2), "psi"), ((psi, np.eye(2)), "phi"), ((psi.coeffs, phi), "psi")):
+        with pytest.raises(DomainError, match=f"{name} is of type .*, not a BipartiteState"):
+            certify(*args, 1, 0)
+        with pytest.raises(DomainError, match=f"{name} is of type .*, not a BipartiteState"):
+            subspace_lower(*args, 4)
+
+
 def test_problem_rejects_destructive_superposition():
     bell = BipartiteState(np.eye(2) / math.sqrt(2.0))
     with pytest.raises(ZeroState):

@@ -314,6 +314,9 @@ def test_sweep_rejects_non_integral_dimensions_before_allocating(monkeypatch):
     for bad in (257.9, 257.0, "257", math.inf, math.nan, True, np.float64(257.0)):
         with pytest.raises(DomainError, match=re.escape(repr(bad))):
             dimension_sweep([5, bad], "example3")
+    for d_list in (5, None, 5.0):
+        with pytest.raises(DomainError, match=f"d_list = {d_list!r} is not iterable"):
+            dimension_sweep(d_list, "example3")
     with pytest.raises(AssertionError, match="d = 5$"):
         dimension_sweep([np.int64(5)], "example3")
 
@@ -386,6 +389,13 @@ def test_sweep_csv_format():
     assert len(first) == len(SWEEP_COLUMNS)
     # 12 significant digits survive the round trip
     assert float(first[1]) == pytest.approx(records[0].exact_e, rel=1e-11)
+    assert sweep_csv(iter(records)) == text
+    for bad in (None, 5):
+        with pytest.raises(DomainError, match=f"records = {bad!r} is not iterable"):
+            sweep_csv(bad)
+    for bad in ([1], records + [None], [r.d for r in records]):
+        with pytest.raises(DomainError, match="not a SweepRecord"):
+            sweep_csv(bad)
 
 
 # -- rng ----------------------------------------------------------------------------

@@ -58,6 +58,19 @@ def test_psd_entropy_diagonalization_failure_is_no_convergence(monkeypatch):
 
 
 
+def test_psd_entropy_refuses_a_malformed_matrix_before_diagonalizing(monkeypatch):
+    def refuse(a, *args, **kwargs):
+        raise AssertionError(f"eigvalsh called on {a!r}")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for rho in (
+        np.ones((2, 3)), np.ones((4, 2, 3)), np.ones(3), np.array(0.5), "ab", 5.0, None, [[1.0, 0.0], [0.0, 0.0]],
+        np.eye(2, dtype=bool), np.array([["a", "b"], ["c", "d"]]), np.eye(2).astype(object),
+    ):
+        with pytest.raises(DomainError, match=r"rho must be a numeric \(\.\.\., d, d\) array"):
+            psd_entropy(rho)
+
+
 def test_psd_entropy_of_a_non_finite_matrix_is_a_domain_error():
     # a NaN eigenvalue masked to 1.0 would give an entropy of 0.0
     nan = np.full((2, 2), np.nan)
@@ -79,6 +92,9 @@ def test_matrix_checks_reject_1d_and_non_finite_input():
     for check, shape_word in ((qmath.as_complex_matrix, "2-D matrix"), (singular_values, "stack of them")):
         with pytest.raises(DomainError, match=shape_word):
             check(np.ones(3))
+        for bad in ("ab", [[1.0, "x"]], [[object()]], [[1.0], [1.0, 2.0]]):
+            with pytest.raises(DomainError, match="matrix = .* is not an array of numbers"):
+                check(bad)
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
             m = np.eye(2, dtype=complex)
             m[1, 0] = bad
@@ -137,6 +153,10 @@ def test_shannon_entropy_rejects_nan_and_negative_entries():
     for p in ([0.5, 0.5, math.nan], [1.5, -0.5], [1.0, math.inf, -math.inf], [math.nan]):
         with pytest.raises(SupentError):
             shannon_entropy(np.array(p))
+    # nor is what numpy cannot read as floats
+    for bad in ("ab", [0.5, "x"], [object()], [[0.5], [0.5, 0.5]]):
+        with pytest.raises(DomainError, match="p = .* is not an array of numbers"):
+            shannon_entropy(bad)
     # eigenvalue rounding below 0 is still a probability
     assert shannon_entropy(np.array([0.5 + 1e-15, 0.5, -1e-15])) == pytest.approx(1.0)
 

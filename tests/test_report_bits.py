@@ -21,6 +21,8 @@ float 1e-12 and each t* 1e-6, and hold every other value exact.
 import dataclasses
 import math
 
+import pytest
+
 from helpers import pin_environments
 from supent import bounds, harness
 
@@ -81,6 +83,7 @@ def _problems():
         yield (*harness.generate_one_sided_pair(*dims, seed), alpha, beta)
 
 
+@pytest.mark.kernel_pinned
 def test_audit_summary_bits():
     assert _hexed(dataclasses.asdict(harness.random_audit(200, 6, seed=7))) == AUDIT, pin_environments()
 
@@ -89,6 +92,7 @@ def test_audit_summary_within_kernel_rounding():
     _assert_near(dataclasses.asdict(harness.random_audit(200, 6, seed=7)), AUDIT, "audit")
 
 
+@pytest.mark.kernel_pinned
 def test_certify_report_bits():
     got = [_hexed(dataclasses.asdict(bounds.certify(*p))) for p in _problems()]
     for i, (report, recorded) in enumerate(zip(got, REPORTS)):

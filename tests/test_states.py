@@ -78,6 +78,22 @@ def test_inner_product_dim_mismatch():
         inner_product(basis_state(2, 2, 0, 0), basis_state(2, 3, 0, 0))
 
 
+def test_pair_operations_refuse_what_is_not_a_pair_of_states():
+    bell = bell_state()
+    for bad in (1, None, (bell,), (bell, bell, bell), (bell, 1), (1, 2), (bell.coeffs, bell), "ab"):
+        with pytest.raises(DomainError, match=r"pairs\[1\] is .*, not a pair of BipartiteStates"):
+            PairStack([(bell, bell), bad])
+    for s1, s2 in ((1, 2), (bell, bell.coeffs), (None, bell)):
+        with pytest.raises(DomainError, match=r"\(s1, s2\) is .*, not a pair of BipartiteStates"):
+            inner_product(s1, s2)
+        with pytest.raises(DomainError, match=r"\(s1, s2\) is .*, not a pair of BipartiteStates"):
+            superpose(1.0, s1, 0.0, s2)
+    with pytest.raises(DomainError, match="matrix = 'ab' is not an array of numbers"):
+        BipartiteState("ab")
+    # a list is a pair too
+    assert PairStack([[bell, bell]]).entropies(0, 0.5) == PairStack([(bell, bell)]).entropies(0, 0.5)
+
+
 # -- superpose ---------------------------------------------------------------
 
 
@@ -428,7 +444,7 @@ def _assert_operators_refuse(stack, row):
 def test_pair_stack_entropies_reject_a_bool_row():
     stack = PairStack(_mixed_pairs(np.random.default_rng(43)))
     for row in (True, False, np.bool_(True), np.array([True, False])):
-        with pytest.raises(DomainError, match="rows="):
+        with pytest.raises(DomainError, match="rows ?="):
             stack.entropies(row, 0.3 if np.ndim(row) == 0 else np.array([0.3, 0.4]))
         _assert_operators_refuse(stack, row)
 
@@ -436,7 +452,7 @@ def test_pair_stack_entropies_reject_a_bool_row():
 def test_pair_stack_entropies_reject_rows_outside_the_stack():
     stack = PairStack(_mixed_pairs(np.random.default_rng(43)))
     for row in (-1, 6, np.int64(-1), np.int64(6), 10**30):
-        with pytest.raises(DomainError, match="rows="):
+        with pytest.raises(DomainError, match="rows ?="):
             stack.entropies(row, 0.3)
         _assert_operators_refuse(stack, row)
     # a wrapped row would answer for another: row 0 is orthogonal, row 1 not
@@ -460,7 +476,7 @@ def test_pair_stack_entropies_reject_weights_not_shaped_like_the_rows():
         with pytest.raises(DomainError, match="rows="):
             stack.entropies(rows, t)
     for t in (np.array([0.3]), [0.3], "0.3", None, True, False, np.bool_(True), 0.3j):
-        with pytest.raises(DomainError, match="weight must be a number"):
+        with pytest.raises(DomainError, match=r"t=.* is not a finite number in \[0.0, 1.0\]"):
             stack.entropies(0, t)
 
 
@@ -474,7 +490,7 @@ def test_pair_stack_entropies_reject_rows_of_other_kinds():
         (np.array([0.0, 1.0]), np.array([0.3, 0.4])),
         (np.array([[0, 1]]), np.array([[0.3, 0.4]])),
     ):
-        with pytest.raises(DomainError, match="rows="):
+        with pytest.raises(DomainError, match="rows ?="):
             stack.entropies(rows, t)
 
 

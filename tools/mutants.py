@@ -124,10 +124,34 @@ MUTANTS = (
     Mutant(
         "operators-wrapped-row",
         "states.py",
-        "qmath.check_integer(0, len(self._views) - 1, row=row)",
-        "qmath.check_integer(-len(self._views), len(self._views) - 1, row=row)",
+        "qmath.check_integer(0, len(self._dims) - 1, row=row)",
+        "qmath.check_integer(-len(self._dims), len(self._dims) - 1, row=row)",
         "PairStack.operators takes a negative row, so classify_orthogonality "
-        "answers for the row that Python's list indexing wraps it to",
+        "answers for the row that numpy's indexing of _dims wraps it to",
+    ),
+    Mutant(
+        "entropies-unbounded-weight",
+        "states.py",
+        "qmath.check_numbers(0.0, 1.0, t=t)",
+        "qmath.check_numbers(0.0, math.inf, t=t)",
+        "PairStack.entropies of one row takes a weight above 1, whose "
+        "'mixture' is no state",
+    ),
+    Mutant(
+        "pair-of-anything",
+        "states.py",
+        "and all(isinstance(s, BipartiteState) for s in pair)):",
+        "and True):",
+        "PairStack, inner_product and superpose take a pair of non-states and "
+        "fail with an AttributeError instead of a DomainError",
+    ),
+    Mutant(
+        "psd-entropy-any-shape",
+        "qmath.py",
+        "square = isinstance(rho, np.ndarray) and rho.ndim >= 2 and rho.shape[-1] == rho.shape[-2]",
+        "square = True",
+        "psd_entropy hands a non-square or non-array rho to eigvalsh, and reports "
+        "the bad input as a convergence failure",
     ),
     Mutant(
         "parallel-tol",
